@@ -18,7 +18,7 @@ from .gauge import (Connection, codifferential, codifferential_flat,
                     wedge_action_adjoint, yang_mills_functional,
                     yang_mills_residual, yang_mills_residual_covariant,
                     zero_connection)
-from .spectrum import antihermitian_basis, harmonic_space_dim
+from .spectrum import antihermitian_basis, harmonic_space_dim, laplacian_matrix
 from .curves import (ClaimReport, ConnectionCurve, PerturbationJets, Su2Ansatz,
                      curve_jets, decompose_su2, flat_curve_report,
                      gauge_orbit_curve, harmonic_projection, seam_family_form,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import E1, E2, E3, inner
-from .curves import torus_family_report
+from .curves import _matrix_entries, torus_family_report
 from .forms import TorusGrid, constant_form, scalar_form, tensor_form
 from .gauge import Connection, residual_report, zero_connection
 from .holonomy import (AnalyticTorusPotential, aharonov_bohm_monodromy,
@@ -66,6 +66,15 @@ def _positive_int(name, value, minimum=1):
     if value is None or value < minimum:
         raise CliError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)
+
+
+def _tolerance(args, default):
+    """The --tol flag, or `default` when absent; it must be finite and positive."""
+    if args.tol is None:
+        return default
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise CliError(f"--tol must be a finite number > 0, got {args.tol}")
+    return args.tol
 
 
 def build_parser():
@@ -173,10 +182,6 @@ def build_loop(selector):
         return torus_circle((float(params.get("cx", 0.5)), float(params.get("cy", 0.5))),
                             float(params.get("r", 0.2)), int(params.get("n", 1)))
     raise CliError(f"unknown loop family {name!r}")
-
-
-def _matrix_entries(mat):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(mat).ravel(order="C")]
 
 
 def _config_echo(args):
@@ -294,9 +299,7 @@ def _cmd_verify(args):
 def _cmd_torus_curve(args):
     samples = _positive_int("--samples", args.samples, 2)
     grid_n = _positive_int("--grid", args.grid, 8)
-    flat_tol = args.tol if args.tol is not None else 1e-8
-    if flat_tol <= 0:
-        raise CliError("--tol must be positive")
+    flat_tol = _tolerance(args, 1e-8)
     ts = [i / (samples - 1) for i in range(samples)]
     report = torus_family_report(args.lam, ts, n=grid_n, steps=args.steps,
                                  flat_tol=flat_tol)
@@ -309,7 +312,7 @@ def _cmd_torus_curve(args):
 
 def _cmd_residual(args):
     grid = TorusGrid(_positive_int("--grid", args.grid, 8))
-    flat_tol = args.tol if args.tol is not None else 1e-8
+    flat_tol = _tolerance(args, 1e-8)
     conn = build_family(grid, args.family)
     rep = residual_report(conn, flat_tol)
     record = _base_record(args, {"report": rep})
@@ -337,7 +340,8 @@ def _cmd_holonomy(args):
 
 def _cmd_ab(args):
     k = _complex_arg(args.k)
-    rec = aharonov_bohm_monodromy(k, args.winding)
+    steps = _positive_int("--steps", args.steps, 100)
+    rec = aharonov_bohm_monodromy(k, args.winding, steps * max(1, abs(args.winding)))
     closed_form = complex(np.exp(2j * np.pi * k * args.winding))
     record = _base_record(args, {
         "monodromy": rec.monodromy,
@@ -384,9 +388,7 @@ def _cmd_wong(args):
 def _cmd_spectrum(args):
     grid = TorusGrid(_positive_int("--grid", args.grid, 8))
     rank = _positive_int("--rank", args.rank, 1)
-    threshold = args.tol if args.tol is not None else 1e-6
-    if threshold <= 0:
-        raise CliError("--tol must be positive")
+    threshold = _tolerance(args, 1e-6)
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
     conn = zero_connection(grid, rank)
     dims = {str(k): harmonic_space_dim(conn, k, threshold) for k in degrees}

@@ -9,14 +9,18 @@ kernel equal to the continuum harmonic space while its Laplacian is still the
 standard second-order five-point stencil.
 
 Counting is done over the real coefficient space: anti-Hermitian values are
-expanded in an orthonormal basis of u(m) under Re tr(A B^H), the operator
-matrix (symmetric positive semi-definite by construction) is assembled
-densely, and eigenvalues below the threshold are counted.
+expanded in an orthonormal basis of u(m) under Re tr(A B^H).  The covariant
+differentials d0 and d1 are sparse matrices in that basis (Kronecker-product
+shift stencils plus pointwise ad(E) blocks); the codifferentials are their
+transposes, so the Laplacian L = d^T d + d d^T is symmetric positive
+semi-definite by construction.  It is densified for the eigensolve and the
+eigenvalues below the threshold are counted.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .forms import l2_norm
 from .gauge import curvature
@@ -43,57 +47,50 @@ def antihermitian_basis(m):
     return np.stack(basis)
 
 
-def _fx(a, h):
-    return (np.roll(a, -1, axis=0) - a) / h
+def _forward_difference(n, h):
+    """Periodic forward difference (S - I)/h on one axis, S the cyclic shift."""
+    return (sp.eye(n, k=1) + sp.eye(n, k=1 - n) - sp.eye(n)) / h
 
 
-def _fy(a, h):
-    return (np.roll(a, -1, axis=1) - a) / h
+def _ad_blocks(e, basis):
+    """Block-diagonal matrix of f -> [e, f] at every node, in `basis` coordinates."""
+    n, nb = e.shape[0], basis.shape[0]
+    comm = np.einsum("xyij,bjk->xybik", e, basis) - np.einsum("bij,xyjk->xybik", basis, e)
+    blocks = np.einsum("xybij,aij->xyab", comm, basis.conj()).real.reshape(n * n, nb, nb)
+    return sp.bsr_matrix((blocks, np.arange(n * n), np.arange(n * n + 1)),
+                         shape=(n * n * nb, n * n * nb)).tocsr()
 
 
-def _bx(a, h):
-    return (a - np.roll(a, 1, axis=0)) / h
+def _covariant_differentials(conn):
+    """Sparse covariant differentials d0: 0-forms -> 1-forms, d1: 1-forms -> 2-forms.
+
+    Coordinates are the real u(m) coefficients of `antihermitian_basis`,
+    ordered (component, x, y, basis).  Each directional derivative is a
+    forward difference plus the pointwise action of ad(E); since ad(E) is
+    skew for anti-Hermitian E, the transposes are the backward differences
+    with the adjoint coupling, i.e. the codifferentials.
+    """
+    grid = conn.grid
+    n, h = grid.n, grid.h
+    ex, ey = conn.potential.comps
+    basis = antihermitian_basis(conn.m)
+    fwd = _forward_difference(n, h)
+    eye_n, eye_b = sp.eye(n), sp.eye(basis.shape[0])
+    dx = sp.kron(sp.kron(fwd, eye_n), eye_b, format="csr") + _ad_blocks(ex, basis)
+    dy = sp.kron(sp.kron(eye_n, fwd), eye_b, format="csr") + _ad_blocks(ey, basis)
+    return sp.vstack([dx, dy], format="csr"), sp.hstack([-dy, dx], format="csr")
 
 
-def _by(a, h):
-    return (a - np.roll(a, 1, axis=1)) / h
-
-
-def _comm(a, b):
-    return a @ b - b @ a
-
-
-def _d0(ex, ey, f, h):
-    return _fx(f, h) + _comm(ex, f), _fy(f, h) + _comm(ey, f)
-
-
-def _d1(ex, ey, p, q, h):
-    return _fx(q, h) - _fy(p, h) + _comm(ex, q) - _comm(ey, p)
-
-
-def _delta1(ex, ey, p, q, h):
-    return -(_bx(p, h) + _by(q, h)) + _comm(p, ex) + _comm(q, ey)
-
-
-def _delta2(ex, ey, r, h):
-    return _by(r, h) + _comm(ey, r), -_bx(r, h) + _comm(r, ex)
-
-
-def _apply_laplacian(ex, ey, degree, comps, h):
+def laplacian_matrix(conn, degree):
+    """Covariant Hodge Laplacian d^T d + d d^T at `degree` as a sparse matrix."""
+    if degree not in (0, 1, 2):
+        raise ValueError("degree must be 0, 1 or 2")
+    d0, d1 = _covariant_differentials(conn)
     if degree == 0:
-        (f,) = comps
-        p, q = _d0(ex, ey, f, h)
-        return (_delta1(ex, ey, p, q, h),)
+        return d0.T @ d0
     if degree == 1:
-        p, q = comps
-        r = _d1(ex, ey, p, q, h)
-        dp, dq = _delta2(ex, ey, r, h)
-        f = _delta1(ex, ey, p, q, h)
-        gp, gq = _d0(ex, ey, f, h)
-        return (dp + gp, dq + gq)
-    (r,) = comps
-    p, q = _delta2(ex, ey, r, h)
-    return (_d1(ex, ey, p, q, h),)
+        return d0 @ d0.T + d1.T @ d1
+    return d1 @ d1.T
 
 
 def harmonic_space_dim(conn, degree, threshold=1e-6, flat_tol=1e-8, dof_limit=4608):
@@ -111,30 +108,9 @@ def harmonic_space_dim(conn, degree, threshold=1e-6, flat_tol=1e-8, dof_limit=46
             f"harmonic counting needs a flat connection: curvature norm {kn:.3e} "
             f"exceeds {flat_tol:.1e}"
         )
-    grid = conn.grid
-    n, m, h = grid.n, conn.m, grid.h
-    ex, ey = conn.potential.comps
-    basis = antihermitian_basis(m)
-    nb = m * m
-    ncomp = 2 if degree == 1 else 1
-    dof = ncomp * n * n * nb
+    n, m = conn.grid.n, conn.m
+    dof = (2 if degree == 1 else 1) * n * n * m * m
     if dof > dof_limit:
         raise ValueError(f"eigenproblem size {dof} exceeds the limit {dof_limit}; reduce the grid")
-    basis_conj = basis.conj()
-    mat = np.empty((dof, dof))
-    col = 0
-    for c in range(ncomp):
-        for j in range(n):
-            for l in range(n):
-                for ib in range(nb):
-                    comps = [np.zeros((n, n, m, m), dtype=complex) for _ in range(ncomp)]
-                    comps[c][j, l] = basis[ib]
-                    out = _apply_laplacian(ex, ey, degree, comps, h)
-                    mat[:, col] = np.concatenate([
-                        np.einsum("xyij,aij->xya", oc, basis_conj).real.ravel(order="C")
-                        for oc in out
-                    ])
-                    col += 1
-    mat = 0.5 * (mat + mat.T)
-    evals = np.linalg.eigvalsh(mat)
+    evals = np.linalg.eigvalsh(laplacian_matrix(conn, degree).toarray())
     return int(np.count_nonzero(evals < threshold))

@@ -44,6 +44,18 @@ def test_ab_command(capsys):
     assert record["deviation"] < 1e-8
 
 
+def test_ab_transport_steps_follow_steps_flag(capsys):
+    for winding, want in ((1, 300), (-2, 600), (0, 300)):
+        code, out, _ = _run(capsys, ["ab", "--steps", "300", "--winding", str(winding),
+                                     "--format", "structured-record"])
+        assert code == 0
+        record = json.loads(out)
+        assert record["config"]["steps"] == 300
+        assert record["transport_steps"] == want
+    code, _, err = _run(capsys, ["ab", "--steps", "7"])
+    assert code == 1 and "--steps" in err
+
+
 def test_torus_curve_command(capsys):
     code, out, _ = _run(capsys, ["torus-curve", "--lambda", "1.0", "--samples", "11",
                                  "--grid", "32", "--steps", "200",
@@ -113,6 +125,15 @@ def test_invalid_inputs_exit_one(capsys):
     assert code == 1 and "complex" in err
     code, _, err = _run(capsys, ["frobnicate"])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", (["residual"], ["spectrum", "--grid", "8"],
+                                     ["torus-curve", "--samples", "2", "--grid", "8"]))
+@pytest.mark.parametrize("tol", ("-1", "0", "nan", "inf"))
+def test_rejects_bad_tolerance(capsys, command, tol):
+    code, out, err = _run(capsys, command + ["--tol", tol])
+    assert code == 1
+    assert out == "" and "--tol" in err
 
 
 def test_config_file_mode(tmp_path, capsys):

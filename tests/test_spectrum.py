@@ -4,7 +4,62 @@ import pytest
 from gaugecalc.algebra import E1, inner
 from gaugecalc.forms import TorusGrid, constant_form, tensor_form, scalar_form
 from gaugecalc.gauge import Connection, zero_connection
-from gaugecalc.spectrum import antihermitian_basis, harmonic_space_dim
+from gaugecalc.spectrum import antihermitian_basis, harmonic_space_dim, laplacian_matrix
+
+
+def _reference_laplacian(conn, degree):
+    """Dense Laplacian applied to one unit coefficient vector per column (np.roll stencils)."""
+    n, m, h = conn.grid.n, conn.m, conn.grid.h
+    ex, ey = conn.potential.comps
+
+    def fwd(a, axis):
+        return (np.roll(a, -1, axis=axis) - a) / h
+
+    def bwd(a, axis):
+        return (a - np.roll(a, 1, axis=axis)) / h
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    def d0(f):
+        return fwd(f, 0) + comm(ex, f), fwd(f, 1) + comm(ey, f)
+
+    def d1(p, q):
+        return fwd(q, 0) - fwd(p, 1) + comm(ex, q) - comm(ey, p)
+
+    def delta1(p, q):
+        return -(bwd(p, 0) + bwd(q, 1)) + comm(p, ex) + comm(q, ey)
+
+    def delta2(r):
+        return bwd(r, 1) + comm(ey, r), -bwd(r, 0) + comm(r, ex)
+
+    def apply(comps):
+        if degree == 0:
+            return (delta1(*d0(comps[0])),)
+        if degree == 1:
+            dp, dq = delta2(d1(*comps))
+            gp, gq = d0(delta1(*comps))
+            return (dp + gp, dq + gq)
+        return (d1(*delta2(comps[0])),)
+
+    basis = antihermitian_basis(m)
+    nb = m * m
+    ncomp = 2 if degree == 1 else 1
+    dof = ncomp * n * n * nb
+    mat = np.empty((dof, dof))
+    col = 0
+    for c in range(ncomp):
+        for j in range(n):
+            for l in range(n):
+                for ib in range(nb):
+                    comps = [np.zeros((n, n, m, m), dtype=complex) for _ in range(ncomp)]
+                    comps[c][j, l] = basis[ib]
+                    mat[:, col] = np.concatenate([
+                        np.einsum("xyij,aij->xya", oc, basis.conj()).real.ravel()
+                        for oc in apply(comps)
+                    ])
+                    col += 1
+    return mat
 
 
 def test_antihermitian_basis_is_orthonormal():
@@ -54,3 +109,28 @@ def test_rejects_oversized_problem():
     conn = zero_connection(TorusGrid(64), 2)
     with pytest.raises(ValueError, match="exceeds the limit"):
         harmonic_space_dim(conn, 1)
+
+
+def _constant_connection(grid, ax, ay):
+    return Connection(constant_form(grid, 1, ax, ay))
+
+
+@pytest.mark.parametrize("degree", (0, 1, 2))
+@pytest.mark.parametrize("potential", ("zero", "twisted-dx", "twisted-dxdy"))
+def test_laplacian_matrix_matches_stencil_reference(potential, degree):
+    grid = TorusGrid(8)
+    zero2 = np.zeros((2, 2))
+    conn = {
+        "zero": zero_connection(grid, 2),
+        "twisted-dx": _constant_connection(grid, np.pi * E1, zero2),
+        "twisted-dxdy": _constant_connection(grid, 0.9 * E1, 1.3 * E1),
+    }[potential]
+    got = laplacian_matrix(conn, degree).toarray()
+    want = _reference_laplacian(conn, degree)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_harmonic_dims_rank_three():
+    conn = zero_connection(TorusGrid(8), 3)
+    assert tuple(harmonic_space_dim(conn, k) for k in (0, 1, 2)) == (9, 18, 9)
