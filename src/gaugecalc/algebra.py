@@ -46,6 +46,8 @@ def is_antihermitian(a, atol=ANTIHERMITIAN_ATOL):
 
 def require_antihermitian(a, what="matrix", atol=ANTIHERMITIAN_ATOL):
     defect = antihermitian_defect(a)
+    if not np.isfinite(defect):
+        raise ValueError(f"{what} has non-finite entries")
     if defect > atol:
         raise ValueError(
             f"{what} is not anti-Hermitian: defect {defect:.3e} exceeds {atol:.1e}"

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 One batch run per invocation.  Reports embed the package version, the echoed
-configuration, the seed and the tolerance table, and are byte-identical for
-identical configurations.  Exit codes: 0 success, 1 invalid input, 2 a
+configuration, the seed and the tolerances that ran, and are byte-identical
+for identical configurations.  Exit codes: 0 success, 1 invalid input, 2 a
 verification suite failed.
 """
 
@@ -28,22 +28,7 @@ from .suites import run_verify
 
 _SU2 = {"e1": E1, "e2": E2, "e3": E3}
 
-_TOLERANCES = {
-    "ab-monodromy": 1e-8,
-    "ac-agreement": 1e-8,
-    "ad-invariance": 1e-10,
-    "adjointness": 1e-10,
-    "d-compose-zero": 1e-12,
-    "first-variation-relative": 1e-6,
-    "flat-threshold": 1e-8,
-    "gauge-orbit-ce": 1e-6,
-    "harmonic-threshold": 1e-6,
-    "jet-stencil-exactness": 1e-12,
-    "star-isometry": 1e-12,
-    "su2-two-path-agreement": 1e-8,
-    "wong-conservation": 1e-9,
-    "ym-gauge-invariance-relative": 5e-4,
-}
+_MAX_GRID = 1024  # memory grows as N^2; a rank-2 residual at N = 512 peaks near 250 MB
 
 
 class CliError(Exception):
@@ -68,6 +53,13 @@ def _positive_int(name, value, minimum=1):
     return int(value)
 
 
+def _grid(args):
+    """The --grid flag, checked before anything is allocated."""
+    if not 8 <= args.grid <= _MAX_GRID:
+        raise CliError(f"--grid must be an integer in [8, {_MAX_GRID}], got {args.grid}")
+    return args.grid
+
+
 def _tolerance(args, default):
     """The --tol flag, or `default` when absent; it must be finite and positive."""
     if args.tol is None:
@@ -82,52 +74,56 @@ def build_parser():
     parser.add_argument("--config", help="JSON file mirroring the flags", default=None)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, grid_default=64):
-        p.add_argument("--grid", type=int, default=grid_default)
-        p.add_argument("--steps", type=int, default=1000)
-        p.add_argument("--tol", type=float, default=None)
+    def common(p, grid=None, steps=False, tol=False):
+        # --grid, --steps and --tol exist only on the commands that read them
+        if grid:
+            p.add_argument("--grid", type=int, default=grid)
+        if steps:
+            p.add_argument("--steps", type=int, default=1000)
+        if tol:
+            p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", default="report-text",
                        choices=("report-text", "structured-record", "csv"))
 
     p = sub.add_parser("verify", description="run every invariant suite")
-    common(p, grid_default=32)
+    common(p, grid=32)
 
     p = sub.add_parser("torus-curve", description="claim report for the torus family")
-    common(p)
+    common(p, grid=64, steps=True, tol=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=11)
 
     p = sub.add_parser("residual", description="Yang-Mills residual of a named field")
-    common(p)
+    common(p, grid=64, tol=True)
     p.add_argument("--family", default="zero")
 
     p = sub.add_parser("holonomy", description="Wilson loop of a named field")
-    common(p)
+    common(p, grid=64, steps=True)
     p.add_argument("--family", default="zero")
     p.add_argument("--loop", default="torus:wx=1,wy=0")
 
     p = sub.add_parser("ab", description="Aharonov-Bohm monodromy")
-    common(p)
+    common(p, steps=True)
     p.add_argument("--k", type=str, default="0.5")
     p.add_argument("--winding", type=int, default=1)
 
     p = sub.add_parser("wong", description="spin transport cases")
-    common(p)
+    common(p, steps=True)
     p.add_argument("--case", default="constant",
                    choices=("constant", "flat-contractible"))
     p.add_argument("--i0", default="e1", choices=tuple(_SU2))
 
     p = sub.add_parser("spectrum", description="harmonic space dimensions")
-    common(p, grid_default=16)
+    common(p, grid=16, tol=True)
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--degree", default="all", choices=("0", "1", "2", "all"))
     return parser
 
 
 def parse_params(text):
-    """Parse 'name:key=val,key=val' selectors; values become floats when possible."""
+    """Parse 'name:key=val,key=val' selectors; numeric values become finite floats."""
     name, _, rest = text.partition(":")
     params = {}
     if rest:
@@ -139,6 +135,9 @@ def parse_params(text):
                 params[key] = float(val)
             except ValueError:
                 params[key] = val
+            else:
+                if not np.isfinite(params[key]):
+                    raise CliError(f"selector parameter {key!r} must be finite, got {val!r}")
     return name, params
 
 
@@ -189,13 +188,13 @@ def _config_echo(args):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _base_record(args, body):
+def _base_record(args, tolerances, body):
     return {
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),
         "seed": args.seed,
-        "tolerances": _TOLERANCES,
+        "tolerances": tolerances,
         **body,
     }
 
@@ -279,9 +278,8 @@ def _flat_rows(record, prefix=""):
 
 
 def _cmd_verify(args):
-    grid_n = _positive_int("--grid", args.grid, 8)
-    checks, passed = run_verify(args.seed, grid_n)
-    record = _base_record(args, {
+    checks, passed = run_verify(args.seed, _grid(args))
+    record = _base_record(args, {c.name: c.bound for c in checks}, {
         "checks": [
             {"name": c.name, "value": c.value, "bound": c.bound, "kind": c.kind,
              "passed": c.passed}
@@ -298,12 +296,12 @@ def _cmd_verify(args):
 
 def _cmd_torus_curve(args):
     samples = _positive_int("--samples", args.samples, 2)
-    grid_n = _positive_int("--grid", args.grid, 8)
+    grid_n = _grid(args)
     flat_tol = _tolerance(args, 1e-8)
     ts = [i / (samples - 1) for i in range(samples)]
-    report = torus_family_report(args.lam, ts, n=grid_n, steps=args.steps,
-                                 flat_tol=flat_tol)
-    record = _base_record(args, {"report": report.to_record()})
+    report = torus_family_report(args.lam, ts, n=grid_n, flat_tol=flat_tol,
+                                 steps=_positive_int("--steps", args.steps, 100))
+    record = _base_record(args, {"flat_tol": flat_tol}, {"report": report.to_record()})
     rows = [(format(t, ".12e"), format(c, ".12e"), format(r, ".12e"))
             for t, c, r in report.csv_rows()]
     _emit(record, args, ("t", "curvature_l2", "residual_l2"), rows)
@@ -311,11 +309,11 @@ def _cmd_torus_curve(args):
 
 
 def _cmd_residual(args):
-    grid = TorusGrid(_positive_int("--grid", args.grid, 8))
+    grid = TorusGrid(_grid(args))
     flat_tol = _tolerance(args, 1e-8)
     conn = build_family(grid, args.family)
     rep = residual_report(conn, flat_tol)
-    record = _base_record(args, {"report": rep})
+    record = _base_record(args, {"flat_tol": flat_tol}, {"report": rep})
     rows = [(k, format(v, ".12e") if isinstance(v, float) else v)
             for k, v in rep.items()]
     _emit(record, args, ("key", "value"), rows)
@@ -323,12 +321,12 @@ def _cmd_residual(args):
 
 
 def _cmd_holonomy(args):
-    grid = TorusGrid(_positive_int("--grid", args.grid, 8))
+    grid = TorusGrid(_grid(args))
     steps = _positive_int("--steps", args.steps, 100)
     conn = build_family(grid, args.family)
     loop = build_loop(args.loop)
     g, trace = wilson_loop(conn, loop, steps)
-    record = _base_record(args, {
+    record = _base_record(args, {}, {
         "matrix": _matrix_entries(g),
         "trace": trace,
     })
@@ -343,7 +341,7 @@ def _cmd_ab(args):
     steps = _positive_int("--steps", args.steps, 100)
     rec = aharonov_bohm_monodromy(k, args.winding, steps * max(1, abs(args.winding)))
     closed_form = complex(np.exp(2j * np.pi * k * args.winding))
-    record = _base_record(args, {
+    record = _base_record(args, {}, {
         "monodromy": rec.monodromy,
         "closed_form": closed_form,
         "deviation": abs(rec.monodromy - closed_form),
@@ -370,7 +368,7 @@ def _cmd_wong(args):
         path = torus_circle((0.5, 0.5), 0.2, 1)
     ts, traj = wong_evolve(pot, path, i0, steps)
     norms = np.array([inner(i, i) for i in traj])
-    record = _base_record(args, {
+    record = _base_record(args, {}, {
         "initial": _matrix_entries(traj[0]),
         "final": _matrix_entries(traj[-1]),
         "norm_drift": float(np.max(np.abs(norms - norms[0]))),
@@ -386,13 +384,13 @@ def _cmd_wong(args):
 
 
 def _cmd_spectrum(args):
-    grid = TorusGrid(_positive_int("--grid", args.grid, 8))
+    grid = TorusGrid(_grid(args))
     rank = _positive_int("--rank", args.rank, 1)
     threshold = _tolerance(args, 1e-6)
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
     conn = zero_connection(grid, rank)
     dims = {str(k): harmonic_space_dim(conn, k, threshold) for k in degrees}
-    record = _base_record(args, {"dims": dims, "threshold": threshold})
+    record = _base_record(args, {"threshold": threshold}, {"dims": dims})
     _emit(record, args, ("degree", "dimension"),
           [(k, v) for k, v in dims.items()])
     return 0
@@ -443,10 +441,7 @@ def main(argv=None):
         if args.command is None:
             raise CliError("no command given (try 'verify')")
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"gaugecalc: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"gaugecalc: error: {exc}", file=sys.stderr)
         return 1
 

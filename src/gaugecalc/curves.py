@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import E1 as PAULI_E1, E2 as PAULI_E2, E3 as PAULI_E3, exp_antihermitian
-from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, exterior_d,
+from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _form, exterior_d,
                     hodge_star, interior, l2_norm, scalar_form, sharp,
                     tensor_form, wedge_compose)
 from .gauge import (Connection, codifferential, covariant_d, curvature,
@@ -43,7 +43,7 @@ class ConnectionCurve:
         return self.sampler(float(t))
 
     def connection(self, t):
-        return Connection(self.potential(t).retag(ANTIHERMITIAN))
+        return Connection(MatrixForm(1, self.grid, self.potential(t).comps, ANTIHERMITIAN))
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def harmonic_projection(w):
     the discrete harmonic representative.
     """
     means = tuple(np.broadcast_to(c.mean(axis=(0, 1)), c.shape).copy() for c in w.comps)
-    return MatrixForm(w.degree, w.grid, means, w.value_class)
+    return _form(w.degree, w.grid, means, w.value_class)
 
 
 def ym_curve_report(jets, base):
@@ -167,7 +167,8 @@ def su2_potential(alpha, beta, gamma):
         raise ValueError("ansatz coefficients must share a grid")
     e = tensor_form(alpha, _SU2[0]) + tensor_form(beta, _SU2[1]) + tensor_form(gamma, _SU2[2])
     h = tuple(exterior_d(f).comps[0][:, :, 0, 0].real for f in forms)
-    return Su2Ansatz(Connection(e.retag(ANTIHERMITIAN)), alpha, beta, gamma, h)
+    return Su2Ansatz(Connection(MatrixForm(1, e.grid, e.comps, ANTIHERMITIAN)),
+                     alpha, beta, gamma, h)
 
 
 def decompose_su2(conn):

@@ -10,6 +10,11 @@ The exterior derivative uses second-order central differences with periodic
 wrap.  The difference operators commute and are skew-adjoint on the periodic
 grid, so d(d(.)) = 0 and summation by parts hold exactly (to rounding), which
 the operator-adjointness checks in this package rely on.
+
+Values are checked once, where they enter: the MatrixForm constructor (behind
+every public builder and form_from_record) rejects non-finite components and
+a false ANTIHERMITIAN tag.  Operators build results with the unchecked `_form`,
+tagged ANTIHERMITIAN only where the operation preserves it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ANTIHERMITIAN_ATOL, antihermitian_defect
+from .algebra import is_antihermitian, require_antihermitian
 
 ANTIHERMITIAN = "antihermitian"
 GENERAL = "general"
@@ -78,12 +83,11 @@ class MatrixForm:
                 raise ValueError("components have inconsistent shapes")
         if self.value_class not in (ANTIHERMITIAN, GENERAL):
             raise ValueError(f"unknown value class {self.value_class!r}")
+        if not all(np.isfinite(c).all() for c in comps):
+            raise ValueError("form components must be finite")
         if self.value_class == ANTIHERMITIAN:
-            defect = max(antihermitian_defect(c) for c in comps)
-            if defect > ANTIHERMITIAN_ATOL:
-                raise ValueError(
-                    f"anti-Hermitian form has defect {defect:.3e} > {ANTIHERMITIAN_ATOL:.1e}"
-                )
+            for c in comps:
+                require_antihermitian(c, "form tagged anti-Hermitian")
         object.__setattr__(self, "comps", comps)
 
     @property
@@ -93,40 +97,39 @@ class MatrixForm:
     def max_abs(self):
         return max(float(np.max(np.abs(c))) for c in self.comps)
 
-    def retag(self, value_class):
-        return MatrixForm(self.degree, self.grid, self.comps, value_class)
-
-    def _require_compatible(self, other):
+    def _pointwise(self, other, op):
         if not isinstance(other, MatrixForm):
             raise TypeError("expected a MatrixForm")
         if self.degree != other.degree or self.grid != other.grid or self.m != other.m:
             raise ValueError("forms have mismatched degree, grid or rank")
+        return _form(self.degree, self.grid, tuple(map(op, self.comps, other.comps)),
+                     _combine_class(self.value_class, other.value_class))
 
     def __add__(self, other):
-        self._require_compatible(other)
-        comps = tuple(a + b for a, b in zip(self.comps, other.comps))
-        return MatrixForm(self.degree, self.grid, comps,
-                          _combine_class(self.value_class, other.value_class))
+        return self._pointwise(other, np.add)
 
     def __sub__(self, other):
-        self._require_compatible(other)
-        comps = tuple(a - b for a, b in zip(self.comps, other.comps))
-        return MatrixForm(self.degree, self.grid, comps,
-                          _combine_class(self.value_class, other.value_class))
+        return self._pointwise(other, np.subtract)
 
     def __neg__(self):
-        return MatrixForm(self.degree, self.grid, tuple(-c for c in self.comps),
-                          self.value_class)
+        return _form(self.degree, self.grid, tuple(-c for c in self.comps),
+                     self.value_class)
 
     def __mul__(self, scalar):
         real = isinstance(scalar, (int, float, np.integer, np.floating))
         if not real and not isinstance(scalar, (complex, np.complexfloating)):
             return NotImplemented
         vc = self.value_class if real else GENERAL
-        return MatrixForm(self.degree, self.grid,
-                          tuple(scalar * c for c in self.comps), vc)
+        return _form(self.degree, self.grid, tuple(scalar * c for c in self.comps), vc)
 
     __rmul__ = __mul__
+
+
+def _form(degree, grid, comps, value_class):
+    """Unvalidated MatrixForm; the caller guarantees the layout and the value class."""
+    w = object.__new__(MatrixForm)
+    w.__dict__.update(degree=degree, grid=grid, comps=comps, value_class=value_class)
+    return w
 
 
 @dataclass(frozen=True)
@@ -174,8 +177,7 @@ def tensor_form(scalar, matrix):
         raise ValueError("tensor_form expects a scalar-valued form on the left")
     matrix = np.asarray(matrix, dtype=complex)
     scal_real = all(float(np.max(np.abs(c.imag))) <= 1e-14 for c in scalar.comps)
-    vc = ANTIHERMITIAN if scal_real and antihermitian_defect(matrix) <= ANTIHERMITIAN_ATOL \
-        else GENERAL
+    vc = ANTIHERMITIAN if scal_real and is_antihermitian(matrix) else GENERAL
     comps = tuple(c[:, :, 0, 0][..., None, None] * matrix for c in scalar.comps)
     return MatrixForm(scalar.degree, scalar.grid, comps, vc)
 
@@ -187,8 +189,7 @@ def constant_form(grid, degree, *matrices):
     mats = [np.asarray(mm, dtype=complex) for mm in matrices]
     m = mats[0].shape[0]
     comps = tuple(np.tile(mm, (grid.n, grid.n, 1, 1)) for mm in mats)
-    vc = ANTIHERMITIAN if all(antihermitian_defect(mm) <= ANTIHERMITIAN_ATOL for mm in mats) \
-        else GENERAL
+    vc = ANTIHERMITIAN if all(is_antihermitian(mm) for mm in mats) else GENERAL
     return MatrixForm(degree, grid, comps, vc)
 
 
@@ -207,19 +208,19 @@ def exterior_d(w):
     h = w.grid.h
     if w.degree == 0:
         (f,) = w.comps
-        return MatrixForm(1, w.grid, (_ddx(f, h), _ddy(f, h)), w.value_class)
+        return _form(1, w.grid, (_ddx(f, h), _ddy(f, h)), w.value_class)
     p, q = w.comps
-    return MatrixForm(2, w.grid, (_ddx(q, h) - _ddy(p, h),), w.value_class)
+    return _form(2, w.grid, (_ddx(q, h) - _ddy(p, h),), w.value_class)
 
 
 def hodge_star(w):
     """Flat-metric star: *1 = dx^dy, *dx = dy, *dy = -dx, *(dx^dy) = 1."""
     if w.degree == 0:
-        return MatrixForm(2, w.grid, w.comps, w.value_class)
+        return _form(2, w.grid, w.comps, w.value_class)
     if w.degree == 1:
         p, q = w.comps
-        return MatrixForm(1, w.grid, (-q, p), w.value_class)
-    return MatrixForm(0, w.grid, w.comps, w.value_class)
+        return _form(1, w.grid, (-q, p), w.value_class)
+    return _form(0, w.grid, w.comps, w.value_class)
 
 
 def _coeff_product(a, b):
@@ -243,15 +244,15 @@ def wedge_compose(a, b):
     if a.degree == 0:
         (f,) = a.comps
         comps = tuple(_coeff_product(f, c) for c in b.comps)
-        return MatrixForm(total, a.grid, comps, GENERAL)
+        return _form(total, a.grid, comps, GENERAL)
     if b.degree == 0:
         (f,) = b.comps
         comps = tuple(_coeff_product(c, f) for c in a.comps)
-        return MatrixForm(total, a.grid, comps, GENERAL)
+        return _form(total, a.grid, comps, GENERAL)
     # 1-form wedge 1-form
     p, q = a.comps
     r, s = b.comps
-    return MatrixForm(2, a.grid, (_coeff_product(p, s) - _coeff_product(q, r),), GENERAL)
+    return _form(2, a.grid, (_coeff_product(p, s) - _coeff_product(q, r),), GENERAL)
 
 
 def sharp(w):
@@ -279,9 +280,9 @@ def interior(v, w):
     vy = v.vy[..., None, None]
     if w.degree == 1:
         p, q = w.comps
-        return MatrixForm(0, w.grid, (vx * p + vy * q,), w.value_class)
+        return _form(0, w.grid, (vx * p + vy * q,), w.value_class)
     (r,) = w.comps
-    return MatrixForm(1, w.grid, (-vy * r, vx * r), w.value_class)
+    return _form(1, w.grid, (-vy * r, vx * r), w.value_class)
 
 
 def l2_inner(a, b):

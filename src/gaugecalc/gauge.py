@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger, exp_antihermitian, require_antihermitian
-from .forms import (ANTIHERMITIAN, MatrixForm, exterior_d, form_from_record,
-                    form_to_record, hodge_star, l2_inner, l2_norm,
-                    wedge_compose, zero_form)
+from .algebra import dagger, exp_antihermitian
+from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
+                    _form, exterior_d, form_from_record, form_to_record,
+                    hodge_star, l2_inner, l2_norm, wedge_compose, zero_form)
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,15 @@ def zero_connection(grid, m):
     return Connection(zero_form(grid, 1, m))
 
 
+def _square(e):
+    """E^E = [Ex, Ey] dx^dy, anti-Hermitian for an anti-Hermitian potential."""
+    return _form(2, e.grid, wedge_compose(e, e).comps, ANTIHERMITIAN)
+
+
 def curvature(conn):
     """Curvature 2-form K = dE + E^E of the trivialized connection."""
     e = conn.potential
-    k = exterior_d(e) + wedge_compose(e, e)
-    return k.retag(ANTIHERMITIAN)
+    return exterior_d(e) + _square(e)
 
 
 def wedge_action(e_form, w):
@@ -58,17 +62,17 @@ def wedge_action(e_form, w):
         raise ValueError("wedge action is defined on degrees 0 and 1")
     ew = wedge_compose(e_form, w)
     we = wedge_compose(w, e_form)
-    return ew - we if w.degree % 2 == 0 else ew + we
+    out = ew - we if w.degree % 2 == 0 else ew + we
+    # a bracket of two anti-Hermitian forms is anti-Hermitian
+    return _form(out.degree, out.grid, out.comps,
+                 _combine_class(e_form.value_class, w.value_class))
 
 
 def covariant_d(conn, w):
     """Covariant exterior derivative dD + E^D - (-1)^k D^E."""
     if w.degree >= 2:
         raise ValueError("covariant derivative of a top-degree form is not defined here")
-    out = exterior_d(w) + wedge_action(conn.potential, w)
-    if w.value_class == ANTIHERMITIAN:
-        return out.retag(ANTIHERMITIAN)
-    return out
+    return exterior_d(w) + wedge_action(conn.potential, w)
 
 
 def codifferential(conn, w):
@@ -95,11 +99,11 @@ def wedge_action_adjoint(e_form, w):
         raise ValueError("adjoint wedge action maps 2-forms to 1-forms against a 1-form potential")
     if e_form.grid != w.grid or e_form.m != w.m:
         raise ValueError("potential and form have mismatched grid or rank")
-    for c in e_form.comps + w.comps:
-        require_antihermitian(c, "adjoint wedge action input", atol=1e-10)
+    if e_form.value_class != ANTIHERMITIAN or w.value_class != ANTIHERMITIAN:
+        raise ValueError("adjoint wedge action needs anti-Hermitian inputs")
     ex, ey = e_form.comps
     (r,) = w.comps
-    return MatrixForm(1, w.grid, (ey @ r - r @ ey, r @ ex - ex @ r), ANTIHERMITIAN)
+    return _form(1, w.grid, (ey @ r - r @ ey, r @ ex - ex @ r), ANTIHERMITIAN)
 
 
 def yang_mills_functional(conn):
@@ -116,10 +120,9 @@ def yang_mills_residual(conn):
     """
     e = conn.potential
     de = exterior_d(e)
-    ee = wedge_compose(e, e).retag(ANTIHERMITIAN)
-    out = (codifferential_flat(de) + codifferential_flat(ee)
-           + wedge_action_adjoint(e, de) + wedge_action_adjoint(e, ee))
-    return out.retag(ANTIHERMITIAN)
+    ee = _square(e)
+    return (codifferential_flat(de) + codifferential_flat(ee)
+            + wedge_action_adjoint(e, de) + wedge_action_adjoint(e, ee))
 
 
 def yang_mills_residual_covariant(conn):
@@ -158,15 +161,14 @@ def gauge_transform(conn, g):
         raise ValueError(f"gauge field must have shape ({n}, {n}, {m}, {m})")
     gh = dagger(g)
     unit_defect = float(np.max(np.abs(g @ gh - np.eye(m))))
-    if unit_defect > 1e-10:
+    if not unit_defect <= 1e-10:
         raise ValueError(f"gauge field is not unitary: defect {unit_defect:.3e}")
     h = conn.grid.h
     ex, ey = conn.potential.comps
-    dgx = (np.roll(g, -1, axis=0) - np.roll(g, 1, axis=0)) / (2.0 * h)
-    dgy = (np.roll(g, -1, axis=1) - np.roll(g, 1, axis=1)) / (2.0 * h)
-    new_x = g @ ex @ gh - _skew(dgx @ gh)
-    new_y = g @ ey @ gh - _skew(dgy @ gh)
-    return Connection(MatrixForm(1, conn.grid, (new_x, new_y), ANTIHERMITIAN))
+    new_x = g @ ex @ gh - _skew(_ddx(g, h) @ gh)
+    new_y = g @ ey @ gh - _skew(_ddy(g, h) @ gh)
+    # conjugation and the skew part keep the values anti-Hermitian
+    return Connection(_form(1, conn.grid, (new_x, new_y), ANTIHERMITIAN))
 
 
 def unitary_from_algebra(a_form):
@@ -198,4 +200,4 @@ def connection_from_record(rec):
     pot = form_from_record(rec["potential"])
     if pot.grid.n != int(rec["grid"]) or pot.m != int(rec["m"]):
         raise ValueError("connection record is inconsistent with its potential")
-    return Connection(pot.retag(ANTIHERMITIAN))
+    return Connection(MatrixForm(pot.degree, pot.grid, pot.comps, ANTIHERMITIAN))

@@ -35,13 +35,16 @@ class ParametricPath:
     winding: object = None
 
 
-def _endpoints_match(path, tol=1e-12):
-    p0 = path.position(0.0)
-    p1 = path.position(1.0)
-    if isinstance(p0, complex) or np.iscomplexobj(p0):
-        return abs(complex(p1) - complex(p0)) <= tol
-    d = np.asarray(p1, dtype=float) - np.asarray(p0, dtype=float)
+def _same_point(p, q, tol):
+    """Plane points, or torus points compared mod 1."""
+    if isinstance(p, complex) or np.iscomplexobj(p):
+        return abs(complex(q) - complex(p)) <= tol
+    d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
     return bool(np.all(np.abs((d + 0.5) % 1.0 - 0.5) <= tol))
+
+
+def _endpoints_match(path, tol=1e-12):
+    return _same_point(path.position(0.0), path.position(1.0), tol)
 
 
 def require_closed(path):
@@ -114,24 +117,19 @@ def reverse_path(path):
         winding = tuple(-w for w in winding)
     elif winding is not None:
         winding = -winding
-    return ParametricPath(lambda t: path.position(1.0 - t),
-                          lambda t: -np.asarray(path.velocity(1.0 - t))
-                          if not np.isscalar(path.velocity(1.0 - t))
-                          else -path.velocity(1.0 - t),
+
+    def velocity(t):
+        v = path.velocity(1.0 - t)
+        return -v if np.isscalar(v) else -np.asarray(v)
+
+    return ParametricPath(lambda t: path.position(1.0 - t), velocity,
                           closed=path.closed, winding=winding)
 
 
 def concat_paths(first, second, tol=1e-9):
     """Concatenation traversing `first` then `second` at doubled speed."""
-    p_end = first.position(1.0)
-    q_start = second.position(0.0)
-    if isinstance(p_end, complex) or np.iscomplexobj(p_end):
-        if abs(complex(q_start) - complex(p_end)) > tol:
-            raise ValueError("paths do not share the concatenation point")
-    else:
-        d = np.asarray(q_start, dtype=float) - np.asarray(p_end, dtype=float)
-        if np.max(np.abs((d + 0.5) % 1.0 - 0.5)) > tol:
-            raise ValueError("paths do not share the concatenation point")
+    if not _same_point(first.position(1.0), second.position(0.0), tol):
+        raise ValueError("paths do not share the concatenation point")
 
     def position(t):
         return first.position(2.0 * t) if t < 0.5 else second.position(2.0 * t - 1.0)
@@ -248,14 +246,21 @@ def _require_pole_clearance(potential, path, steps):
             )
 
 
-def _coefficient_fn(potential, path):
+def _transport_setup(potential, path, steps):
+    """Checked step count and potential, and the sampler t -> A(xdot(t))."""
+    steps = int(steps)
+    if steps < 100:
+        raise ValueError("transport needs at least 100 steps")
+    potential = _as_potential(potential)
+    _require_pole_clearance(potential, path, steps)
+
     def a_fn(t):
         mat = potential.along(path.position(t), path.velocity(t))
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"potential sample is not finite at t = {t}")
         return mat
 
-    return a_fn
+    return potential, a_fn, steps
 
 
 def _rk4(a_fn, y0, steps, rhs, collect=False):
@@ -283,12 +288,7 @@ def _transport_rhs(a, g):
 
 def parallel_transport(potential, path, steps=1000, trajectory=False):
     """Fundamental solution of dv/dt + A(xdot(t)) v = 0 over [0, 1]."""
-    steps = int(steps)
-    if steps < 100:
-        raise ValueError("transport needs at least 100 steps")
-    potential = _as_potential(potential)
-    _require_pole_clearance(potential, path, steps)
-    a_fn = _coefficient_fn(potential, path)
+    potential, a_fn, steps = _transport_setup(potential, path, steps)
     g0 = np.eye(potential.m, dtype=complex)
     if trajectory:
         traj, _ = _rk4(a_fn, g0, steps, _transport_rhs, collect=True)
@@ -339,12 +339,7 @@ def wong_evolve(potential, path, i0, steps=1000):
     """
     i0 = np.asarray(i0, dtype=complex)
     require_antihermitian(i0, "spin variable")
-    steps = int(steps)
-    if steps < 100:
-        raise ValueError("transport needs at least 100 steps")
-    potential = _as_potential(potential)
-    _require_pole_clearance(potential, path, steps)
-    a_fn = _coefficient_fn(potential, path)
+    _, a_fn, steps = _transport_setup(potential, path, steps)
     traj, _ = _rk4(a_fn, i0, steps, _wong_rhs, collect=True)
     return np.linspace(0.0, 1.0, steps + 1), traj
 

@@ -83,3 +83,10 @@ def test_antihermitian_check_rejects_hermitian():
         require_antihermitian(SIGMA1)
     with pytest.raises(ValueError):
         exp_antihermitian(SIGMA1)
+
+
+def test_antihermitian_check_rejects_non_finite():
+    # a NaN defect must not pass as "not above the tolerance"
+    for bad in (np.full((2, 2), np.nan), np.array([[np.inf * 1j, 0.0], [0.0, 0.0]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            require_antihermitian(bad)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gaugecalc.cli import build_family, build_loop, main, parse_params
+from gaugecalc.cli import CliError, build_family, build_loop, main, parse_params
 from gaugecalc.forms import TorusGrid
 
 
@@ -32,6 +32,9 @@ def test_verify_structured_record(tmp_path, capsys):
     assert record["passed"] is True
     assert record["seed"] == 3
     assert all(c["passed"] for c in record["checks"])
+    # the tolerance table is exactly the bounds of the checks that ran
+    assert record["tolerances"] == {c["name"]: c["bound"] for c in record["checks"]}
+    assert record["config"] == {"format": "structured-record", "grid": 16, "seed": 3}
 
 
 def test_ab_command(capsys):
@@ -42,6 +45,8 @@ def test_ab_command(capsys):
     re, im = record["monodromy"]
     assert abs(re + 1.0) < 1e-8 and abs(im) < 1e-8
     assert record["deviation"] < 1e-8
+    assert record["tolerances"] == {}
+    assert set(record["config"]) == {"format", "k", "seed", "steps", "winding"}
 
 
 def test_ab_transport_steps_follow_steps_flag(capsys):
@@ -86,6 +91,7 @@ def test_residual_command(capsys):
     rep = record["report"]
     assert rep["flat"] is True
     assert rep["residual_l2"] < 1e-10
+    assert record["tolerances"] == {"flat_tol": 1e-8}
     assert set(rep) >= {"ym_value", "residual_l2", "curvature_l2", "flat"}
 
 
@@ -97,6 +103,7 @@ def test_holonomy_command(capsys):
     assert code == 0
     record = json.loads(out)
     assert abs(record["trace"][0] + 2.0) < 1e-6
+    assert record["tolerances"] == {}
 
 
 def test_wong_command(capsys):
@@ -106,6 +113,7 @@ def test_wong_command(capsys):
     record = json.loads(out)
     assert record["norm_drift"] < 1e-9
     assert record["final_shift"] < 1e-7
+    assert record["tolerances"] == {}
 
 
 def test_spectrum_command(capsys):
@@ -114,6 +122,7 @@ def test_spectrum_command(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["dims"] == {"0": 1, "1": 2, "2": 1}
+    assert record["tolerances"] == {"threshold": 1e-6}
 
 
 def test_invalid_inputs_exit_one(capsys):
@@ -125,6 +134,9 @@ def test_invalid_inputs_exit_one(capsys):
     assert code == 1 and "complex" in err
     code, _, err = _run(capsys, ["frobnicate"])
     assert code == 1
+    code, _, err = _run(capsys, ["torus-curve", "--grid", "8", "--samples", "2",
+                                 "--steps", "5"])
+    assert code == 1 and "--steps" in err
 
 
 @pytest.mark.parametrize("command", (["residual"], ["spectrum", "--grid", "8"],
@@ -134,6 +146,46 @@ def test_rejects_bad_tolerance(capsys, command, tol):
     code, out, err = _run(capsys, command + ["--tol", tol])
     assert code == 1
     assert out == "" and "--tol" in err
+
+
+# every rejected value below is refused before any field is allocated
+@pytest.mark.parametrize("argv", (
+    ["wong", "--grid", "-5"], ["ab", "--grid", "64"], ["ab", "--tol", "-1"],
+    ["verify", "--tol", "-1", "--steps", "3"], ["verify", "--steps", "3"],
+    ["holonomy", "--tol", "nan"], ["wong", "--tol", "1e-3"],
+    ["residual", "--steps", "5"], ["spectrum", "--steps", "5"]))
+def test_rejects_flags_a_command_does_not_read(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert argv[1] in err
+
+
+@pytest.mark.parametrize("argv", (
+    ["residual", "--grid", "100000"], ["spectrum", "--grid", "100000"],
+    ["holonomy", "--grid", "1025"], ["torus-curve", "--grid", "4096"],
+    ["verify", "--grid", "2048"], ["residual", "--grid", "7"]))
+def test_rejects_grid_outside_range(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "--grid" in err and "1024" in err
+
+
+@pytest.mark.parametrize("family,key", (
+    ("sin-dy:freq=nan", "freq"), ("const-dx:c=nan", "c"), ("const-mix:c=1,lam=inf", "lam"),
+    ("const-dx:c=-inf", "c")))
+def test_rejects_non_finite_selector_values(capsys, family, key):
+    code, out, err = _run(capsys, ["residual", "--grid", "8", "--family", family])
+    assert code == 1 and out == ""
+    assert f"'{key}'" in err and "finite" in err
+
+
+def test_verify_seed_13_first_variation_passes(capsys):
+    # a random direction nearly orthogonal to the gradient at this seed made the
+    # unfloored relative error 1.2e-5
+    code, out, _ = _run(capsys, ["verify", "--seed", "13", "--format", "structured-record"])
+    assert code == 0
+    (fv,) = [c for c in json.loads(out)["checks"] if c["name"] == "first-variation-relative"]
+    assert fv["passed"] and fv["value"] < 1e-7
 
 
 def test_config_file_mode(tmp_path, capsys):
@@ -166,6 +218,8 @@ def test_selector_parsing():
     name, params = parse_params("const-dx:c=3.14,dir=e1")
     assert name == "const-dx"
     assert params == {"c": 3.14, "dir": "e1"}
+    with pytest.raises(CliError, match="'freq'"):
+        parse_params("sin-dy:freq=nan")
     grid = TorusGrid(16)
     conn = build_family(grid, "zero")
     assert conn.potential.max_abs() == 0.0

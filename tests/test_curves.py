@@ -8,8 +8,8 @@ from gaugecalc.curves import (ConnectionCurve, curve_jets, decompose_su2,
                               su2_potential, su2_ym_conditions,
                               torus_family_curve, torus_family_report,
                               ym_curve_report)
-from gaugecalc.forms import (TorusGrid, constant_form, exterior_d, l2_norm,
-                             scalar_form, tensor_form)
+from gaugecalc.forms import (MatrixForm, TorusGrid, constant_form, exterior_d,
+                             l2_norm, scalar_form, tensor_form)
 from gaugecalc.gauge import Connection, zero_connection
 from gaugecalc.suites import random_form, random_scalar_one_form
 
@@ -25,6 +25,20 @@ def test_curve_must_start_at_zero():
     pot = constant_form(GRID, 1, E1, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ConnectionCurve(lambda t: pot)
+
+
+def test_curve_connection_rejects_hermitian_values():
+    herm = MatrixForm(1, GRID, (np.ones((32, 32, 2, 2)), np.zeros((32, 32, 2, 2))))
+    curve = ConnectionCurve(lambda t: t * herm)
+    with pytest.raises(ValueError):
+        curve.connection(0.5)
+
+
+def test_su2_potential_rejects_complex_coefficients():
+    z = np.zeros((32, 32))
+    alpha = scalar_form(GRID, 1, 1j * np.ones((32, 32)), z)
+    with pytest.raises(ValueError):
+        su2_potential(alpha, _zero_scalar_one_form(GRID), _zero_scalar_one_form(GRID))
 
 
 def test_jets_exact_on_quadratic_families():

@@ -34,6 +34,56 @@ def test_form_validation():
         MatrixForm(0, grid, (np.ones((8, 8, 2, 2)),), ANTIHERMITIAN)
 
 
+@pytest.mark.parametrize("value_class", (ANTIHERMITIAN, GENERAL))
+@pytest.mark.parametrize("bad", (np.nan, np.inf, complex(0.0, np.nan)))
+def test_form_rejects_non_finite_values(value_class, bad):
+    grid = TorusGrid(8)
+    comps = np.zeros((8, 8, 2, 2), dtype=complex)
+    comps[3, 4, 0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MatrixForm(0, grid, (comps,), value_class)
+
+
+def test_public_builders_reject_non_finite_values():
+    grid = TorusGrid(8)
+    nan_field = np.full((8, 8), np.nan)
+    with pytest.raises(ValueError):
+        scalar_form(grid, 0, nan_field)
+    with pytest.raises(ValueError):
+        constant_form(grid, 0, np.nan * E1)
+    x, _ = grid.nodes()
+    with pytest.raises(ValueError):
+        tensor_form(scalar_form(grid, 0, x), np.full((2, 2), np.inf))
+    rec = form_to_record(constant_form(grid, 0, E1))
+    rec["components"][0][5] = [float("nan"), 0.0]
+    with pytest.raises(ValueError):
+        form_from_record(rec)
+
+
+def test_form_from_record_rejects_hermitian_values():
+    grid = TorusGrid(8)
+    rec = form_to_record(constant_form(grid, 0, E1))
+    assert rec["value_class"] == ANTIHERMITIAN
+    rec["components"] = [[[1.0, 0.0]] * (8 * 8 * 4)]  # the all-ones Hermitian matrix
+    with pytest.raises(ValueError):
+        form_from_record(rec)
+    rec["value_class"] = GENERAL
+    assert form_from_record(rec).value_class == GENERAL
+
+
+def test_operators_tag_only_what_they_preserve():
+    grid = TorusGrid(8)
+    a = constant_form(grid, 1, E1, E2)
+    general = MatrixForm(1, grid, a.comps)
+    assert exterior_d(a).value_class == ANTIHERMITIAN
+    assert hodge_star(a).value_class == ANTIHERMITIAN
+    assert (a + a).value_class == (a - a).value_class == (-a).value_class == ANTIHERMITIAN
+    assert (2.5 * a).value_class == ANTIHERMITIAN
+    assert (1j * a).value_class == GENERAL
+    assert (a + general).value_class == GENERAL
+    assert wedge_compose(a, a).value_class == GENERAL
+
+
 def test_exterior_d_constant_is_zero():
     grid = TorusGrid(16)
     w = constant_form(grid, 0, 0.3 * E1 + 1.1 * E2)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from gaugecalc.algebra import E1, E2, E3, bracket, dagger, exp_antihermitian
-from gaugecalc.forms import (ANTIHERMITIAN, MatrixForm, TorusGrid,
-                             constant_form, exterior_d, l2_inner, l2_norm,
-                             scalar_form, tensor_form, wedge_compose,
-                             zero_form)
+import gaugecalc
+from gaugecalc.algebra import (E1, E2, E3, antihermitian_defect, bracket,
+                               dagger, exp_antihermitian)
+from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid,
+                             constant_form, exterior_d, form_to_record,
+                             hodge_star, l2_inner, l2_norm, scalar_form,
+                             tensor_form, wedge_compose, zero_form)
 from gaugecalc.gauge import (Connection, codifferential,
                              connection_from_record, connection_to_record,
                              covariant_d, curvature, gauge_transform,
@@ -238,6 +240,10 @@ def test_gauge_transform_identity_and_validation():
     assert (out.potential - conn.potential).max_abs() == 0.0
     with pytest.raises(ValueError):
         gauge_transform(conn, 2.0 * g_id)
+    g_nan = g_id.copy()
+    g_nan[2, 3, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        gauge_transform(conn, g_nan)
 
 
 def test_pure_gauge_field_is_flat_to_second_order():
@@ -306,3 +312,57 @@ def test_connection_record_roundtrip():
     back = connection_from_record(connection_to_record(conn))
     for a, b in zip(conn.potential.comps, back.potential.comps):
         assert np.array_equal(a, b)
+
+
+def test_connection_record_rejects_hermitian_values():
+    grid = TorusGrid(8)
+    rec = connection_to_record(zero_connection(grid, 2))
+    herm = form_to_record(MatrixForm(1, grid, (np.ones((8, 8, 2, 2)), np.zeros((8, 8, 2, 2)))))
+    assert herm["value_class"] == GENERAL
+    with pytest.raises(ValueError):
+        connection_from_record({**rec, "potential": herm})
+
+
+def test_validated_connection_is_never_rescanned(monkeypatch):
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(33)
+    conn = Connection(random_form(rng, grid, 1, 2, amp=0.8))
+    eta = random_form(rng, grid, 0, 2)
+    g = exp_antihermitian(random_form(rng, grid, 0, 2, amp=0.2).comps[0])
+    calls = []
+
+    def counting(a):
+        calls.append(1)
+        return antihermitian_defect(a)
+
+    for name in ("algebra", "forms", "gauge", "curves"):
+        module = getattr(gaugecalc, name)
+        if hasattr(module, "antihermitian_defect"):
+            monkeypatch.setattr(module, "antihermitian_defect", counting)
+    k = curvature(conn)
+    covariant_d(conn, eta)
+    codifferential(conn, k)
+    yang_mills_residual(conn)
+    yang_mills_residual_covariant(conn)
+    gauge_transform(conn, g)
+    assert calls == []
+
+
+def test_antihermitian_tags_stay_true():
+    # operators tag without checking; the values must still pass the check
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(34)
+    conn = Connection(random_form(rng, grid, 1, 2, amp=0.8))
+    eta = random_form(rng, grid, 0, 2)
+    om1 = random_form(rng, grid, 1, 2)
+    g = exp_antihermitian(random_form(rng, grid, 0, 2, amp=0.2).comps[0])
+    k = curvature(conn)
+    outputs = (k, covariant_d(conn, eta), covariant_d(conn, om1),
+               codifferential(conn, k), codifferential(conn, om1),
+               wedge_action(conn.potential, om1), wedge_action_adjoint(conn.potential, k),
+               yang_mills_residual(conn), yang_mills_residual_covariant(conn),
+               hodge_star(k), laplacian_apply(conn, om1),
+               gauge_transform(conn, g).potential)
+    for w in outputs:
+        assert w.value_class == ANTIHERMITIAN
+        assert max(antihermitian_defect(c) for c in w.comps) <= 1e-12
