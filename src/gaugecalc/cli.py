@@ -23,7 +23,7 @@ from .forms import TorusGrid, constant_form, scalar_form, tensor_form
 from .gauge import Connection, residual_report, zero_connection
 from .holonomy import (AnalyticTorusPotential, aharonov_bohm_monodromy,
                        torus_circle, torus_loop, wilson_loop, wong_evolve)
-from .spectrum import harmonic_space_dim
+from .spectrum import DOF_LIMIT, eigenproblem_size, harmonic_space_dim
 from .suites import run_verify
 
 _SU2 = {"e1": E1, "e2": E2, "e3": E3}
@@ -58,6 +58,12 @@ def _grid(args):
     if not 8 <= args.grid <= _MAX_GRID:
         raise CliError(f"--grid must be an integer in [8, {_MAX_GRID}], got {args.grid}")
     return args.grid
+
+
+def _finite(name, value):
+    if not np.isfinite(value):
+        raise CliError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _tolerance(args, default):
@@ -298,8 +304,9 @@ def _cmd_torus_curve(args):
     samples = _positive_int("--samples", args.samples, 2)
     grid_n = _grid(args)
     flat_tol = _tolerance(args, 1e-8)
+    lam = _finite("--lambda", args.lam)
     ts = [i / (samples - 1) for i in range(samples)]
-    report = torus_family_report(args.lam, ts, n=grid_n, flat_tol=flat_tol,
+    report = torus_family_report(lam, ts, n=grid_n, flat_tol=flat_tol,
                                  steps=_positive_int("--steps", args.steps, 100))
     record = _base_record(args, {"flat_tol": flat_tol}, {"report": report.to_record()})
     rows = [(format(t, ".12e"), format(c, ".12e"), format(r, ".12e"))
@@ -337,7 +344,7 @@ def _cmd_holonomy(args):
 
 
 def _cmd_ab(args):
-    k = _complex_arg(args.k)
+    k = _finite("--k", _complex_arg(args.k))
     steps = _positive_int("--steps", args.steps, 100)
     rec = aharonov_bohm_monodromy(k, args.winding, steps * max(1, abs(args.winding)))
     closed_form = complex(np.exp(2j * np.pi * k * args.winding))
@@ -388,6 +395,10 @@ def _cmd_spectrum(args):
     rank = _positive_int("--rank", args.rank, 1)
     threshold = _tolerance(args, 1e-6)
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
+    dof = max(eigenproblem_size(grid.n, rank, k) for k in degrees)
+    if dof > DOF_LIMIT:
+        raise CliError(f"--rank {rank} at --grid {grid.n} gives eigenproblem size {dof}, "
+                       f"which exceeds the limit {DOF_LIMIT}")
     conn = zero_connection(grid, rank)
     dims = {str(k): harmonic_space_dim(conn, k, threshold) for k in degrees}
     record = _base_record(args, {"threshold": threshold}, {"dims": dims})

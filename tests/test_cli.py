@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gaugecalc import cli
 from gaugecalc.cli import CliError, build_family, build_loop, main, parse_params
 from gaugecalc.forms import TorusGrid
 
@@ -177,6 +182,56 @@ def test_rejects_non_finite_selector_values(capsys, family, key):
     code, out, err = _run(capsys, ["residual", "--grid", "8", "--family", family])
     assert code == 1 and out == ""
     assert f"'{key}'" in err and "finite" in err
+
+
+@pytest.mark.parametrize("argv", (
+    ["spectrum", "--grid", "16", "--rank", "100000"],
+    ["spectrum", "--grid", "64", "--rank", "8", "--degree", "0"]))
+def test_spectrum_rejects_oversized_rank_before_allocating(capsys, monkeypatch, argv):
+    def refuse(grid, m):
+        raise AssertionError("zero_connection built for an oversized problem")
+
+    monkeypatch.setattr(cli, "zero_connection", refuse)
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "--rank" in err and "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["ab", f"--k={value}"], "--k") for value in ("nan", "inf", "-inf", "1+nanj", "0.5-infj")
+] + [
+    (["torus-curve", "--grid", "8", "--samples", "2", f"--lambda={value}"], "--lambda")
+    for value in ("nan", "inf", "-inf")
+])
+def test_rejects_non_finite_k_and_lambda(capsys, argv, flag):
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert flag in err and "finite" in err
+
+
+_TOLS = st.one_of(st.none(), st.sampled_from(("0", "-1", "nan", "inf", "-inf", "1e-6", "100")),
+                  st.floats(allow_nan=True, allow_infinity=True).map(repr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.integers(1, 40), rank=st.one_of(st.integers(1, 3), st.integers(1, 10 ** 6)),
+       degree=st.sampled_from(("0", "1", "2", "all")), tol=_TOLS)
+def test_spectrum_argument_vectors_end_in_report_or_error(grid, rank, degree, tol):
+    argv = ["spectrum", "--grid", str(grid), "--rank", str(rank), "--degree", degree,
+            "--format", "structured-record"]
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        dims = json.loads(out.getvalue())["dims"]
+        assert set(dims) == ({"0", "1", "2"} if degree == "all" else {degree})
+        assert all(isinstance(v, int) and 0 <= v < math.inf for v in dims.values())
+        assert err.getvalue() == ""
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("gaugecalc: error: ")
 
 
 def test_verify_seed_13_first_variation_passes(capsys):

@@ -4,7 +4,9 @@ import pytest
 from gaugecalc.algebra import E1, inner
 from gaugecalc.forms import TorusGrid, constant_form, tensor_form, scalar_form
 from gaugecalc.gauge import Connection, zero_connection
-from gaugecalc.spectrum import antihermitian_basis, harmonic_space_dim, laplacian_matrix
+from gaugecalc import spectrum
+from gaugecalc.spectrum import (antihermitian_basis, eigenproblem_size, harmonic_space_dim,
+                                laplacian_matrix)
 
 
 def _reference_laplacian(conn, degree):
@@ -134,3 +136,87 @@ def test_laplacian_matrix_matches_stencil_reference(potential, degree):
 def test_harmonic_dims_rank_three():
     conn = zero_connection(TorusGrid(8), 3)
     assert tuple(harmonic_space_dim(conn, k) for k in (0, 1, 2)) == (9, 18, 9)
+
+
+def _e1(m):
+    """e1 of su(2) in the top-left corner of u(m); the u(1) generator i for m = 1."""
+    a = np.zeros((m, m), dtype=complex)
+    if m == 1:
+        a[0, 0] = 1j
+    else:
+        a[:2, :2] = E1
+    return a
+
+
+def _constant_potentials(m):
+    zero = np.zeros((m, m), dtype=complex)
+    return {
+        "zero": (zero, zero),
+        "twisted-dx": (np.pi * _e1(m), zero),
+        "twisted-dxdy": (0.9 * _e1(m), 1.3 * _e1(m)),
+        "diagonal-pair": (np.diag(1j * np.linspace(0.3, 1.1, m)),
+                          np.diag(1j * np.linspace(-0.7, 0.5, m))),
+    }
+
+
+# every constant case whose dense reference has at most 2048 unknowns; the
+# thresholds sit between eigenvalues, so equal counts at each one mean the
+# Fourier blocks reproduce the whole spectrum, not only its kernel
+_ORACLE_CASES = [(n, m, k) for n in (8, 11, 16) for m in (1, 2, 3) for k in (0, 1, 2)
+                 if eigenproblem_size(n, m, k) <= 2048]
+_THRESHOLDS = (1e-6, 30.0, 100.0, 1e3)
+
+
+@pytest.mark.parametrize("n,m,degree", _ORACLE_CASES)
+def test_fourier_counts_match_dense_oracle(n, m, degree):
+    grid = TorusGrid(n)
+    for name, (ax, ay) in _constant_potentials(m).items():
+        conn = _constant_connection(grid, ax, ay)
+        evals = np.linalg.eigvalsh(laplacian_matrix(conn, degree).toarray())
+        for t in _THRESHOLDS:
+            assert np.min(np.abs(evals - t)) > 1e-6 * t, (name, t)
+            want = int(np.count_nonzero(evals < t))
+            assert harmonic_space_dim(conn, degree, threshold=t) == want, (name, t)
+
+
+def test_constant_connection_skips_dense_laplacian(monkeypatch):
+    def refuse(conn, degree):
+        raise AssertionError("dense Laplacian built for a constant connection")
+
+    monkeypatch.setattr(spectrum, "laplacian_matrix", refuse)
+    grid = TorusGrid(16)
+    assert tuple(harmonic_space_dim(zero_connection(grid, 2), k) for k in (0, 1, 2)) == (4, 8, 4)
+    twisted = _constant_connection(grid, np.pi * E1, np.zeros((2, 2)))
+    assert harmonic_space_dim(twisted, 0) == 2
+
+
+@pytest.mark.parametrize("degree", (0, 1, 2))
+def test_non_constant_flat_connection_takes_dense_path(monkeypatch, degree):
+    # Ex = f(x) e1, Ey = g(y) e1 has zero discrete curvature, and d1 d0 = 0 on
+    # the one-sided complex, yet it is not translation invariant
+    grid = TorusGrid(8)
+    x, y = grid.nodes()
+    fx = 0.7 + 0.4 * np.cos(2.0 * np.pi * x)
+    gy = -0.5 + 0.3 * np.sin(2.0 * np.pi * y)
+    conn = Connection(tensor_form(scalar_form(grid, 1, fx, gy), E1))
+    calls = []
+
+    def counted(conn, degree):
+        calls.append(degree)
+        return laplacian_matrix(conn, degree)
+
+    monkeypatch.setattr(spectrum, "laplacian_matrix", counted)
+    got = harmonic_space_dim(conn, degree)
+    assert calls == [degree]
+    evals = np.linalg.eigvalsh(laplacian_matrix(conn, degree).toarray())
+    assert got == int(np.count_nonzero(evals < 1e-6))
+
+
+def test_size_is_checked_before_curvature(monkeypatch):
+    def refuse(conn):
+        raise AssertionError("curvature computed for an oversized problem")
+
+    monkeypatch.setattr(spectrum, "curvature", refuse)
+    conn = zero_connection(TorusGrid(32), 3)
+    with pytest.raises(ValueError, match=r"grid 32, rank 3.*exceeds the limit"):
+        harmonic_space_dim(conn, 0)
