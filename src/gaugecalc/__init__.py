@@ -11,13 +11,12 @@ from .forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid, VectorField,
                     form_to_json, form_to_record, hodge_star, interior,
                     l2_inner, l2_norm, scalar_form, sharp, tensor_form,
                     wedge_compose, zero_form)
-from .gauge import (Connection, codifferential, codifferential_flat,
+from .gauge import (FLAT_TOL, Connection, codifferential, codifferential_flat,
                     connection_from_record, connection_to_record, covariant_d,
-                    curvature, gauge_transform, laplacian_apply,
-                    residual_report, unitary_from_algebra, wedge_action,
-                    wedge_action_adjoint, yang_mills_functional,
-                    yang_mills_residual, yang_mills_residual_covariant,
-                    zero_connection)
+                    curvature, gauge_transform, laplacian_apply, require_flat,
+                    residual_report, wedge_action, wedge_action_adjoint,
+                    yang_mills_functional, yang_mills_residual,
+                    yang_mills_residual_covariant, zero_connection)
 from .spectrum import antihermitian_basis, harmonic_space_dim, laplacian_matrix
 from .curves import (ClaimReport, ConnectionCurve, PerturbationJets, Su2Ansatz,
                      curve_jets, decompose_su2, flat_curve_report,

@@ -17,16 +17,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import E1, E2, E3, inner
+from .algebra import E1, E2, E3, SU2_BASIS, inner
 from .curves import _matrix_entries, torus_family_report
-from .forms import TorusGrid, constant_form, scalar_form, tensor_form
-from .gauge import Connection, residual_report, zero_connection
-from .holonomy import (AnalyticTorusPotential, aharonov_bohm_monodromy,
+from .forms import MIN_GRID, TorusGrid, constant_form, scalar_form, tensor_form
+from .gauge import FLAT_TOL, Connection, residual_report, zero_connection
+from .holonomy import (MAX_STEPS, MIN_STEPS, AnalyticTorusPotential, aharonov_bohm_monodromy,
                        torus_circle, torus_loop, wilson_loop, wong_evolve)
-from .spectrum import DOF_LIMIT, eigenproblem_size, harmonic_space_dim
+from .spectrum import DOF_LIMIT, KERNEL_THRESHOLD, eigenproblem_size, harmonic_space_dim
 from .suites import run_verify
 
-_SU2 = {"e1": E1, "e2": E2, "e3": E3}
+_SU2 = dict(zip(("e1", "e2", "e3"), SU2_BASIS))
 
 _MAX_GRID = 1024  # memory grows as N^2; a rank-2 residual at N = 512 peaks near 250 MB
 
@@ -48,16 +48,23 @@ def _complex_arg(text):
 
 
 def _positive_int(name, value, minimum=1):
-    if value is None or value < minimum:
+    if value < minimum:
         raise CliError(f"{name} must be an integer >= {minimum}, got {value}")
     return int(value)
 
 
 def _grid(args):
     """The --grid flag, checked before anything is allocated."""
-    if not 8 <= args.grid <= _MAX_GRID:
-        raise CliError(f"--grid must be an integer in [8, {_MAX_GRID}], got {args.grid}")
+    if not MIN_GRID <= args.grid <= _MAX_GRID:
+        raise CliError(f"--grid must be an integer in [{MIN_GRID}, {_MAX_GRID}], got {args.grid}")
     return args.grid
+
+
+def _steps(args):
+    """The --steps flag, checked against the transport step range before any transport."""
+    if not MIN_STEPS <= args.steps <= MAX_STEPS:
+        raise CliError(f"--steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {args.steps}")
+    return args.steps
 
 
 def _finite(name, value):
@@ -159,14 +166,10 @@ def build_family(grid, selector):
     name, params = parse_params(selector)
     if name == "zero":
         return zero_connection(grid, 2)
-    if name == "const-dx":
+    if name in ("const-dx", "const-mix"):
         c = float(params.get("c", np.pi))
-        mat = _su2_direction(params)
-        return Connection(constant_form(grid, 1, c * mat, np.zeros((2, 2))))
-    if name == "const-mix":
-        c = float(params.get("c", np.pi))
-        lam = float(params.get("lam", 1.0))
-        mat = E1 + lam * E2
+        mat = (_su2_direction(params) if name == "const-dx"
+               else E1 + float(params.get("lam", 1.0)) * E2)
         return Connection(constant_form(grid, 1, c * mat, np.zeros((2, 2))))
     if name == "sin-dy":
         freq = float(params.get("freq", 1.0))
@@ -246,7 +249,28 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(record, args, csv_header=None, csv_rows=None):
+def _non_finite_key(val, path=""):
+    """Dotted key of the first NaN or inf in a report value, or None."""
+    if isinstance(val, (float, complex)):
+        return None if np.isfinite(val) else path
+    items = (val.items() if isinstance(val, dict)
+             else enumerate(val) if isinstance(val, (list, tuple)) else ())
+    for key, item in items:
+        found = _non_finite_key(item, f"{path}.{key}" if path else str(key))
+        if found:
+            return found
+    return None
+
+
+def _emit(record, args, csv_header, csv_rows):
+    # verify reports a non-finite check value as a failed check (exit 2) instead
+    bad = args.command != "verify" and _non_finite_key(record)
+    if bad:
+        flags = " ".join(f"--{'lambda' if key == 'lam' else key} {val}"
+                         for key, val in record["config"].items()
+                         if key not in ("format", "seed") and val is not None)
+        raise CliError(f"report value {bad} is not finite for {flags}; "
+                       f"reduce the magnitude of the numeric inputs")
     if args.format == "structured-record":
         text = json.dumps(_jsonable(record), sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
@@ -255,9 +279,8 @@ def _emit(record, args, csv_header=None, csv_rows=None):
             buf.write(f"# {key}: {record[key]}\n")
         buf.write(f"# config: {json.dumps(_jsonable(record['config']), sort_keys=True)}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header or ("key", "value"))
-        for row in (csv_rows if csv_rows is not None else _flat_rows(record)):
-            writer.writerow(row)
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
         text = buf.getvalue()
     else:
         text = _render_text(record)
@@ -266,21 +289,6 @@ def _emit(record, args, csv_header=None, csv_rows=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _flat_rows(record, prefix=""):
-    rows = []
-    for key, val in record.items():
-        if key in ("version", "command", "config", "seed", "tolerances"):
-            continue
-        name = f"{prefix}{key}"
-        if isinstance(val, dict):
-            rows.extend(_flat_rows(val, name + "."))
-        elif isinstance(val, (list, tuple)):
-            rows.append((name, json.dumps(_jsonable(val))))
-        else:
-            rows.append((name, val))
-    return rows
 
 
 def _cmd_verify(args):
@@ -303,11 +311,10 @@ def _cmd_verify(args):
 def _cmd_torus_curve(args):
     samples = _positive_int("--samples", args.samples, 2)
     grid_n = _grid(args)
-    flat_tol = _tolerance(args, 1e-8)
+    flat_tol = _tolerance(args, FLAT_TOL)
     lam = _finite("--lambda", args.lam)
     ts = [i / (samples - 1) for i in range(samples)]
-    report = torus_family_report(lam, ts, n=grid_n, flat_tol=flat_tol,
-                                 steps=_positive_int("--steps", args.steps, 100))
+    report = torus_family_report(lam, ts, n=grid_n, flat_tol=flat_tol, steps=_steps(args))
     record = _base_record(args, {"flat_tol": flat_tol}, {"report": report.to_record()})
     rows = [(format(t, ".12e"), format(c, ".12e"), format(r, ".12e"))
             for t, c, r in report.csv_rows()]
@@ -317,7 +324,7 @@ def _cmd_torus_curve(args):
 
 def _cmd_residual(args):
     grid = TorusGrid(_grid(args))
-    flat_tol = _tolerance(args, 1e-8)
+    flat_tol = _tolerance(args, FLAT_TOL)
     conn = build_family(grid, args.family)
     rep = residual_report(conn, flat_tol)
     record = _base_record(args, {"flat_tol": flat_tol}, {"report": rep})
@@ -329,7 +336,7 @@ def _cmd_residual(args):
 
 def _cmd_holonomy(args):
     grid = TorusGrid(_grid(args))
-    steps = _positive_int("--steps", args.steps, 100)
+    steps = _steps(args)
     conn = build_family(grid, args.family)
     loop = build_loop(args.loop)
     g, trace = wilson_loop(conn, loop, steps)
@@ -345,34 +352,36 @@ def _cmd_holonomy(args):
 
 def _cmd_ab(args):
     k = _finite("--k", _complex_arg(args.k))
-    steps = _positive_int("--steps", args.steps, 100)
-    rec = aharonov_bohm_monodromy(k, args.winding, steps * max(1, abs(args.winding)))
+    steps = _steps(args)
+    total = steps * max(1, abs(args.winding))
+    if total > MAX_STEPS:
+        raise CliError(f"--steps {steps} times |--winding {args.winding}| gives {total} "
+                       f"transport steps, more than {MAX_STEPS}")
+    rec = aharonov_bohm_monodromy(k, args.winding, total)
     closed_form = complex(np.exp(2j * np.pi * k * args.winding))
+    # np.abs, unlike abs, returns inf on overflow for the finite-report check to catch
+    deviation = float(np.abs(rec.monodromy - closed_form))
     record = _base_record(args, {}, {
         "monodromy": rec.monodromy,
         "closed_form": closed_form,
-        "deviation": abs(rec.monodromy - closed_form),
+        "deviation": deviation,
         "flux": rec.flux,
         "transport_steps": rec.steps,
     })
     _emit(record, args, ("key", "value"),
           [("monodromy_re", format(rec.monodromy.real, ".12e")),
            ("monodromy_im", format(rec.monodromy.imag, ".12e")),
-           ("deviation", format(abs(rec.monodromy - closed_form), ".12e"))])
+           ("deviation", format(deviation, ".12e"))])
     return 0
 
 
 def _cmd_wong(args):
-    steps = _positive_int("--steps", args.steps, 100)
+    steps = _steps(args)
     i0 = _SU2[args.i0]
-    if args.case == "constant":
-        pot = AnalyticTorusPotential(lambda x, y: E3,
-                                     lambda x, y: np.zeros((2, 2), dtype=complex), 2)
-        path = torus_loop((1, 0))
-    else:
-        pot = AnalyticTorusPotential(lambda x, y: np.pi * E1,
-                                     lambda x, y: np.zeros((2, 2), dtype=complex), 2)
-        path = torus_circle((0.5, 0.5), 0.2, 1)
+    ax = E3 if args.case == "constant" else np.pi * E1
+    pot = AnalyticTorusPotential(lambda x, y: ax,
+                                 lambda x, y: np.zeros((2, 2), dtype=complex), 2)
+    path = torus_loop((1, 0)) if args.case == "constant" else torus_circle((0.5, 0.5), 0.2, 1)
     ts, traj = wong_evolve(pot, path, i0, steps)
     norms = np.array([inner(i, i) for i in traj])
     record = _base_record(args, {}, {
@@ -393,7 +402,7 @@ def _cmd_wong(args):
 def _cmd_spectrum(args):
     grid = TorusGrid(_grid(args))
     rank = _positive_int("--rank", args.rank, 1)
-    threshold = _tolerance(args, 1e-6)
+    threshold = _tolerance(args, KERNEL_THRESHOLD)
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
     dof = max(eigenproblem_size(grid.n, rank, k) for k in degrees)
     if dof > DOF_LIMIT:
@@ -430,12 +439,9 @@ def _load_config(path):
         raise CliError("config must be a JSON object")
     if "command" not in data:
         raise CliError("config is missing the 'command' field")
-    argv = [str(data["command"])]
+    argv = [str(data.pop("command"))]
     for key, val in data.items():
-        if key == "command":
-            continue
-        flag = "--" + key.replace("_", "-")
-        argv.extend([flag, str(val)])
+        argv.extend(["--" + key.replace("_", "-"), str(val)])
     return argv
 
 
@@ -451,7 +457,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError("no command given (try 'verify')")
-        return _COMMANDS[args.command](args)
+        # overflow surfaces as a non-finite report value, which _emit refuses
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (CliError, ValueError) as exc:
         print(f"gaugecalc: error: {exc}", file=sys.stderr)
         return 1

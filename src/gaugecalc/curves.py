@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import E1 as PAULI_E1, E2 as PAULI_E2, E3 as PAULI_E3, exp_antihermitian
+from .algebra import SU2_BASIS, exp_antihermitian
 from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _form, exterior_d,
                     hodge_star, interior, l2_norm, scalar_form, sharp,
                     tensor_form, wedge_compose)
-from .gauge import (Connection, codifferential, covariant_d, curvature,
-                    gauge_transform, yang_mills_residual, zero_connection)
+from .gauge import (FLAT_TOL, Connection, codifferential, covariant_d, curvature,
+                    gauge_transform, require_flat, yang_mills_residual, zero_connection)
 from .holonomy import AnalyticTorusPotential, parallel_transport, torus_loop
-
-_SU2 = (PAULI_E1, PAULI_E2, PAULI_E3)
 
 
 class ConnectionCurve:
@@ -92,9 +90,7 @@ def ym_curve_report(jets, base):
     the top-degree C_E reduces to its codifferential; the derivative of its
     star dual is listed alongside (the two agree through the star isometry).
     """
-    kn = l2_norm(curvature(base))
-    if kn > 1e-8:
-        raise ValueError(f"jet diagnostics need a flat base: curvature norm {kn:.3e}")
+    require_flat(base, "jet diagnostics")
     return {
         "grad_e1_l2": l2_norm(covariant_d(base, jets.e1)),
         "delta_e1_l2": l2_norm(codifferential(base, jets.e1)),
@@ -105,7 +101,7 @@ def ym_curve_report(jets, base):
     }
 
 
-def flat_curve_report(curve, sample_ts, flat_tol=1e-8, t_small=1e-3):
+def flat_curve_report(curve, sample_ts, flat_tol=FLAT_TOL, t_small=1e-3):
     """Check flatness along the curve and report the obstruction norm ||C_E||."""
     rows = []
     for t in sample_ts:
@@ -165,7 +161,8 @@ def su2_potential(alpha, beta, gamma):
             raise ValueError("ansatz coefficients must be scalar 1-forms")
     if len({f.grid for f in forms}) != 1:
         raise ValueError("ansatz coefficients must share a grid")
-    e = tensor_form(alpha, _SU2[0]) + tensor_form(beta, _SU2[1]) + tensor_form(gamma, _SU2[2])
+    e = (tensor_form(alpha, SU2_BASIS[0]) + tensor_form(beta, SU2_BASIS[1])
+         + tensor_form(gamma, SU2_BASIS[2]))
     h = tuple(exterior_d(f).comps[0][:, :, 0, 0].real for f in forms)
     return Su2Ansatz(Connection(MatrixForm(1, e.grid, e.comps, ANTIHERMITIAN)),
                      alpha, beta, gamma, h)
@@ -178,8 +175,8 @@ def decompose_su2(conn):
     grid = conn.grid
     coeffs = []
     for comp in conn.potential.comps:
-        cs = [np.einsum("xyij,ij->xy", comp, e.conj()).real / 2.0 for e in _SU2]
-        recon = sum(c[..., None, None] * e for c, e in zip(cs, _SU2))
+        cs = [np.einsum("xyij,ij->xy", comp, e.conj()).real / 2.0 for e in SU2_BASIS]
+        recon = sum(c[..., None, None] * e for c, e in zip(cs, SU2_BASIS))
         if float(np.max(np.abs(comp - recon))) > 1e-10:
             raise ValueError("potential is not in the scalar su(2) ansatz span")
         coeffs.append(cs)
@@ -195,9 +192,6 @@ def su2_ym_conditions(ansatz):
     and the full residual 1-form is -(sum_a residual_a x e_a), which must agree
     with the general machinery whenever E^E = 0.
     """
-    if isinstance(ansatz, Connection):
-        alpha, beta, gamma = decompose_su2(ansatz)
-        ansatz = su2_potential(alpha, beta, gamma)
     grid = ansatz.connection.grid
     forms = (ansatz.alpha, ansatz.beta, ansatz.gamma)
     hw = tuple(scalar_form(grid, 2, ha) for ha in ansatz.h)
@@ -210,9 +204,9 @@ def su2_ym_conditions(ansatz):
     wedges = (wedge_compose(forms[1], forms[2]),
               wedge_compose(forms[2], forms[0]),
               wedge_compose(forms[0], forms[1]))
-    assembled = -(tensor_form(residuals[0], _SU2[0])
-                  + tensor_form(residuals[1], _SU2[1])
-                  + tensor_form(residuals[2], _SU2[2]))
+    assembled = -(tensor_form(residuals[0], SU2_BASIS[0])
+                  + tensor_form(residuals[1], SU2_BASIS[1])
+                  + tensor_form(residuals[2], SU2_BASIS[2]))
     general = yang_mills_residual(ansatz.connection)
     return {
         "stationarity_l2": tuple(l2_norm(r) for r in residuals),
@@ -248,7 +242,7 @@ def torus_family_curve(grid, lam=1.0):
 
 
 def _family_endpoint_potential(lam, t):
-    mmat = _SU2[0] + lam * (1.0 - t) * _SU2[1]
+    mmat = SU2_BASIS[0] + lam * (1.0 - t) * SU2_BASIS[1]
 
     def ax(x, y):
         return (t * np.cos(np.pi * y)) * mmat
@@ -297,7 +291,7 @@ def _matrix_entries(mat):
     return [[float(z.real), float(z.imag)] for z in np.asarray(mat).ravel(order="C")]
 
 
-def torus_family_report(lam, ts, n=64, steps=1000, flat_tol=1e-8, t_small=1e-3):
+def torus_family_report(lam, ts, n=64, steps=1000, flat_tol=FLAT_TOL, t_small=1e-3):
     """Evaluate the torus family at the sample times and collect every claim."""
     grid = TorusGrid(n)
     at = seam_family_form(grid)

@@ -29,19 +29,20 @@ from .algebra import is_antihermitian, require_antihermitian
 
 ANTIHERMITIAN = "antihermitian"
 GENERAL = "general"
+MIN_GRID = 8  # fewest nodes per axis a grid may have
 
 _NCOMPS = {0: 1, 1: 2, 2: 1}
 
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform N x N node grid; coarser than 8 nodes per axis is refused."""
+    """Uniform N x N node grid; coarser than MIN_GRID nodes per axis is refused."""
 
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 8:
-            raise ValueError(f"grid needs at least 8 nodes per axis, got {self.n!r}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < MIN_GRID:
+            raise ValueError(f"grid needs at least {MIN_GRID} nodes per axis, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
 
     @property
@@ -187,7 +188,6 @@ def constant_form(grid, degree, *matrices):
     if len(matrices) != _NCOMPS[degree]:
         raise ValueError(f"degree {degree} needs {_NCOMPS[degree]} coefficient matrices")
     mats = [np.asarray(mm, dtype=complex) for mm in matrices]
-    m = mats[0].shape[0]
     comps = tuple(np.tile(mm, (grid.n, grid.n, 1, 1)) for mm in mats)
     vc = ANTIHERMITIAN if all(is_antihermitian(mm) for mm in mats) else GENERAL
     return MatrixForm(degree, grid, comps, vc)

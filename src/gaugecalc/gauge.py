@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger, exp_antihermitian
+from .algebra import dagger
 from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
                     _form, exterior_d, form_from_record, form_to_record,
                     hodge_star, l2_inner, l2_norm, wedge_compose, zero_form)
+
+FLAT_TOL = 1e-8  # curvature L2 norm up to which a connection counts as flat
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,14 @@ def curvature(conn):
     """Curvature 2-form K = dE + E^E of the trivialized connection."""
     e = conn.potential
     return exterior_d(e) + _square(e)
+
+
+def require_flat(conn, what, flat_tol=FLAT_TOL):
+    """Raise ValueError with the measured curvature norm unless `conn` is flat for `what`."""
+    kn = l2_norm(curvature(conn))
+    if not kn <= flat_tol:
+        raise ValueError(f"flat connection required for {what}: curvature norm {kn:.3e} "
+                         f"exceeds {flat_tol:.1e}")
 
 
 def wedge_action(e_form, w):
@@ -130,7 +140,7 @@ def yang_mills_residual_covariant(conn):
     return codifferential(conn, curvature(conn))
 
 
-def residual_report(conn, flat_tol=1e-8):
+def residual_report(conn, flat_tol=FLAT_TOL):
     """Structured record {ym_value, residual_l2, curvature_l2, flat}."""
     k = curvature(conn)
     kn = l2_norm(k)
@@ -169,13 +179,6 @@ def gauge_transform(conn, g):
     new_y = g @ ey @ gh - _skew(_ddy(g, h) @ gh)
     # conjugation and the skew part keep the values anti-Hermitian
     return Connection(_form(1, conn.grid, (new_x, new_y), ANTIHERMITIAN))
-
-
-def unitary_from_algebra(a_form):
-    """Pointwise exponential of an anti-Hermitian 0-form, as a gauge field array."""
-    if a_form.degree != 0:
-        raise ValueError("expected a 0-form")
-    return exp_antihermitian(a_form.comps[0])
 
 
 def laplacian_apply(conn, w):

@@ -22,6 +22,8 @@ import numpy as np
 from .algebra import SIGMA3, dagger, mat_exp, require_antihermitian
 
 _POLE_MARGIN = 1e-6
+MIN_STEPS = 100  # fewest RK4 steps a transport takes
+MAX_STEPS = 10 ** 6  # most RK4 steps a transport takes, about a minute at ~57 us per step
 
 
 @dataclass(frozen=True)
@@ -249,8 +251,8 @@ def _require_pole_clearance(potential, path, steps):
 def _transport_setup(potential, path, steps):
     """Checked step count and potential, and the sampler t -> A(xdot(t))."""
     steps = int(steps)
-    if steps < 100:
-        raise ValueError("transport needs at least 100 steps")
+    if not MIN_STEPS <= steps <= MAX_STEPS:
+        raise ValueError(f"transport needs {MIN_STEPS} to {MAX_STEPS} steps, got {steps}")
     potential = _as_potential(potential)
     _require_pole_clearance(potential, path, steps)
 
@@ -321,7 +323,7 @@ def aharonov_bohm_monodromy(k, winding=1, steps=None):
     k = complex(k)
     winding = int(winding)
     if steps is None:
-        steps = max(100, 1000 * abs(winding))
+        steps = max(MIN_STEPS, 1000 * abs(winding))
     pot = MeromorphicPotential(lambda z: np.array([[-k / z]], dtype=complex), (0j,), 1)
     g = parallel_transport(pot, circle_path(0j, 1.0, winding), steps)
     return MonodromyRecord(k, winding, int(steps), complex(g[0, 0]), -2.0 * np.pi * k)

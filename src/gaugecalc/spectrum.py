@@ -35,10 +35,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .forms import l2_norm
-from .gauge import curvature
+from .gauge import FLAT_TOL, require_flat
 
 DOF_LIMIT = 4608  # largest real eigenproblem counted (n = 24 at rank 2, degree 1)
+KERNEL_THRESHOLD = 1e-6  # Laplacian eigenvalues below this count as harmonic
 
 
 def antihermitian_basis(m):
@@ -143,7 +143,8 @@ def eigenproblem_size(n, m, degree):
     return (2 if degree == 1 else 1) * n * n * m * m
 
 
-def harmonic_space_dim(conn, degree, threshold=1e-6, flat_tol=1e-8, dof_limit=DOF_LIMIT):
+def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD, flat_tol=FLAT_TOL,
+                       dof_limit=DOF_LIMIT):
     """Number of Laplacian eigenvalues below `threshold` at the given degree.
 
     Only flat connections are accepted: the covariant complex is a complex
@@ -159,12 +160,7 @@ def harmonic_space_dim(conn, degree, threshold=1e-6, flat_tol=1e-8, dof_limit=DO
     if dof > dof_limit:
         raise ValueError(f"eigenproblem size {dof} (grid {n}, rank {m}, degree {degree}) "
                          f"exceeds the limit {dof_limit}; reduce the grid or the rank")
-    kn = l2_norm(curvature(conn))
-    if kn > flat_tol:
-        raise ValueError(
-            f"harmonic counting needs a flat connection: curvature norm {kn:.3e} "
-            f"exceeds {flat_tol:.1e}"
-        )
+    require_flat(conn, "harmonic counting", flat_tol)
     if all((c == c[0, 0]).all() for c in conn.potential.comps):
         mat = _fourier_laplacian_blocks(conn, degree)
     else:

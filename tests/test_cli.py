@@ -6,9 +6,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaugecalc import cli
+from gaugecalc import cli, gauge, spectrum
 from gaugecalc.cli import CliError, build_family, build_loop, main, parse_params
 from gaugecalc.forms import TorusGrid
+from gaugecalc.holonomy import MAX_STEPS
 
 
 def _run(capsys, argv):
@@ -207,6 +208,85 @@ def test_rejects_non_finite_k_and_lambda(capsys, argv, flag):
     code, out, err = _run(capsys, argv)
     assert code == 1 and out == ""
     assert flag in err and "finite" in err
+
+
+@pytest.mark.parametrize("argv,transport,flag", (
+    (["ab", "--winding", "1000000000", "--steps", "100"], "aharonov_bohm_monodromy", "--winding"),
+    (["ab", "--steps", "1000001"], "aharonov_bohm_monodromy", "--steps"),
+    (["holonomy", "--grid", "8", "--steps", "1000000000"], "wilson_loop", "--steps"),
+    (["wong", "--steps", "2000000"], "wong_evolve", "--steps"),
+    (["torus-curve", "--grid", "8", "--samples", "2", "--steps", "1000001"],
+     "torus_family_report", "--steps")),
+    ids=("ab-winding", "ab-steps", "holonomy-steps", "wong-steps", "torus-curve-steps"))
+def test_rejects_transport_steps_above_the_cap_before_transport(capsys, monkeypatch, argv,
+                                                                 transport, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("transport started beyond the step cap")
+
+    monkeypatch.setattr(cli, transport, refuse)
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert flag in err and str(MAX_STEPS) in err
+
+
+@pytest.mark.parametrize("argv,key,flag", (
+    (["ab", "--k", "1e300"], "monodromy", "--k 1e300"),
+    (["ab", "--k", "1e5"], "monodromy", "--k 1e5"),
+    (["holonomy", "--grid", "8", "--family", "const-dx:c=1e300"], "matrix.0.0",
+     "--family const-dx:c=1e300"),
+    (["torus-curve", "--grid", "8", "--samples", "2", "--steps", "100", "--lambda", "1e300"],
+     "report.jet_summary.grad_e1_l2", "--lambda 1e+300")),
+    ids=("ab-k-1e300", "ab-k-1e5", "holonomy-c-1e300", "torus-curve-lambda-1e300"))
+@pytest.mark.parametrize("fmt", ("report-text", "csv"))
+def test_non_finite_report_exits_one(capsys, argv, key, flag, fmt):
+    code, out, err = _run(capsys, argv + ["--format", fmt])
+    assert code == 1 and out == ""
+    assert err.startswith(f"gaugecalc: error: report value {key} ")
+    assert "not finite" in err and flag in err
+
+
+def test_reported_tolerances_are_the_library_defaults(capsys):
+    for argv, want in ((["residual", "--grid", "8"], {"flat_tol": gauge.FLAT_TOL}),
+                       (["torus-curve", "--grid", "8", "--samples", "2", "--steps", "100"],
+                        {"flat_tol": gauge.FLAT_TOL}),
+                       (["spectrum", "--grid", "8"], {"threshold": spectrum.KERNEL_THRESHOLD})):
+        code, out, _ = _run(capsys, argv + ["--format", "structured-record"])
+        assert code == 0
+        assert json.loads(out)["tolerances"] == want
+
+
+def _finite_numbers(obj):
+    if isinstance(obj, dict):
+        return all(_finite_numbers(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_finite_numbers(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+_SMALL = st.floats(-3.0, 3.0, allow_nan=False)
+_KS = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                st.builds(lambda re, im: repr(complex(re, im)), _SMALL, _SMALL),
+                st.builds(lambda re, im: repr(complex(re, im)), st.floats(-1e300, 1e300),
+                          st.floats(-1e300, 1e300)),
+                st.floats(1e3, 1e300).map(repr))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=_KS, winding=st.one_of(st.integers(-3, 3), st.sampled_from((0, 10 ** 9, -10 ** 9))),
+       steps=st.one_of(st.integers(100, 300), st.integers(-10 ** 6, 99),
+                       st.integers(MAX_STEPS + 1, 10 ** 12)))
+def test_ab_argument_vectors_end_in_report_or_error(k, winding, steps):
+    argv = ["ab", f"--k={k}", f"--winding={winding}", f"--steps={steps}",
+            "--format", "structured-record"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert _finite_numbers(json.loads(out.getvalue()))
+        assert err.getvalue() == ""
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("gaugecalc: error: ")
 
 
 _TOLS = st.one_of(st.none(), st.sampled_from(("0", "-1", "nan", "inf", "-inf", "1e-6", "100")),

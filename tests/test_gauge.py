@@ -8,13 +8,15 @@ from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid,
                              constant_form, exterior_d, form_to_record,
                              hodge_star, l2_inner, l2_norm, scalar_form,
                              tensor_form, wedge_compose, zero_form)
-from gaugecalc.gauge import (Connection, codifferential,
+from gaugecalc.curves import ConnectionCurve, curve_jets, ym_curve_report
+from gaugecalc.gauge import (FLAT_TOL, Connection, codifferential,
                              connection_from_record, connection_to_record,
                              covariant_d, curvature, gauge_transform,
-                             laplacian_apply, residual_report,
+                             laplacian_apply, require_flat, residual_report,
                              wedge_action, wedge_action_adjoint,
                              yang_mills_functional, yang_mills_residual,
                              yang_mills_residual_covariant, zero_connection)
+from gaugecalc.spectrum import harmonic_space_dim
 from gaugecalc.suites import random_form, random_fourier_scalar
 
 
@@ -366,3 +368,18 @@ def test_antihermitian_tags_stay_true():
     for w in outputs:
         assert w.value_class == ANTIHERMITIAN
         assert max(antihermitian_defect(c) for c in w.comps) <= 1e-12
+
+
+def test_flatness_guards_share_require_flat():
+    grid = TorusGrid(16)
+    conn = _sine_dy_connection(grid, E1)
+    kn = l2_norm(curvature(conn))
+    assert kn > FLAT_TOL
+    jets = curve_jets(ConnectionCurve(lambda t: t * constant_form(grid, 1, E1, E2)))
+    for guarded in (lambda: harmonic_space_dim(conn, 1), lambda: ym_curve_report(jets, conn),
+                    lambda: require_flat(conn, "this check")):
+        with pytest.raises(ValueError, match="curvature norm") as info:
+            guarded()
+        assert f"{kn:.3e}" in str(info.value) and f"{FLAT_TOL:.1e}" in str(info.value)
+    require_flat(conn, "a looser check", flat_tol=2.0 * kn)
+    require_flat(zero_connection(grid, 2), "the zero connection")

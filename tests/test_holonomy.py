@@ -6,6 +6,7 @@ import pytest
 from gaugecalc.algebra import E1, E2, E3, dagger, inner, mat_exp
 from gaugecalc.forms import TorusGrid, constant_form, scalar_form, tensor_form
 from gaugecalc.gauge import Connection, zero_connection
+from gaugecalc import holonomy
 from gaugecalc.holonomy import (AnalyticTorusPotential, GaugeConjugatedPotential,
                                 GridPotential, MeromorphicPotential,
                                 aharonov_bohm_monodromy, aharonov_casher_phase,
@@ -61,6 +62,19 @@ def test_transport_rejects_too_few_steps():
     grid = TorusGrid(16)
     with pytest.raises(ValueError):
         parallel_transport(zero_connection(grid, 2), torus_loop((1, 0)), 50)
+
+
+def test_transport_refuses_more_than_max_steps_before_allocating(monkeypatch):
+    def refuse(potential, path, steps):
+        raise AssertionError("pole clearance sampled for an oversized transport")
+
+    monkeypatch.setattr(holonomy, "_require_pole_clearance", refuse)
+    pot = MeromorphicPotential(lambda z: np.array([[-0.5 / z]], dtype=complex), (0j,), 1)
+    with pytest.raises(ValueError, match=str(holonomy.MAX_STEPS)):
+        parallel_transport(pot, circle_path(0j, 1.0, 1), holonomy.MAX_STEPS + 1)
+    # the default step count grows with the winding number
+    with pytest.raises(ValueError, match=str(holonomy.MAX_STEPS)):
+        aharonov_bohm_monodromy(0.5, 10 ** 9)
 
 
 def test_grid_potential_interpolation_consistency():

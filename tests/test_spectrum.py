@@ -4,7 +4,7 @@ import pytest
 from gaugecalc.algebra import E1, inner
 from gaugecalc.forms import TorusGrid, constant_form, tensor_form, scalar_form
 from gaugecalc.gauge import Connection, zero_connection
-from gaugecalc import spectrum
+from gaugecalc import gauge, spectrum
 from gaugecalc.spectrum import (antihermitian_basis, eigenproblem_size, harmonic_space_dim,
                                 laplacian_matrix)
 
@@ -216,7 +216,8 @@ def test_size_is_checked_before_curvature(monkeypatch):
     def refuse(conn):
         raise AssertionError("curvature computed for an oversized problem")
 
-    monkeypatch.setattr(spectrum, "curvature", refuse)
+    # the flatness guard lives in gauge.require_flat, which reads gauge.curvature
+    monkeypatch.setattr(gauge, "curvature", refuse)
     conn = zero_connection(TorusGrid(32), 3)
     with pytest.raises(ValueError, match=r"grid 32, rank 3.*exceeds the limit"):
         harmonic_space_dim(conn, 0)
