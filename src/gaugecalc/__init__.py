@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .algebra import (E1, E2, E3, LEVI_CIVITA, SIGMA, SIGMA1, SIGMA2, SIGMA3,
                       SU2_BASIS, bracket, dagger, exp_antihermitian, inner,
-                      is_antihermitian, mat_exp, random_antihermitian,
-                      require_antihermitian)
+                      is_antihermitian, random_antihermitian, require_antihermitian)
 from .forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid, VectorField,
                     constant_form, exterior_d, form_from_json, form_from_record,
                     form_to_json, form_to_record, hodge_star, interior,
@@ -13,7 +12,7 @@ from .forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid, VectorField,
                     wedge_compose, zero_form)
 from .gauge import (FLAT_TOL, Connection, codifferential, codifferential_flat,
                     connection_from_record, connection_to_record, covariant_d,
-                    curvature, gauge_transform, laplacian_apply, require_flat,
+                    curvature, gauge_transform, require_flat,
                     residual_report, wedge_action, wedge_action_adjoint,
                     yang_mills_functional, yang_mills_residual,
                     yang_mills_residual_covariant, zero_connection)

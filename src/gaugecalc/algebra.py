@@ -1,4 +1,4 @@
-"""u(m) matrix algebra: brackets, ad-invariant metric, matrix exponentials.
+"""u(m) matrix algebra: brackets, ad-invariant metric, the unitary exponential.
 
 Elements are anti-Hermitian m x m complex matrices.  The metric is
 <A, B> = Re tr(A B^H); with the su(2) basis e_a = i sigma_a this gives
@@ -9,7 +9,6 @@ Elements are anti-Hermitian m x m complex matrices.  The metric is
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 ANTIHERMITIAN_ATOL = 1e-12
 
@@ -40,17 +39,17 @@ def antihermitian_defect(a):
     return float(np.max(np.abs(a + dagger(a))))
 
 
-def is_antihermitian(a, atol=ANTIHERMITIAN_ATOL):
-    return antihermitian_defect(a) <= atol
+def is_antihermitian(a):
+    return antihermitian_defect(a) <= ANTIHERMITIAN_ATOL
 
 
-def require_antihermitian(a, what="matrix", atol=ANTIHERMITIAN_ATOL):
+def require_antihermitian(a, what="matrix"):
     defect = antihermitian_defect(a)
     if not np.isfinite(defect):
         raise ValueError(f"{what} has non-finite entries")
-    if defect > atol:
+    if defect > ANTIHERMITIAN_ATOL:
         raise ValueError(
-            f"{what} is not anti-Hermitian: defect {defect:.3e} exceeds {atol:.1e}"
+            f"{what} is not anti-Hermitian: defect {defect:.3e} exceeds {ANTIHERMITIAN_ATOL:.1e}"
         )
 
 
@@ -74,11 +73,6 @@ def inner(a, b):
     """Ad-invariant inner product Re tr(A B^H)."""
     a, b = _require_matching(a, b)
     return float(np.trace(a @ dagger(b)).real)
-
-
-def mat_exp(a):
-    """Matrix exponential (scaling-and-squaring); unitary for anti-Hermitian input."""
-    return scipy.linalg.expm(np.asarray(a, dtype=complex))
 
 
 def exp_antihermitian(a):

@@ -29,6 +29,7 @@ from .suites import run_verify
 _SU2 = dict(zip(("e1", "e2", "e3"), SU2_BASIS))
 
 _MAX_GRID = 1024  # memory grows as N^2; a rank-2 residual at N = 512 peaks near 250 MB
+_MAX_SAMPLES = 10 ** 4  # torus-curve costs about 2.6 ms per sample at --grid 8: about 26 s
 
 
 class CliError(Exception):
@@ -45,12 +46,6 @@ def _complex_arg(text):
         return complex(text)
     except ValueError as exc:
         raise CliError(f"cannot parse complex number {text!r}") from exc
-
-
-def _positive_int(name, value, minimum=1):
-    if value < minimum:
-        raise CliError(f"{name} must be an integer >= {minimum}, got {value}")
-    return int(value)
 
 
 def _grid(args):
@@ -168,9 +163,12 @@ def build_family(grid, selector):
         return zero_connection(grid, 2)
     if name in ("const-dx", "const-mix"):
         c = float(params.get("c", np.pi))
-        mat = (_su2_direction(params) if name == "const-dx"
-               else E1 + float(params.get("lam", 1.0)) * E2)
-        return Connection(constant_form(grid, 1, c * mat, np.zeros((2, 2))))
+        mat = c * (_su2_direction(params) if name == "const-dx"
+                   else E1 + float(params.get("lam", 1.0)) * E2)
+        if not np.all(np.isfinite(mat)):
+            raise CliError(f"--family {selector} gives a non-finite potential; "
+                           f"reduce its parameters")
+        return Connection(constant_form(grid, 1, mat, np.zeros((2, 2))))
     if name == "sin-dy":
         freq = float(params.get("freq", 1.0))
         mat = _su2_direction(params)
@@ -309,7 +307,9 @@ def _cmd_verify(args):
 
 
 def _cmd_torus_curve(args):
-    samples = _positive_int("--samples", args.samples, 2)
+    samples = args.samples
+    if not 2 <= samples <= _MAX_SAMPLES:
+        raise CliError(f"--samples must be an integer in [2, {_MAX_SAMPLES}], got {samples}")
     grid_n = _grid(args)
     flat_tol = _tolerance(args, FLAT_TOL)
     lam = _finite("--lambda", args.lam)
@@ -401,7 +401,9 @@ def _cmd_wong(args):
 
 def _cmd_spectrum(args):
     grid = TorusGrid(_grid(args))
-    rank = _positive_int("--rank", args.rank, 1)
+    rank = args.rank
+    if rank < 1:
+        raise CliError(f"--rank must be an integer >= 1, got {rank}")
     threshold = _tolerance(args, KERNEL_THRESHOLD)
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
     dof = max(eigenproblem_size(grid.n, rank, k) for k in degrees)

@@ -25,6 +25,8 @@ from .gauge import (FLAT_TOL, Connection, codifferential, covariant_d, curvature
                     gauge_transform, require_flat, yang_mills_residual, zero_connection)
 from .holonomy import AnalyticTorusPotential, parallel_transport, torus_loop
 
+T_SMALL = 1e-3  # default jet stencil step of curve_jets
+
 
 class ConnectionCurve:
     """Family t -> potential 1-form starting at the zero potential."""
@@ -51,7 +53,7 @@ class PerturbationJets:
     c_e: MatrixForm
 
 
-def curve_jets(curve, t_small=1e-3):
+def curve_jets(curve, t_small=T_SMALL):
     """Leading jets from samples at t_small and 2 t_small.
 
     E1 = [4 E(t) - E(2t)] / (2t) and E2 = [E(2t) - 2 E(t)] / (2t^2); both are
@@ -101,19 +103,19 @@ def ym_curve_report(jets, base):
     }
 
 
-def flat_curve_report(curve, sample_ts, flat_tol=FLAT_TOL, t_small=1e-3):
+def flat_curve_report(curve, sample_ts):
     """Check flatness along the curve and report the obstruction norm ||C_E||."""
     rows = []
     for t in sample_ts:
         kn = l2_norm(curvature(curve.connection(t)))
-        rows.append({"t": float(t), "curvature_l2": kn, "flat": bool(kn <= flat_tol)})
-    jets = curve_jets(curve, t_small)
+        rows.append({"t": float(t), "curvature_l2": kn, "flat": bool(kn <= FLAT_TOL)})
+    jets = curve_jets(curve)
     return {
         "rows": rows,
         "all_flat": all(r["flat"] for r in rows),
         "c_e_l2": l2_norm(jets.c_e),
-        "flat_tol": float(flat_tol),
-        "t_small": float(t_small),
+        "flat_tol": FLAT_TOL,
+        "t_small": T_SMALL,
     }
 
 
@@ -291,7 +293,7 @@ def _matrix_entries(mat):
     return [[float(z.real), float(z.imag)] for z in np.asarray(mat).ravel(order="C")]
 
 
-def torus_family_report(lam, ts, n=64, steps=1000, flat_tol=FLAT_TOL, t_small=1e-3):
+def torus_family_report(lam, ts, n=64, steps=1000, flat_tol=FLAT_TOL):
     """Evaluate the torus family at the sample times and collect every claim."""
     grid = TorusGrid(n)
     at = seam_family_form(grid)
@@ -312,7 +314,7 @@ def torus_family_report(lam, ts, n=64, steps=1000, flat_tol=FLAT_TOL, t_small=1e
             "wedge_l2": list(cond["wedge_l2"]),
             "flat": bool(kn <= flat_tol),
         })
-    jets = curve_jets(torus_family_curve(grid, lam), t_small)
+    jets = curve_jets(torus_family_curve(grid, lam))
     jet_summary = ym_curve_report(jets, zero_connection(grid, 2))
     holo = {}
     for label, t_end in (("t0", 0.0), ("t1", 1.0)):

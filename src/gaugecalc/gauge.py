@@ -181,16 +181,6 @@ def gauge_transform(conn, g):
     return Connection(_form(1, conn.grid, (new_x, new_y), ANTIHERMITIAN))
 
 
-def laplacian_apply(conn, w):
-    """Hodge Laplacian delta d + d delta with undefined boundary terms dropped."""
-    if w.degree == 0:
-        return codifferential(conn, covariant_d(conn, w))
-    if w.degree == 1:
-        return (codifferential(conn, covariant_d(conn, w))
-                + covariant_d(conn, codifferential(conn, w)))
-    return covariant_d(conn, codifferential(conn, w))
-
-
 def connection_to_record(conn):
     return {"grid": conn.grid.n, "m": conn.m, "potential": form_to_record(conn.potential)}
 

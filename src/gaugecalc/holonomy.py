@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import SIGMA3, dagger, mat_exp, require_antihermitian
+from .algebra import E3, SIGMA3, dagger, exp_antihermitian, require_antihermitian
 
 _POLE_MARGIN = 1e-6
 MIN_STEPS = 100  # fewest RK4 steps a transport takes
@@ -266,9 +266,12 @@ def _transport_setup(potential, path, steps):
 
 
 def _rk4(a_fn, y0, steps, rhs, collect=False):
+    """Final state, or (every state as one (steps + 1, m, m) array, final state)."""
     dt = 1.0 / steps
     y = np.array(y0, dtype=complex)
-    out = [y.copy()] if collect else None
+    if collect:
+        out = np.empty((steps + 1,) + y.shape, dtype=complex)
+        out[0] = y
     for i in range(steps):
         t0 = i * dt
         a0 = a_fn(t0)
@@ -280,8 +283,8 @@ def _rk4(a_fn, y0, steps, rhs, collect=False):
         k4 = rhs(a1, y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if collect:
-            out.append(y.copy())
-    return (np.array(out), y) if collect else y
+            out[i + 1] = y
+    return (out, y) if collect else y
 
 
 def _transport_rhs(a, g):
@@ -361,7 +364,7 @@ def aharonov_casher_phase(lam, steps=1000):
     diag(e^{i pi lam}, e^{-i pi lam}), matching the direct exponential.
     """
     lam = float(lam)
-    phase = mat_exp(1j * np.pi * lam * SIGMA3)
+    phase = exp_antihermitian(np.pi * lam * E3)
     pot = MeromorphicPotential(lambda z: (-0.5 * lam / z) * SIGMA3, (0j,), 2)
     g = parallel_transport(pot, circle_path(0j, 1.0, 1), steps)
     deviation = float(np.max(np.abs(g - phase)))

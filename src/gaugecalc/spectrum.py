@@ -25,7 +25,9 @@ The count takes one of two paths, chosen from the input:
   Hermitian blocks of size ncomp * m^2, all solved in one batched eigensolve.
   This covers the zero connection and every constant twisted connection.
 - Any other flat potential densifies the sparse Laplacian and solves it whole.
-  This path is also the reference the Fourier blocks are tested against.
+  This path is also the reference the Fourier blocks are tested against, and
+  the only code in the package that loads scipy (`scipy.sparse`, imported
+  where the sparse differentials are built).
 
 Either way the eigenvalues below the threshold are counted.
 """
@@ -33,9 +35,8 @@ Either way the eigenvalues below the threshold are counted.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .gauge import FLAT_TOL, require_flat
+from .gauge import require_flat
 
 DOF_LIMIT = 4608  # largest real eigenproblem counted (n = 24 at rank 2, degree 1)
 KERNEL_THRESHOLD = 1e-6  # Laplacian eigenvalues below this count as harmonic
@@ -62,23 +63,10 @@ def antihermitian_basis(m):
     return np.stack(basis)
 
 
-def _forward_difference(n, h):
-    """Periodic forward difference (S - I)/h on one axis, S the cyclic shift."""
-    return (sp.eye(n, k=1) + sp.eye(n, k=1 - n) - sp.eye(n)) / h
-
-
 def _ad_block(e, basis):
     """Matrix of f -> [e, f] in `basis` coordinates; leading axes of `e` are kept."""
     comm = np.einsum("...ij,bjk->...bik", e, basis) - np.einsum("bij,...jk->...bik", basis, e)
     return np.einsum("...bij,aij->...ab", comm, basis.conj()).real
-
-
-def _ad_blocks(e, basis):
-    """Block-diagonal matrix of f -> [e, f] at every node, in `basis` coordinates."""
-    n, nb = e.shape[0], basis.shape[0]
-    blocks = _ad_block(e, basis).reshape(n * n, nb, nb)
-    return sp.bsr_matrix((blocks, np.arange(n * n), np.arange(n * n + 1)),
-                         shape=(n * n * nb, n * n * nb)).tocsr()
 
 
 def _covariant_differentials(conn):
@@ -90,14 +78,24 @@ def _covariant_differentials(conn):
     skew for anti-Hermitian E, the transposes are the backward differences
     with the adjoint coupling, i.e. the codifferentials.
     """
-    grid = conn.grid
-    n, h = grid.n, grid.h
-    ex, ey = conn.potential.comps
+    import scipy.sparse as sp
+
+    n, h = conn.grid.n, conn.grid.h
     basis = antihermitian_basis(conn.m)
-    fwd = _forward_difference(n, h)
-    eye_n, eye_b = sp.eye(n), sp.eye(basis.shape[0])
-    dx = sp.kron(sp.kron(fwd, eye_n), eye_b, format="csr") + _ad_blocks(ex, basis)
-    dy = sp.kron(sp.kron(eye_n, fwd), eye_b, format="csr") + _ad_blocks(ey, basis)
+    nb = basis.shape[0]
+    # periodic forward difference (S - I)/h on one axis, S the cyclic shift
+    fwd = (sp.eye(n, k=1) + sp.eye(n, k=1 - n) - sp.eye(n)) / h
+    eye_n, eye_b = sp.eye(n), sp.eye(nb)
+
+    def ad_blocks(e):
+        # block-diagonal matrix of f -> [e, f] at every node
+        blocks = _ad_block(e, basis).reshape(n * n, nb, nb)
+        return sp.bsr_matrix((blocks, np.arange(n * n), np.arange(n * n + 1)),
+                             shape=(n * n * nb, n * n * nb)).tocsr()
+
+    ex, ey = conn.potential.comps
+    dx = sp.kron(sp.kron(fwd, eye_n), eye_b, format="csr") + ad_blocks(ex)
+    dy = sp.kron(sp.kron(eye_n, fwd), eye_b, format="csr") + ad_blocks(ey)
     return sp.vstack([dx, dy], format="csr"), sp.hstack([-dy, dx], format="csr")
 
 
@@ -143,8 +141,7 @@ def eigenproblem_size(n, m, degree):
     return (2 if degree == 1 else 1) * n * n * m * m
 
 
-def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD, flat_tol=FLAT_TOL,
-                       dof_limit=DOF_LIMIT):
+def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD):
     """Number of Laplacian eigenvalues below `threshold` at the given degree.
 
     Only flat connections are accepted: the covariant complex is a complex
@@ -157,10 +154,10 @@ def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD, flat_tol=FLAT_T
         raise ValueError("degree must be 0, 1 or 2")
     n, m = conn.grid.n, conn.m
     dof = eigenproblem_size(n, m, degree)
-    if dof > dof_limit:
+    if dof > DOF_LIMIT:
         raise ValueError(f"eigenproblem size {dof} (grid {n}, rank {m}, degree {degree}) "
-                         f"exceeds the limit {dof_limit}; reduce the grid or the rank")
-    require_flat(conn, "harmonic counting", flat_tol)
+                         f"exceeds the limit {DOF_LIMIT}; reduce the grid or the rank")
+    require_flat(conn, "harmonic counting")
     if all((c == c[0, 0]).all() for c in conn.potential.comps):
         mat = _fourier_laplacian_blocks(conn, degree)
     else:

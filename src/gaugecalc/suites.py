@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (E1, E2, E3, LEVI_CIVITA, SU2_BASIS, bracket, dagger,
-                      exp_antihermitian, inner, mat_exp, random_antihermitian)
+                      exp_antihermitian, inner, random_antihermitian)
 from .curves import (ConnectionCurve, curve_jets, flat_curve_report,
                      gauge_orbit_curve, harmonic_projection, su2_potential,
                      su2_ym_conditions, ym_curve_report)
@@ -106,8 +106,8 @@ def algebra_suite(rng):
             jac = max(jac, float(np.max(np.abs(
                 bracket(a, bracket(b, c)) + bracket(b, bracket(c, a))
                 + bracket(c, bracket(a, b))))))
-            g = mat_exp(a)
-            invd = max(invd, float(np.max(np.abs(g @ mat_exp(-a) - np.eye(m)))))
+            g = exp_antihermitian(a)
+            invd = max(invd, float(np.max(np.abs(g @ exp_antihermitian(-a) - np.eye(m)))))
             unit = max(unit, float(np.max(np.abs(g @ dagger(g) - np.eye(m)))))
     checks.append(Check("ad-invariance", ad, 1e-10))
     checks.append(Check("jacobi-identity", jac, 1e-10))
@@ -349,7 +349,7 @@ def holonomy_suite(rng):
     const = AnalyticTorusPotential(lambda x, y: 0.8 * E1 + 0.3 * E2,
                                    lambda x, y: np.zeros((2, 2), dtype=complex), 2)
     loop = torus_loop((1, 0))
-    oracle = mat_exp(-(0.8 * E1 + 0.3 * E2))
+    oracle = exp_antihermitian(-(0.8 * E1 + 0.3 * E2))
     e100 = float(np.max(np.abs(parallel_transport(const, loop, 100) - oracle)))
     e200 = float(np.max(np.abs(parallel_transport(const, loop, 200) - oracle)))
     checks.append(Check("transport-order-ratio", e100 / max(e200, 1e-300), 14.0, kind="min"))
@@ -394,7 +394,7 @@ def holonomy_suite(rng):
                                   lambda x, y: np.zeros((2, 2), dtype=complex), 2)
 
     def gmap(x, y):
-        return mat_exp(0.4 * np.sin(2.0 * np.pi * x) * E2)
+        return exp_antihermitian(0.4 * np.sin(2.0 * np.pi * x) * E2)
 
     def dgmap(x, y):
         gx = 0.4 * 2.0 * np.pi * np.cos(2.0 * np.pi * x) * (E2 @ gmap(x, y))

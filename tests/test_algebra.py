@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+# the package has one exponential; scipy's scaling-and-squaring is the independent oracle
+from scipy.linalg import expm
 
 from gaugecalc.algebra import (E1, E2, E3, LEVI_CIVITA, SU2_BASIS, bracket,
                                dagger, exp_antihermitian, inner,
-                               is_antihermitian, mat_exp, random_antihermitian,
+                               is_antihermitian, random_antihermitian,
                                require_antihermitian)
 from gaugecalc.algebra import SIGMA1, SIGMA3
 
@@ -40,29 +42,34 @@ def test_inner_values():
     assert inner(np.zeros((2, 2)), E2) == 0.0
 
 
-def test_mat_exp_examples():
-    assert np.max(np.abs(mat_exp(np.zeros((2, 2))) - np.eye(2))) == 0.0
+def test_exp_antihermitian_examples():
+    zero = np.zeros((2, 2))
+    assert np.max(np.abs(exp_antihermitian(zero) - np.eye(2))) == 0.0
     # exp(-i pi sigma1) = cos(pi) Id - i sin(pi) sigma1 = -Id
-    assert np.max(np.abs(mat_exp(-np.pi * 1j * SIGMA1) + np.eye(2))) < 1e-12
     # exp(i pi sigma3) = diag(-1, -1)
-    assert np.max(np.abs(mat_exp(1j * np.pi * SIGMA3) - np.diag([-1.0, -1.0]))) < 1e-12
+    for a, want in ((-np.pi * 1j * SIGMA1, -np.eye(2)),
+                    (1j * np.pi * SIGMA3, np.diag([-1.0, -1.0]))):
+        g = exp_antihermitian(a)
+        assert np.max(np.abs(g - want)) < 1e-12
+        assert np.max(np.abs(g - expm(a))) < 1e-12
 
 
-def test_mat_exp_inverse_and_unitarity():
+def test_exp_antihermitian_inverse_and_unitarity():
     rng = np.random.default_rng(1)
     for m in (2, 3, 4):
         a = random_antihermitian(rng, m)
-        g = mat_exp(a)
-        assert np.max(np.abs(g @ mat_exp(-a) - np.eye(m))) < 1e-10
+        g = exp_antihermitian(a)
+        assert np.max(np.abs(g - expm(a))) < 1e-12
+        assert np.max(np.abs(g @ exp_antihermitian(-a) - np.eye(m))) < 1e-10
         assert np.max(np.abs(g @ dagger(g) - np.eye(m))) < 1e-12
 
 
-def test_exp_antihermitian_matches_mat_exp():
+def test_exp_antihermitian_batch_matches_expm():
     rng = np.random.default_rng(2)
     stack = np.stack([random_antihermitian(rng, 2) for _ in range(6)]).reshape(2, 3, 2, 2)
     batched = exp_antihermitian(stack)
     for idx in np.ndindex(2, 3):
-        assert np.max(np.abs(batched[idx] - mat_exp(stack[idx]))) < 1e-12
+        assert np.max(np.abs(batched[idx] - expm(stack[idx]))) < 1e-12
 
 
 def test_ad_invariance_and_jacobi():

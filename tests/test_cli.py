@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gaugecalc import cli, gauge, spectrum
 from gaugecalc.cli import CliError, build_family, build_loop, main, parse_params
 from gaugecalc.forms import TorusGrid
-from gaugecalc.holonomy import MAX_STEPS
+from gaugecalc.holonomy import MAX_STEPS, MIN_STEPS
 
 
 def _run(capsys, argv):
@@ -185,6 +188,14 @@ def test_rejects_non_finite_selector_values(capsys, family, key):
     assert f"'{key}'" in err and "finite" in err
 
 
+@pytest.mark.parametrize("command", ("residual", "holonomy"))
+def test_rejects_family_whose_potential_overflows(capsys, command):
+    family = "const-mix:c=1e300,lam=1e300"
+    code, out, err = _run(capsys, [command, "--grid", "8", "--family", family])
+    assert code == 1 and out == ""
+    assert f"--family {family}" in err and "non-finite" in err
+
+
 @pytest.mark.parametrize("argv", (
     ["spectrum", "--grid", "16", "--rank", "100000"],
     ["spectrum", "--grid", "64", "--rank", "8", "--degree", "0"]))
@@ -243,6 +254,36 @@ def test_non_finite_report_exits_one(capsys, argv, key, flag, fmt):
     assert code == 1 and out == ""
     assert err.startswith(f"gaugecalc: error: report value {key} ")
     assert "not finite" in err and flag in err
+
+
+@pytest.mark.parametrize("samples", ("1000000000", str(cli._MAX_SAMPLES + 1)))
+def test_torus_curve_rejects_samples_above_the_cap_before_sampling(capsys, monkeypatch,
+                                                                   samples):
+    def refuse(*args, **kwargs):
+        raise AssertionError("torus family evaluated beyond the sample cap")
+
+    monkeypatch.setattr(cli, "torus_family_report", refuse)
+    code, out, err = _run(capsys, ["torus-curve", "--grid", "8", "--samples", samples])
+    assert code == 1 and out == ""
+    assert "--samples" in err and str(cli._MAX_SAMPLES) in err
+
+
+def test_cli_import_and_spectrum_run_load_no_scipy():
+    # scipy is needed only by the sparse Laplacian of non-constant connections
+    script = ("import os, sys\n"
+              "from gaugecalc.cli import main\n"
+              "def loaded():\n"
+              "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+              "print(loaded())\n"
+              "main(['spectrum', '--grid', '8', '--rank', '2', '--out', os.devnull])\n"
+              "print(loaded())\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[]\n"
 
 
 def test_reported_tolerances_are_the_library_defaults(capsys):
@@ -312,6 +353,80 @@ def test_spectrum_argument_vectors_end_in_report_or_error(grid, rank, degree, to
     else:
         assert code == 1 and out.getvalue() == ""
         assert err.getvalue().startswith("gaugecalc: error: ")
+
+
+def _contract(argv, bad, names):
+    """Run `argv`, built valid except for the flag `bad` (None: every flag valid).
+
+    It must exit 0 with a finite record, or, when a flag was drawn bad, exit 1
+    with a message naming one of `names`.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", "structured-record"])
+    if code == 0:
+        record = json.loads(out.getvalue())
+        assert _finite_numbers(record) and err.getvalue() == ""
+        return record
+    assert bad is not None, err.getvalue()
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith("gaugecalc: error: ")
+    assert any(name in err.getvalue() for name in names), err.getvalue()
+    return None
+
+
+_WILD = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf, 1e300, -1e300)),
+                  st.floats(allow_nan=True, allow_infinity=True))
+_BAD_GRIDS = st.one_of(st.integers(-10 ** 6, 7), st.integers(1025, 10 ** 12))
+_GOOD_TOLS = st.one_of(st.none(), st.floats(1e-12, 1e3).map(repr))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), bad=st.sampled_from((None, "--grid", "--tol", "--family")),
+       name=st.sampled_from(("zero", "const-dx", "const-mix", "sin-dy")),
+       direction=st.sampled_from(("e1", "e2", "e3")))
+def test_residual_argument_vectors_end_in_report_or_error(data, bad, name, direction):
+    def draw(flag, good, wild):
+        return data.draw(wild if flag == bad else good, label=flag)
+
+    grid = draw("--grid", st.integers(8, 16), _BAD_GRIDS)
+    tol = draw("--tol", _GOOD_TOLS, _TOLS)
+    c, lam, freq = (draw("--family", _SMALL, _WILD) for _ in range(3))
+    params = {"zero": "", "const-dx": f"c={c!r},dir={direction}",
+              "const-mix": f"c={c!r},lam={lam!r}", "sin-dy": f"freq={freq!r},dir={direction}"}
+    family = f"{name}:{params[name]}" if params[name] else name
+    argv = ["residual", "--grid", str(grid), "--family", family]
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    names = ("--family", "'c'", "'lam'", "'freq'") if bad == "--family" else (bad,)
+    record = _contract(argv, bad, names)
+    if record is not None:
+        assert record["config"]["family"] == family
+        assert set(record["report"]) >= {"ym_value", "residual_l2", "curvature_l2", "flat"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(),
+       bad=st.sampled_from((None, "--grid", "--tol", "--lambda", "--samples", "--steps")))
+def test_torus_curve_argument_vectors_end_in_report_or_error(data, bad):
+    def draw(flag, good, wild):
+        return data.draw(wild if flag == bad else good, label=flag)
+
+    grid = draw("--grid", st.integers(8, 16), _BAD_GRIDS)
+    tol = draw("--tol", _GOOD_TOLS, _TOLS)
+    lam = draw("--lambda", _SMALL, _WILD)
+    samples = draw("--samples", st.integers(2, 5),
+                   st.one_of(st.integers(-10 ** 6, 1), st.integers(cli._MAX_SAMPLES + 1, 10 ** 12)))
+    steps = draw("--steps", st.integers(MIN_STEPS, 200),
+                 st.one_of(st.integers(-10 ** 6, MIN_STEPS - 1),
+                           st.integers(MAX_STEPS + 1, 10 ** 12)))
+    argv = ["torus-curve", "--grid", str(grid), f"--lambda={lam!r}", "--samples", str(samples),
+            "--steps", str(steps)]
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    record = _contract(argv, bad, (bad,))
+    if record is not None:
+        assert len(record["report"]["rows"]) == samples
 
 
 def test_verify_seed_13_first_variation_passes(capsys):

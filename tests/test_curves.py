@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gaugecalc.algebra import E1, E2, E3, mat_exp
+from scipy.linalg import expm
+
+from gaugecalc.algebra import E1, E2, E3
 from gaugecalc.curves import (ConnectionCurve, curve_jets, decompose_su2,
                               flat_curve_report, gauge_orbit_curve,
                               harmonic_projection, seam_family_form,
@@ -10,7 +12,7 @@ from gaugecalc.curves import (ConnectionCurve, curve_jets, decompose_su2,
                               ym_curve_report)
 from gaugecalc.forms import (MatrixForm, TorusGrid, constant_form, exterior_d,
                              l2_norm, scalar_form, tensor_form)
-from gaugecalc.gauge import Connection, zero_connection
+from gaugecalc.gauge import FLAT_TOL, Connection, zero_connection
 from gaugecalc.suites import random_form, random_scalar_one_form
 
 GRID = TorusGrid(32)
@@ -82,6 +84,8 @@ def test_flat_curve_reports():
     rep = flat_curve_report(curve, (0.0, 0.5, 1.0))
     assert rep["all_flat"] is True
     assert rep["c_e_l2"] < 1e-6
+    # the record echoes the flatness tolerance and the jet step that ran
+    assert (rep["flat_tol"], rep["t_small"]) == (FLAT_TOL, 1e-3)
     # colinear two-term family stays flat with vanishing obstruction
     pot2 = constant_form(GRID, 1, np.zeros((2, 2)), np.pi * E1)
     curve2 = ConnectionCurve(lambda t: t * pot + (t * t) * pot2)
@@ -233,7 +237,7 @@ def test_torus_family_report_structure():
     assert np.max(np.abs(h0 - np.eye(2))) < 1e-8
     # at t=1 the x-generator holonomy is exp(-e1) and the y-generator is trivial
     h1x = rep.endpoint_holonomies["t1"]["x_generator"]
-    assert np.max(np.abs(h1x - mat_exp(-E1))) < 1e-6
+    assert np.max(np.abs(h1x - expm(-E1))) < 1e-6
     h1y = rep.endpoint_holonomies["t1"]["y_generator"]
     assert np.max(np.abs(h1y - np.eye(2))) < 1e-8
     # seam diagnostics: the dx coefficient jumps by about 2 across the seam

@@ -12,7 +12,7 @@ from gaugecalc.curves import ConnectionCurve, curve_jets, ym_curve_report
 from gaugecalc.gauge import (FLAT_TOL, Connection, codifferential,
                              connection_from_record, connection_to_record,
                              covariant_d, curvature, gauge_transform,
-                             laplacian_apply, require_flat, residual_report,
+                             require_flat, residual_report,
                              wedge_action, wedge_action_adjoint,
                              yang_mills_functional, yang_mills_residual,
                              yang_mills_residual_covariant, zero_connection)
@@ -279,25 +279,6 @@ def test_ym_gauge_invariance():
     assert l2_norm(k1 - conj) / l2_norm(k0) < 5e-3
 
 
-def test_laplacian_cases():
-    grid = TorusGrid(32)
-    conn = zero_connection(grid, 2)
-    # constants are harmonic
-    assert laplacian_apply(conn, constant_form(grid, 0, E2)).max_abs() == 0.0
-    # discrete plane-wave eigenvalue (sin(2 pi h)/h)^2
-    x, _ = grid.nodes()
-    w = tensor_form(scalar_form(grid, 0, np.sin(2.0 * np.pi * x)), E1)
-    lw = laplacian_apply(conn, w)
-    lam = (np.sin(2.0 * np.pi * grid.h) / grid.h) ** 2
-    assert (lw - lam * w).max_abs() < 1e-10
-    # the wide stencil carries a (2 pi h)^2 / 3 relative defect, 1.3% at N = 32
-    assert lam == pytest.approx((2.0 * np.pi) ** 2, rel=2e-2)
-    # constant-coefficient 1-forms are harmonic
-    for comps in ((E3, np.zeros((2, 2))), (np.zeros((2, 2)), E3)):
-        one = constant_form(grid, 1, *comps)
-        assert laplacian_apply(conn, one).max_abs() == 0.0
-
-
 def test_residual_report_record():
     grid = TorusGrid(16)
     rep = residual_report(zero_connection(grid, 2))
@@ -363,7 +344,7 @@ def test_antihermitian_tags_stay_true():
                codifferential(conn, k), codifferential(conn, om1),
                wedge_action(conn.potential, om1), wedge_action_adjoint(conn.potential, k),
                yang_mills_residual(conn), yang_mills_residual_covariant(conn),
-               hodge_star(k), laplacian_apply(conn, om1),
+               hodge_star(k),
                gauge_transform(conn, g).potential)
     for w in outputs:
         assert w.value_class == ANTIHERMITIAN

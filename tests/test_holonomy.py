@@ -1,9 +1,12 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gaugecalc.algebra import E1, E2, E3, dagger, inner, mat_exp
+from scipy.linalg import expm
+
+from gaugecalc.algebra import E1, E2, E3, dagger, inner
 from gaugecalc.forms import TorusGrid, constant_form, scalar_form, tensor_form
 from gaugecalc.gauge import Connection, zero_connection
 from gaugecalc import holonomy
@@ -43,7 +46,7 @@ def test_constant_potential_closed_form():
 def test_transport_is_fourth_order():
     pot = _const_potential(0.8 * E1 + 0.3 * E2)
     loop = torus_loop((1, 0))
-    oracle = mat_exp(-(0.8 * E1 + 0.3 * E2))
+    oracle = expm(-(0.8 * E1 + 0.3 * E2))
     e1 = np.max(np.abs(parallel_transport(pot, loop, 100) - oracle))
     e2 = np.max(np.abs(parallel_transport(pot, loop, 200) - oracle))
     assert e1 / e2 >= 14.0
@@ -111,7 +114,7 @@ def test_wilson_loop_gauge_invariance():
     base = _const_potential(np.pi * E1)
 
     def gmap(x, y):
-        return mat_exp(0.4 * np.sin(2.0 * np.pi * x) * E2)
+        return expm(0.4 * np.sin(2.0 * np.pi * x) * E2)
 
     def dgmap(x, y):
         gx = 0.4 * 2.0 * np.pi * np.cos(2.0 * np.pi * x) * (E2 @ gmap(x, y))
@@ -216,6 +219,20 @@ def test_wong_flat_contractible_loop_trivial_shift():
     path = torus_circle((0.5, 0.5), 0.2, 1)
     _, traj = wong_evolve(pot, path, E2, 1000)
     assert np.max(np.abs(traj[-1] - E2)) < 1e-7
+
+
+def test_wong_trajectory_peak_memory_is_the_trajectory():
+    # every state goes straight into one (steps + 1, m, m) array, with no
+    # per-step copies held on the side
+    steps = 20000
+    tracemalloc.start()
+    try:
+        _, traj = wong_evolve(_const_potential(E3), torus_loop((1, 0)), E1, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.shape == (steps + 1, 2, 2)
+    assert peak < 2 * traj.nbytes
 
 
 def test_wong_rejects_hermitian_spin():
