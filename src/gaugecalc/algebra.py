@@ -87,7 +87,7 @@ def exp_antihermitian(a):
     return (u * np.exp(1j * w)[..., None, :]) @ dagger(u)
 
 
-def random_antihermitian(rng, m, scale=1.0):
-    """Random anti-Hermitian matrix with entries on the order of `scale`."""
+def random_antihermitian(rng, m):
+    """Random anti-Hermitian matrix with entries of order one."""
     x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    return scale * 0.5 * (x - dagger(x))
+    return 0.5 * (x - dagger(x))

@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import E1, E2, E3, SU2_BASIS, inner
+from .algebra import E1, E2, E3, SU2_BASIS
 from .curves import _matrix_entries, torus_family_report
 from .forms import MIN_GRID, TorusGrid, constant_form, scalar_form, tensor_form
 from .gauge import FLAT_TOL, Connection, residual_report, zero_connection
 from .holonomy import (MAX_STEPS, MIN_STEPS, AnalyticTorusPotential, aharonov_bohm_monodromy,
-                       torus_circle, torus_loop, wilson_loop, wong_evolve)
+                       require_closed, torus_circle, torus_loop, wilson_loop, wong_evolve)
 from .spectrum import DOF_LIMIT, KERNEL_THRESHOLD, eigenproblem_size, harmonic_space_dim
 from .suites import run_verify
 
@@ -182,12 +182,18 @@ def build_family(grid, selector):
 def build_loop(selector):
     name, params = parse_params(selector)
     if name == "torus":
-        return torus_loop((int(params.get("wx", 1)), int(params.get("wy", 0))),
+        loop = torus_loop((int(params.get("wx", 1)), int(params.get("wy", 0))),
                           (float(params.get("x0", 0.0)), float(params.get("y0", 0.0))))
-    if name == "tcircle":
-        return torus_circle((float(params.get("cx", 0.5)), float(params.get("cy", 0.5))),
+    elif name == "tcircle":
+        loop = torus_circle((float(params.get("cx", 0.5)), float(params.get("cy", 0.5))),
                             float(params.get("r", 0.2)), int(params.get("n", 1)))
-    raise CliError(f"unknown loop family {name!r}")
+    else:
+        raise CliError(f"unknown loop family {name!r}")
+    try:
+        require_closed(loop)
+    except ValueError as exc:
+        raise CliError(f"--loop {selector}: {exc}; reduce its parameters") from None
+    return loop
 
 
 def _config_echo(args):
@@ -383,7 +389,7 @@ def _cmd_wong(args):
                                  lambda x, y: np.zeros((2, 2), dtype=complex), 2)
     path = torus_loop((1, 0)) if args.case == "constant" else torus_circle((0.5, 0.5), 0.2, 1)
     ts, traj = wong_evolve(pot, path, i0, steps)
-    norms = np.array([inner(i, i) for i in traj])
+    norms = np.einsum("tij,tij->t", traj, traj.conj()).real
     record = _base_record(args, {}, {
         "initial": _matrix_entries(traj[0]),
         "final": _matrix_entries(traj[-1]),

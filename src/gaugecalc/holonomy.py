@@ -1,12 +1,18 @@
 """Parallel transport along parametric paths.
 
 Transport solves dv/dt + A(xdot(t)) v = 0 for the fundamental matrix g with
-v(1) = g v(0), using the classical fourth-order one-step scheme.  Potentials
-come in three flavours: grid connections (evaluated along the path by
-bilinear interpolation, which limits the observable order to two), analytic
-torus potentials (closed-form coefficients, full fourth-order accuracy) and
-meromorphic potentials on the punctured plane (a rational dz-coefficient with
-a finite pole list; paths must keep a margin of 1e-6 from every pole).
+v(1) = g v(0), using the classical fourth-order one-step scheme.  A transport
+of `steps` steps samples A(xdot) once at each of its 2*steps + 1 nodes
+t = j / (2 steps); the end sample of one step is the start sample of the
+next.  Potentials come in three flavours: grid connections (evaluated along
+the path by bilinear interpolation, which limits the observable order to
+two), analytic torus potentials (closed-form coefficients, full fourth-order
+accuracy) and meromorphic potentials on the punctured plane (a rational
+dz-coefficient with a finite pole list; `MeromorphicPotential.along` refuses
+any point within 1e-6 of a pole, so every sampled node keeps that margin).
+
+A path is closed when its endpoints match (torus points mod 1); Wilson loops
+and monodromies require that.
 
 Spin transport integrates the adjoint equation dI/dt + [A(xdot), I] = 0 with
 the same scheme; it is consistent with I(t) = g(t) I(0) g(t)^{-1}.
@@ -23,7 +29,7 @@ from .algebra import E3, SIGMA3, dagger, exp_antihermitian, require_antihermitia
 
 _POLE_MARGIN = 1e-6
 MIN_STEPS = 100  # fewest RK4 steps a transport takes
-MAX_STEPS = 10 ** 6  # most RK4 steps a transport takes, about a minute at ~57 us per step
+MAX_STEPS = 10 ** 6  # most RK4 steps a transport takes: 30-90 s at 30-85 us per step
 
 
 @dataclass(frozen=True)
@@ -33,8 +39,6 @@ class ParametricPath:
 
     position: Callable
     velocity: Callable
-    closed: bool = False
-    winding: object = None
 
 
 def _same_point(p, q, tol):
@@ -45,15 +49,9 @@ def _same_point(p, q, tol):
     return bool(np.all(np.abs((d + 0.5) % 1.0 - 0.5) <= tol))
 
 
-def _endpoints_match(path, tol=1e-12):
-    return _same_point(path.position(0.0), path.position(1.0), tol)
-
-
 def require_closed(path):
-    if not path.closed:
-        raise ValueError("a closed path is required")
-    if not _endpoints_match(path):
-        raise ValueError("path is marked closed but its endpoints do not match")
+    if not _same_point(path.position(0.0), path.position(1.0), 1e-12):
+        raise ValueError("a closed path is required: its endpoints do not match")
 
 
 def torus_loop(winding=(1, 0), base=(0.0, 0.0)):
@@ -61,12 +59,7 @@ def torus_loop(winding=(1, 0), base=(0.0, 0.0)):
     wx, wy = int(winding[0]), int(winding[1])
     x0, y0 = float(base[0]), float(base[1])
     vel = np.array([float(wx), float(wy)])
-    return ParametricPath(
-        position=lambda t: np.array([x0 + wx * t, y0 + wy * t]),
-        velocity=lambda t: vel,
-        closed=True,
-        winding=(wx, wy),
-    )
+    return ParametricPath(lambda t: np.array([x0 + wx * t, y0 + wy * t]), lambda t: vel)
 
 
 def torus_circle(center=(0.5, 0.5), radius=0.2, winding=1):
@@ -82,7 +75,7 @@ def torus_circle(center=(0.5, 0.5), radius=0.2, winding=1):
         ph = 2.0 * np.pi * w * t
         return 2.0 * np.pi * w * r * np.array([-np.sin(ph), np.cos(ph)])
 
-    return ParametricPath(position, velocity, closed=True, winding=(0, 0))
+    return ParametricPath(position, velocity)
 
 
 def circle_path(center=0j, radius=1.0, winding=1):
@@ -97,40 +90,30 @@ def circle_path(center=0j, radius=1.0, winding=1):
     def velocity(t):
         return 2j * np.pi * w * r * np.exp(2j * np.pi * w * t)
 
-    return ParametricPath(position, velocity, closed=True, winding=w)
+    return ParametricPath(position, velocity)
 
 
 def segment_path(start, end):
-    """Straight segment; open unless the endpoints coincide."""
+    """Straight segment from `start` to `end`."""
     if isinstance(start, complex) or isinstance(end, complex):
         z0, z1 = complex(start), complex(end)
-        return ParametricPath(lambda t: z0 + t * (z1 - z0),
-                              lambda t: z1 - z0, closed=(z0 == z1))
+        return ParametricPath(lambda t: z0 + t * (z1 - z0), lambda t: z1 - z0)
     p0 = np.asarray(start, dtype=float)
-    p1 = np.asarray(end, dtype=float)
-    d = p1 - p0
-    return ParametricPath(lambda t: p0 + t * d, lambda t: d,
-                          closed=bool(np.all(d == 0.0)))
+    d = np.asarray(end, dtype=float) - p0
+    return ParametricPath(lambda t: p0 + t * d, lambda t: d)
 
 
 def reverse_path(path):
-    winding = path.winding
-    if isinstance(winding, tuple):
-        winding = tuple(-w for w in winding)
-    elif winding is not None:
-        winding = -winding
-
     def velocity(t):
         v = path.velocity(1.0 - t)
         return -v if np.isscalar(v) else -np.asarray(v)
 
-    return ParametricPath(lambda t: path.position(1.0 - t), velocity,
-                          closed=path.closed, winding=winding)
+    return ParametricPath(lambda t: path.position(1.0 - t), velocity)
 
 
-def concat_paths(first, second, tol=1e-9):
+def concat_paths(first, second):
     """Concatenation traversing `first` then `second` at doubled speed."""
-    if not _same_point(first.position(1.0), second.position(0.0), tol):
+    if not _same_point(first.position(1.0), second.position(0.0), 1e-9):
         raise ValueError("paths do not share the concatenation point")
 
     def position(t):
@@ -140,8 +123,7 @@ def concat_paths(first, second, tol=1e-9):
         v = first.velocity(2.0 * t) if t < 0.5 else second.velocity(2.0 * t - 1.0)
         return 2.0 * v
 
-    closed = _endpoints_match(ParametricPath(position, velocity))
-    return ParametricPath(position, velocity, closed=closed)
+    return ParametricPath(position, velocity)
 
 
 class GridPotential:
@@ -151,26 +133,20 @@ class GridPotential:
         self.conn = conn
         self.m = conn.m
         self._n = conn.grid.n
-        self._comps = conn.potential.comps
-
-    def _interp(self, comp, x, y):
-        n = self._n
-        fx = (x % 1.0) * n
-        fy = (y % 1.0) * n
-        j0 = int(fx) % n
-        l0 = int(fy) % n
-        j1 = (j0 + 1) % n
-        l1 = (l0 + 1) % n
-        tx = fx - int(fx)
-        ty = fy - int(fy)
-        return ((1 - tx) * (1 - ty) * comp[j0, l0] + tx * (1 - ty) * comp[j1, l0]
-                + (1 - tx) * ty * comp[j0, l1] + tx * ty * comp[j1, l1])
+        self._comps = np.stack(conn.potential.comps)
 
     def along(self, pos, vel):
-        x, y = float(pos[0]), float(pos[1])
-        ax = self._interp(self._comps[0], x, y)
-        ay = self._interp(self._comps[1], x, y)
-        return vel[0] * ax + vel[1] * ay
+        n = self._n
+        fx = (float(pos[0]) % 1.0) * n
+        fy = (float(pos[1]) % 1.0) * n
+        j0, l0 = int(fx), int(fy)
+        tx, ty = fx - j0, fy - l0
+        j0, l0 = j0 % n, l0 % n
+        j1, l1 = (j0 + 1) % n, (l0 + 1) % n
+        c = self._comps
+        a = ((1 - tx) * (1 - ty) * c[:, j0, l0] + tx * (1 - ty) * c[:, j1, l0]
+             + (1 - tx) * ty * c[:, j0, l1] + tx * ty * c[:, j1, l1])
+        return vel[0] * a[0] + vel[1] * a[1]
 
 
 class AnalyticTorusPotential:
@@ -197,6 +173,11 @@ class MeromorphicPotential:
 
     def along(self, pos, vel):
         z = complex(pos)
+        for pole in self.poles:
+            dist = abs(z - complex(pole))
+            if dist <= _POLE_MARGIN:
+                raise ValueError(f"path approaches the pole at {complex(pole)}: distance "
+                                 f"{dist:.3e} <= {_POLE_MARGIN:.1e}")
         return complex(vel) * np.asarray(self.coefficient(z), dtype=complex)
 
 
@@ -234,27 +215,12 @@ def _as_potential(potential):
     raise TypeError("unsupported potential type for transport")
 
 
-def _require_pole_clearance(potential, path, steps):
-    if not isinstance(potential, MeromorphicPotential) or not potential.poles:
-        return
-    ts = np.linspace(0.0, 1.0, 2 * steps + 1)
-    zs = np.array([complex(path.position(t)) for t in ts])
-    for pole in potential.poles:
-        dist = float(np.min(np.abs(zs - complex(pole))))
-        if dist <= _POLE_MARGIN:
-            raise ValueError(
-                f"path approaches the pole at {complex(pole)}: min distance "
-                f"{dist:.3e} <= {_POLE_MARGIN:.1e}"
-            )
-
-
 def _transport_setup(potential, path, steps):
     """Checked step count and potential, and the sampler t -> A(xdot(t))."""
     steps = int(steps)
     if not MIN_STEPS <= steps <= MAX_STEPS:
         raise ValueError(f"transport needs {MIN_STEPS} to {MAX_STEPS} steps, got {steps}")
     potential = _as_potential(potential)
-    _require_pole_clearance(potential, path, steps)
 
     def a_fn(t):
         mat = potential.along(path.position(t), path.velocity(t))
@@ -266,22 +232,26 @@ def _transport_setup(potential, path, steps):
 
 
 def _rk4(a_fn, y0, steps, rhs, collect=False):
-    """Final state, or (every state as one (steps + 1, m, m) array, final state)."""
+    """Final state, or (every state as one (steps + 1, m, m) array, final state).
+
+    Each step samples its midpoint and its end; its start sample is the
+    previous step's end sample.
+    """
     dt = 1.0 / steps
     y = np.array(y0, dtype=complex)
     if collect:
         out = np.empty((steps + 1,) + y.shape, dtype=complex)
         out[0] = y
+    a0 = a_fn(0.0)
     for i in range(steps):
-        t0 = i * dt
-        a0 = a_fn(t0)
-        ah = a_fn(t0 + 0.5 * dt)
-        a1 = a_fn(t0 + dt)
+        ah = a_fn(i * dt + 0.5 * dt)
+        a1 = a_fn((i + 1) * dt)
         k1 = rhs(a0, y)
         k2 = rhs(ah, y + 0.5 * dt * k1)
         k3 = rhs(ah, y + 0.5 * dt * k2)
         k4 = rhs(a1, y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a0 = a1
         if collect:
             out[i + 1] = y
     return (out, y) if collect else y

@@ -6,13 +6,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugecalc import cli, gauge, spectrum
+from gaugecalc.algebra import inner
 from gaugecalc.cli import CliError, build_family, build_loop, main, parse_params
 from gaugecalc.forms import TorusGrid
-from gaugecalc.holonomy import MAX_STEPS, MIN_STEPS
+from gaugecalc.holonomy import MAX_STEPS, MIN_STEPS, wong_evolve
 
 
 def _run(capsys, argv):
@@ -125,6 +127,24 @@ def test_wong_command(capsys):
     assert record["tolerances"] == {}
 
 
+@pytest.mark.parametrize("case", ("constant", "flat-contractible"))
+def test_wong_norm_drift_matches_per_state_inner(capsys, monkeypatch, case):
+    seen = []
+
+    def keep(*args):
+        ts, traj = wong_evolve(*args)
+        seen.append(traj)
+        return ts, traj
+
+    monkeypatch.setattr(cli, "wong_evolve", keep)
+    code, out, _ = _run(capsys, ["wong", "--case", case, "--steps", "300",
+                                 "--format", "structured-record"])
+    assert code == 0
+    norms = np.array([inner(i, i) for i in seen[0]])
+    expect = float(np.max(np.abs(norms - norms[0])))
+    assert abs(json.loads(out)["norm_drift"] - expect) <= 1e-14
+
+
 def test_spectrum_command(capsys):
     code, out, _ = _run(capsys, ["spectrum", "--grid", "16", "--rank", "1",
                                  "--format", "structured-record"])
@@ -146,6 +166,9 @@ def test_invalid_inputs_exit_one(capsys):
     code, _, err = _run(capsys, ["torus-curve", "--grid", "8", "--samples", "2",
                                  "--steps", "5"])
     assert code == 1 and "--steps" in err
+    # a winding this large rounds the loop open
+    code, _, err = _run(capsys, ["holonomy", "--grid", "8", "--loop", "torus:wx=1e20"])
+    assert code == 1 and "--loop torus:wx=1e20" in err and "endpoints" in err
 
 
 @pytest.mark.parametrize("command", (["residual"], ["spectrum", "--grid", "8"],
@@ -379,6 +402,7 @@ _WILD = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf, 1e300, -1e300)
                   st.floats(allow_nan=True, allow_infinity=True))
 _BAD_GRIDS = st.one_of(st.integers(-10 ** 6, 7), st.integers(1025, 10 ** 12))
 _GOOD_TOLS = st.one_of(st.none(), st.floats(1e-12, 1e3).map(repr))
+_BAD_STEPS = st.one_of(st.integers(-10 ** 6, MIN_STEPS - 1), st.integers(MAX_STEPS + 1, 10 ** 12))
 
 
 @settings(max_examples=40, deadline=None)
@@ -417,9 +441,7 @@ def test_torus_curve_argument_vectors_end_in_report_or_error(data, bad):
     lam = draw("--lambda", _SMALL, _WILD)
     samples = draw("--samples", st.integers(2, 5),
                    st.one_of(st.integers(-10 ** 6, 1), st.integers(cli._MAX_SAMPLES + 1, 10 ** 12)))
-    steps = draw("--steps", st.integers(MIN_STEPS, 200),
-                 st.one_of(st.integers(-10 ** 6, MIN_STEPS - 1),
-                           st.integers(MAX_STEPS + 1, 10 ** 12)))
+    steps = draw("--steps", st.integers(MIN_STEPS, 200), _BAD_STEPS)
     argv = ["torus-curve", "--grid", str(grid), f"--lambda={lam!r}", "--samples", str(samples),
             "--steps", str(steps)]
     if tol is not None:
@@ -427,6 +449,49 @@ def test_torus_curve_argument_vectors_end_in_report_or_error(data, bad):
     record = _contract(argv, bad, (bad,))
     if record is not None:
         assert len(record["report"]["rows"]) == samples
+
+
+_LOOP_PARAMS = {"torus": ("wx", "wy", "x0", "y0"), "tcircle": ("cx", "cy", "r", "n")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), bad=st.sampled_from((None, "--grid", "--steps", "--family", "--loop")),
+       name=st.sampled_from(("zero", "const-dx", "const-mix", "sin-dy")),
+       direction=st.sampled_from(("e1", "e2", "e3")), loop=st.sampled_from(tuple(_LOOP_PARAMS)))
+def test_holonomy_argument_vectors_end_in_report_or_error(data, bad, name, direction, loop):
+    def draw(flag, good, wild):
+        return data.draw(wild if flag == bad else good, label=flag)
+
+    grid = draw("--grid", st.integers(8, 12), _BAD_GRIDS)
+    steps = draw("--steps", st.integers(MIN_STEPS, 150), _BAD_STEPS)
+    c, lam, freq = (draw("--family", _SMALL, _WILD) for _ in range(3))
+    params = {"zero": "", "const-dx": f"c={c!r},dir={direction}",
+              "const-mix": f"c={c!r},lam={lam!r}", "sin-dy": f"freq={freq!r},dir={direction}"}
+    family = f"{name}:{params[name]}" if params[name] else name
+    loop_sel = loop + ":" + ",".join(f"{key}={draw('--loop', _SMALL, _WILD)!r}"
+                                     for key in _LOOP_PARAMS[loop])
+    argv = ["holonomy", "--grid", str(grid), "--steps", str(steps), "--family", family,
+            "--loop", loop_sel]
+    names = {"--family": ("--family", "'c'", "'lam'", "'freq'"),
+             "--loop": ("--loop",) + tuple(f"'{key}'" for key in _LOOP_PARAMS[loop])}
+    record = _contract(argv, bad, names.get(bad, (bad,)))
+    if record is not None:
+        assert len(record["matrix"]) == 4 and record["config"]["loop"] == loop_sel
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), bad=st.sampled_from((None, "--steps", "--case", "--i0")))
+def test_wong_argument_vectors_end_in_report_or_error(data, bad):
+    def draw(flag, good, wild):
+        return data.draw(wild if flag == bad else good, label=flag)
+
+    steps = draw("--steps", st.integers(MIN_STEPS, 150), _BAD_STEPS)
+    case = draw("--case", st.sampled_from(("constant", "flat-contractible")), st.text())
+    i0 = draw("--i0", st.sampled_from(("e1", "e2", "e3")), st.text())
+    record = _contract(["wong", "--steps", str(steps), f"--case={case}", f"--i0={i0}"],
+                       bad, (bad,))
+    if record is not None:
+        assert record["config"]["steps"] == steps and len(record["initial"]) == 4
 
 
 def test_verify_seed_13_first_variation_passes(capsys):

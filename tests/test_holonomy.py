@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,17 +7,18 @@ import pytest
 
 from scipy.linalg import expm
 
-from gaugecalc.algebra import E1, E2, E3, dagger, inner
-from gaugecalc.forms import TorusGrid, constant_form, scalar_form, tensor_form
+from gaugecalc.algebra import E1, E2, E3, dagger, inner, random_antihermitian
+from gaugecalc.forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, constant_form, scalar_form,
+                            tensor_form)
 from gaugecalc.gauge import Connection, zero_connection
 from gaugecalc import holonomy
 from gaugecalc.holonomy import (AnalyticTorusPotential, GaugeConjugatedPotential,
-                                GridPotential, MeromorphicPotential,
+                                GridPotential, MeromorphicPotential, ParametricPath,
                                 aharonov_bohm_monodromy, aharonov_casher_phase,
                                 circle_path, concat_paths,
                                 monodromy_representation, parallel_transport,
-                                reverse_path, segment_path, torus_circle,
-                                torus_loop, wilson_loop, wong_evolve)
+                                require_closed, reverse_path, segment_path,
+                                torus_circle, torus_loop, wilson_loop, wong_evolve)
 
 ZERO2 = np.zeros((2, 2), dtype=complex)
 
@@ -67,17 +69,81 @@ def test_transport_rejects_too_few_steps():
         parallel_transport(zero_connection(grid, 2), torus_loop((1, 0)), 50)
 
 
-def test_transport_refuses_more_than_max_steps_before_allocating(monkeypatch):
-    def refuse(potential, path, steps):
-        raise AssertionError("pole clearance sampled for an oversized transport")
+class _Recording:
+    """Wraps a potential and records the position of every `along` call."""
 
-    monkeypatch.setattr(holonomy, "_require_pole_clearance", refuse)
-    pot = MeromorphicPotential(lambda z: np.array([[-0.5 / z]], dtype=complex), (0j,), 1)
+    def __init__(self, base):
+        self.base = base
+        self.m = base.m
+        self.positions = []
+
+    def along(self, pos, vel):
+        self.positions.append(pos)
+        return self.base.along(pos, vel)
+
+
+class _Refusing:
+    m = 2
+
+    def along(self, pos, vel):
+        raise AssertionError("potential sampled for an oversized transport")
+
+
+def test_transport_refuses_more_than_max_steps_before_allocating(monkeypatch):
     with pytest.raises(ValueError, match=str(holonomy.MAX_STEPS)):
-        parallel_transport(pot, circle_path(0j, 1.0, 1), holonomy.MAX_STEPS + 1)
+        parallel_transport(_Refusing(), torus_loop((1, 0)), holonomy.MAX_STEPS + 1)
+    with pytest.raises(ValueError, match=str(holonomy.MAX_STEPS)):
+        wong_evolve(_Refusing(), torus_loop((1, 0)), E1, holonomy.MAX_STEPS + 1)
     # the default step count grows with the winding number
+    monkeypatch.setattr(MeromorphicPotential, "along", _Refusing.along)
     with pytest.raises(ValueError, match=str(holonomy.MAX_STEPS)):
         aharonov_bohm_monodromy(0.5, 10 ** 9)
+
+
+@pytest.mark.parametrize("transport", (
+    lambda pot, path, steps: parallel_transport(pot, path, steps),
+    lambda pot, path, steps: parallel_transport(pot, path, steps, trajectory=True),
+    lambda pot, path, steps: wong_evolve(pot, path, E1, steps)),
+    ids=("final", "trajectory", "wong"))
+@pytest.mark.parametrize("steps", (100, 257))
+def test_transport_samples_each_node_once(transport, steps):
+    # x = t along this loop, so the sampled x are the sampled times
+    pot = _Recording(_const_potential(0.8 * E1 + 0.3 * E2))
+    transport(pot, torus_loop((1, 0)), steps)
+    assert len(pot.positions) == 2 * steps + 1
+    ts = np.array([p[0] for p in pot.positions])
+    assert np.max(np.abs(ts - np.linspace(0.0, 1.0, 2 * steps + 1))) < 1e-15
+
+
+def test_pole_guard_checks_half_step_nodes_through_wrappers():
+    # with 101 steps the closest approach, t = 1/2, is a half-step node; the
+    # step ends stay at least 5e-3 from the pole
+    steps = 101
+    seg = segment_path(-1.0 + 5e-7j, 1.0 + 5e-7j)
+    ends = np.array([seg.position(i / steps) for i in range(steps + 1)])
+    assert np.min(np.abs(ends)) > 5e-3
+    pot = MeromorphicPotential(lambda z: np.array([[1.0 / z]]), (0j,), 1)
+    with pytest.raises(ValueError, match="pole at 0j"):
+        parallel_transport(pot, seg, steps)
+    with pytest.raises(ValueError, match="pole at 0j"):
+        parallel_transport(_Recording(pot), seg, steps)
+
+
+def test_grid_potential_matches_bilinear_reference():
+    rng = np.random.default_rng(3)
+    comps = [random_antihermitian(rng, 2) * rng.standard_normal((8, 8, 1, 1))
+             + random_antihermitian(rng, 2) for _ in range(2)]
+    pot = GridPotential(Connection(MatrixForm(1, TorusGrid(8), tuple(comps), ANTIHERMITIAN)))
+    for x, y in ((0.0, 0.0), (0.3, 0.71), (0.99, -0.2), (2.125, 0.5), (1.0 - 1e-17, 0.0)):
+        fx, fy = (x % 1.0) * 8, (y % 1.0) * 8
+        j, l = int(fx), int(fy)
+        tx, ty = fx - j, fy - l
+        j1, l1 = (j + 1) % 8, (l + 1) % 8
+        j, l = j % 8, l % 8
+        expect = sum(v * ((1 - tx) * (1 - ty) * c[j, l] + tx * (1 - ty) * c[j1, l]
+                          + (1 - tx) * ty * c[j, l1] + tx * ty * c[j1, l1])
+                     for v, c in zip((0.7, -1.3), comps))
+        assert np.array_equal(pot.along(np.array([x, y]), np.array([0.7, -1.3])), expect)
 
 
 def test_grid_potential_interpolation_consistency():
@@ -253,15 +319,24 @@ def test_aharonov_casher_phase():
 
 
 def test_path_constructors():
+    assert [f.name for f in dataclasses.fields(ParametricPath)] == ["position", "velocity"]
     loop = torus_loop((2, -1), (0.25, 0.5))
-    assert loop.closed and loop.winding == (2, -1)
     p0 = loop.position(0.0)
     p1 = loop.position(1.0)
-    assert np.max(np.abs((p1 - p0 + 0.5) % 1.0 - 0.5)) < 1e-12
+    assert np.array_equal(p1 - p0, [2.0, -1.0])
+    require_closed(loop)
     circ = circle_path(1j, 2.0, -3)
-    assert circ.closed and circ.winding == -3
     assert abs(circ.position(0.0) - circ.position(1.0)) < 1e-12
+    require_closed(circ)
+    back = reverse_path(circ)
+    assert back.position(0.0) == circ.position(1.0)
+    assert back.velocity(0.25) == -circ.velocity(0.75)
     seg = segment_path(0j, 1.0 + 1j)
-    assert not seg.closed
+    assert seg.position(0.0) == 0j and seg.position(1.0) == 1.0 + 1j
+    with pytest.raises(ValueError, match="endpoints"):
+        require_closed(seg)
+    both = concat_paths(seg, reverse_path(seg))
+    assert both.position(0.5) == 1.0 + 1j and both.velocity(0.25) == 2.0 + 2.0j
+    require_closed(both)
     with pytest.raises(ValueError):
         concat_paths(segment_path(0j, 1j), segment_path(5j, 6j))
