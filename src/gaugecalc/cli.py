@@ -181,12 +181,20 @@ def build_family(grid, selector):
 
 def build_loop(selector):
     name, params = parse_params(selector)
+
+    def winding(key, default):
+        val = params.get(key, float(default))
+        if isinstance(val, str) or abs(val) > MAX_STEPS or val != int(val):
+            raise CliError(f"--loop {selector}: {key!r} must be an integer of magnitude "
+                           f"at most {MAX_STEPS}, got {val!r}")
+        return int(val)
+
     if name == "torus":
-        loop = torus_loop((int(params.get("wx", 1)), int(params.get("wy", 0))),
+        loop = torus_loop((winding("wx", 1), winding("wy", 0)),
                           (float(params.get("x0", 0.0)), float(params.get("y0", 0.0))))
     elif name == "tcircle":
         loop = torus_circle((float(params.get("cx", 0.5)), float(params.get("cy", 0.5))),
-                            float(params.get("r", 0.2)), int(params.get("n", 1)))
+                            float(params.get("r", 0.2)), winding("n", 1))
     else:
         raise CliError(f"unknown loop family {name!r}")
     try:
@@ -199,6 +207,13 @@ def build_loop(selector):
 def _config_echo(args):
     skip = {"command", "config", "out"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+
+
+def _flag_echo(args):
+    """The numeric and selector flags of the run, as they would be typed."""
+    return " ".join(f"--{'lambda' if key == 'lam' else key} {val}"
+                    for key, val in _config_echo(args).items()
+                    if key not in ("format", "seed") and val is not None)
 
 
 def _base_record(args, tolerances, body):
@@ -270,10 +285,7 @@ def _emit(record, args, csv_header, csv_rows):
     # verify reports a non-finite check value as a failed check (exit 2) instead
     bad = args.command != "verify" and _non_finite_key(record)
     if bad:
-        flags = " ".join(f"--{'lambda' if key == 'lam' else key} {val}"
-                         for key, val in record["config"].items()
-                         if key not in ("format", "seed") and val is not None)
-        raise CliError(f"report value {bad} is not finite for {flags}; "
+        raise CliError(f"report value {bad} is not finite for {_flag_echo(args)}; "
                        f"reduce the magnitude of the numeric inputs")
     if args.format == "structured-record":
         text = json.dumps(_jsonable(record), sort_keys=True, indent=2) + "\n"
@@ -296,6 +308,8 @@ def _emit(record, args, csv_header, csv_rows):
 
 
 def _cmd_verify(args):
+    if args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     checks, passed = run_verify(args.seed, _grid(args))
     record = _base_record(args, {c.name: c.bound for c in checks}, {
         "checks": [
@@ -345,7 +359,12 @@ def _cmd_holonomy(args):
     steps = _steps(args)
     conn = build_family(grid, args.family)
     loop = build_loop(args.loop)
-    g, trace = wilson_loop(conn, loop, steps)
+    try:
+        g, trace = wilson_loop(conn, loop, steps)
+    except ValueError as exc:
+        # a loop can be closed mod 1 and still too large for its potential samples
+        raise CliError(f"{exc} for {_flag_echo(args)}; "
+                       f"reduce the magnitude of the numeric inputs") from None
     record = _base_record(args, {}, {
         "matrix": _matrix_entries(g),
         "trace": trace,

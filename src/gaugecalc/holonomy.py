@@ -4,18 +4,32 @@ Transport solves dv/dt + A(xdot(t)) v = 0 for the fundamental matrix g with
 v(1) = g v(0), using the classical fourth-order one-step scheme.  A transport
 of `steps` steps samples A(xdot) once at each of its 2*steps + 1 nodes
 t = j / (2 steps); the end sample of one step is the start sample of the
-next.  Potentials come in three flavours: grid connections (evaluated along
-the path by bilinear interpolation, which limits the observable order to
-two), analytic torus potentials (closed-form coefficients, full fourth-order
-accuracy) and meromorphic potentials on the punctured plane (a rational
-dz-coefficient with a finite pole list; `MeromorphicPotential.along` refuses
-any point within 1e-6 of a pole, so every sampled node keeps that margin).
+next.  The work is batched over nodes: paths and potentials take stacks of
+times and points, each chunk of up to 128 steps samples its nodes in one
+`along` call, and the RK4 polynomial of each step is evaluated as a stack of
+one-step maps I + D.  A final-only transport composes those maps by a
+pairwise tree on the deviations D; a trajectory applies them in turn.
+
+Paths map an array of times to stacked points: torus points as (..., 2)
+arrays (coordinates taken mod 1), plane points as complex (...) arrays.
+A scalar time gives one point.  Potentials expose `m` and
+`along(pos, vel)`, which takes stacked positions and velocities and returns
+the stacked (..., m, m) samples of A(xdot).  Potentials come in three
+flavours: grid connections (evaluated along the path by bilinear
+interpolation, which limits the observable order to two), analytic torus
+potentials (closed-form coefficients, full fourth-order accuracy) and
+meromorphic potentials on the punctured plane (a rational dz-coefficient
+with a finite pole list; `MeromorphicPotential.along` refuses any point
+within 1e-6 of a pole, so every sampled node keeps that margin).  The
+user-supplied coefficient callables of these classes are called once per
+point with scalar arguments.
 
 A path is closed when its endpoints match (torus points mod 1); Wilson loops
 and monodromies require that.
 
 Spin transport integrates the adjoint equation dI/dt + [A(xdot), I] = 0 with
-the same scheme; it is consistent with I(t) = g(t) I(0) g(t)^{-1}.
+the same scheme, as the linear map -ad(A) on row-major vec(I); it is
+consistent with I(t) = g(t) I(0) g(t)^{-1}.
 """
 
 from __future__ import annotations
@@ -28,14 +42,19 @@ import numpy as np
 from .algebra import E3, SIGMA3, dagger, exp_antihermitian, require_antihermitian
 
 _POLE_MARGIN = 1e-6
+_CHUNK = 128  # RK4 steps whose nodes one `along` call samples
 MIN_STEPS = 100  # fewest RK4 steps a transport takes
-MAX_STEPS = 10 ** 6  # most RK4 steps a transport takes: 30-90 s at 30-85 us per step
+MAX_STEPS = 10 ** 6  # most RK4 steps a transport takes: 5-15 s at 5-15 us per step
 
 
 @dataclass(frozen=True)
 class ParametricPath:
-    """Curve on [0,1] with explicit velocity; positions are torus points
-    (length-2 arrays, coordinates taken mod 1) or complex plane points."""
+    """Curve on [0,1] with explicit velocity.
+
+    `position` and `velocity` take a time or an array of times and return
+    stacked points: torus points as (..., 2) arrays (coordinates taken mod 1)
+    or complex plane points as (...) arrays.
+    """
 
     position: Callable
     velocity: Callable
@@ -46,7 +65,7 @@ def _same_point(p, q, tol):
     if isinstance(p, complex) or np.iscomplexobj(p):
         return abs(complex(q) - complex(p)) <= tol
     d = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)
-    return bool(np.all(np.abs((d + 0.5) % 1.0 - 0.5) <= tol))
+    return bool(np.all(np.abs(d - np.round(d)) <= tol))
 
 
 def require_closed(path):
@@ -54,12 +73,20 @@ def require_closed(path):
         raise ValueError("a closed path is required: its endpoints do not match")
 
 
+def _constant(value, t):
+    """`value` at every time of `t`: the value itself for a scalar time."""
+    return value if np.ndim(t) == 0 else np.broadcast_to(value, np.shape(t) + np.shape(value))
+
+
+def _torus_line(p0, d):
+    """Torus path p0 + t d."""
+    return ParametricPath(lambda t: p0 + np.multiply.outer(t, d), lambda t: _constant(d, t))
+
+
 def torus_loop(winding=(1, 0), base=(0.0, 0.0)):
     """Straight loop winding (wx, wy) times around the torus generators."""
-    wx, wy = int(winding[0]), int(winding[1])
-    x0, y0 = float(base[0]), float(base[1])
-    vel = np.array([float(wx), float(wy)])
-    return ParametricPath(lambda t: np.array([x0 + wx * t, y0 + wy * t]), lambda t: vel)
+    return _torus_line(np.array([float(base[0]), float(base[1])]),
+                       np.array([float(int(winding[0])), float(int(winding[1]))]))
 
 
 def torus_circle(center=(0.5, 0.5), radius=0.2, winding=1):
@@ -69,11 +96,11 @@ def torus_circle(center=(0.5, 0.5), radius=0.2, winding=1):
 
     def position(t):
         ph = 2.0 * np.pi * w * t
-        return np.array([cx + r * np.cos(ph), cy + r * np.sin(ph)])
+        return np.stack([cx + r * np.cos(ph), cy + r * np.sin(ph)], axis=-1)
 
     def velocity(t):
         ph = 2.0 * np.pi * w * t
-        return 2.0 * np.pi * w * r * np.array([-np.sin(ph), np.cos(ph)])
+        return 2.0 * np.pi * w * r * np.stack([-np.sin(ph), np.cos(ph)], axis=-1)
 
     return ParametricPath(position, velocity)
 
@@ -97,33 +124,47 @@ def segment_path(start, end):
     """Straight segment from `start` to `end`."""
     if isinstance(start, complex) or isinstance(end, complex):
         z0, z1 = complex(start), complex(end)
-        return ParametricPath(lambda t: z0 + t * (z1 - z0), lambda t: z1 - z0)
+        return ParametricPath(lambda t: z0 + t * (z1 - z0), lambda t: _constant(z1 - z0, t))
     p0 = np.asarray(start, dtype=float)
-    d = np.asarray(end, dtype=float) - p0
-    return ParametricPath(lambda t: p0 + t * d, lambda t: d)
+    return _torus_line(p0, np.asarray(end, dtype=float) - p0)
 
 
 def reverse_path(path):
-    def velocity(t):
-        v = path.velocity(1.0 - t)
-        return -v if np.isscalar(v) else -np.asarray(v)
+    return ParametricPath(lambda t: path.position(1.0 - t),
+                          lambda t: np.negative(path.velocity(1.0 - t)))
 
-    return ParametricPath(lambda t: path.position(1.0 - t), velocity)
+
+def _halves(first, second, t):
+    """first(2t) where t < 1/2 and second(2t - 1) elsewhere, stacked like `t`."""
+    t = np.asarray(t, dtype=float)
+    lo = t < 0.5
+    a = np.asarray(first(2.0 * t[lo]))
+    b = np.asarray(second(2.0 * t[~lo] - 1.0))
+    out = np.empty(t.shape + a.shape[1:], dtype=np.result_type(a, b))
+    out[lo], out[~lo] = a, b
+    return out[()]
 
 
 def concat_paths(first, second):
     """Concatenation traversing `first` then `second` at doubled speed."""
     if not _same_point(first.position(1.0), second.position(0.0), 1e-9):
         raise ValueError("paths do not share the concatenation point")
+    return ParametricPath(lambda t: _halves(first.position, second.position, t),
+                          lambda t: 2.0 * _halves(first.velocity, second.velocity, t))
 
-    def position(t):
-        return first.position(2.0 * t) if t < 0.5 else second.position(2.0 * t - 1.0)
 
-    def velocity(t):
-        v = first.velocity(2.0 * t) if t < 0.5 else second.velocity(2.0 * t - 1.0)
-        return 2.0 * v
+def _torus_samples(fn, pos):
+    """fn(x, y) at every torus point of the stack `pos` (coordinates mod 1),
+    called once per point and stacked like `pos`."""
+    xy = np.asarray(pos, dtype=float) % 1.0
+    vals = np.array([fn(x, y) for x, y in xy.reshape(-1, 2).tolist()], dtype=complex)
+    return vals.reshape(xy.shape[:-1] + vals.shape[1:])
 
-    return ParametricPath(position, velocity)
+
+def _along_torus(vel, ax, ay):
+    """vel_x ax + vel_y ay for stacked velocities and coefficient matrices."""
+    vel = np.asarray(vel)[..., None, None]
+    return vel[..., 0, :, :] * ax + vel[..., 1, :, :] * ay
 
 
 class GridPotential:
@@ -137,16 +178,17 @@ class GridPotential:
 
     def along(self, pos, vel):
         n = self._n
-        fx = (float(pos[0]) % 1.0) * n
-        fy = (float(pos[1]) % 1.0) * n
-        j0, l0 = int(fx), int(fy)
-        tx, ty = fx - j0, fy - l0
-        j0, l0 = j0 % n, l0 % n
+        f = (np.asarray(pos, dtype=float) % 1.0) * n
+        lo = f.astype(np.intp)  # f >= 0, so this truncates as int() does
+        t = (f - lo)[..., None, None]
+        tx, ty = t[..., 0, :, :], t[..., 1, :, :]
+        j0, l0 = lo[..., 0] % n, lo[..., 1] % n
         j1, l1 = (j0 + 1) % n, (l0 + 1) % n
-        c = self._comps
-        a = ((1 - tx) * (1 - ty) * c[:, j0, l0] + tx * (1 - ty) * c[:, j1, l0]
-             + (1 - tx) * ty * c[:, j0, l1] + tx * ty * c[:, j1, l1])
-        return vel[0] * a[0] + vel[1] * a[1]
+        corners = self._comps[:, np.stack((j0, j1, j0, j1)), np.stack((l0, l0, l1, l1))]
+        c00, c10, c01, c11 = corners.swapaxes(0, 1)
+        a = ((1 - tx) * (1 - ty) * c00 + tx * (1 - ty) * c10
+             + (1 - tx) * ty * c01 + tx * ty * c11)
+        return _along_torus(vel, a[0], a[1])
 
 
 class AnalyticTorusPotential:
@@ -158,9 +200,7 @@ class AnalyticTorusPotential:
         self.m = int(m)
 
     def along(self, pos, vel):
-        x, y = float(pos[0]) % 1.0, float(pos[1]) % 1.0
-        return vel[0] * np.asarray(self.ax(x, y), dtype=complex) \
-            + vel[1] * np.asarray(self.ay(x, y), dtype=complex)
+        return _along_torus(vel, _torus_samples(self.ax, pos), _torus_samples(self.ay, pos))
 
 
 @dataclass(frozen=True)
@@ -172,13 +212,15 @@ class MeromorphicPotential:
     m: int
 
     def along(self, pos, vel):
-        z = complex(pos)
-        for pole in self.poles:
-            dist = abs(z - complex(pole))
-            if dist <= _POLE_MARGIN:
-                raise ValueError(f"path approaches the pole at {complex(pole)}: distance "
-                                 f"{dist:.3e} <= {_POLE_MARGIN:.1e}")
-        return complex(vel) * np.asarray(self.coefficient(z), dtype=complex)
+        z = np.asarray(pos, dtype=complex)
+        dist = np.abs(z.reshape(-1, 1) - np.array(self.poles, dtype=complex))
+        near = dist <= _POLE_MARGIN
+        if near.any():
+            i, k = np.unravel_index(np.argmax(near), near.shape)
+            raise ValueError(f"path approaches the pole at {complex(self.poles[k])}: "
+                             f"distance {dist[i, k]:.3e} <= {_POLE_MARGIN:.1e}")
+        coef = np.array([self.coefficient(p) for p in z.ravel().tolist()], dtype=complex)
+        return np.asarray(vel)[..., None, None] * coef.reshape(z.shape + coef.shape[1:])
 
 
 class GaugeConjugatedPotential:
@@ -197,10 +239,9 @@ class GaugeConjugatedPotential:
 
     def along(self, pos, vel):
         a = self.base.along(pos, vel)
-        x, y = float(pos[0]) % 1.0, float(pos[1]) % 1.0
-        gm = np.asarray(self.g(x, y), dtype=complex)
-        gx, gy = self.dg(x, y)
-        gdot = vel[0] * np.asarray(gx, dtype=complex) + vel[1] * np.asarray(gy, dtype=complex)
+        gm = _torus_samples(self.g, pos)
+        dg = _torus_samples(self.dg, pos)
+        gdot = _along_torus(vel, dg[..., 0, :, :], dg[..., 1, :, :])
         gi = dagger(gm)
         return gm @ a @ gi - gdot @ gi
 
@@ -216,59 +257,93 @@ def _as_potential(potential):
 
 
 def _transport_setup(potential, path, steps):
-    """Checked step count and potential, and the sampler t -> A(xdot(t))."""
+    """Checked step count and potential, and the sampler of A(xdot) at an array of times."""
     steps = int(steps)
     if not MIN_STEPS <= steps <= MAX_STEPS:
         raise ValueError(f"transport needs {MIN_STEPS} to {MAX_STEPS} steps, got {steps}")
     potential = _as_potential(potential)
 
-    def a_fn(t):
-        mat = potential.along(path.position(t), path.velocity(t))
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"potential sample is not finite at t = {t}")
-        return mat
+    def sample(ts):
+        mats = np.asarray(potential.along(path.position(ts), path.velocity(ts)), dtype=complex)
+        finite = np.isfinite(mats).all(axis=(-2, -1))
+        if not finite.all():
+            raise ValueError(f"potential sample is not finite at t = {ts[np.argmin(finite)]}")
+        return mats
 
-    return potential, a_fn, steps
+    return potential, sample, steps
 
 
-def _rk4(a_fn, y0, steps, rhs, collect=False):
-    """Final state, or (every state as one (steps + 1, m, m) array, final state).
+def _step_maps(gen, h):
+    """Deviations D = P - I of the RK4 one-step maps P of y' = M y.
 
-    Each step samples its midpoint and its end; its start sample is the
-    previous step's end sample.
+    `gen` stacks M at the 2c + 1 nodes of c consecutive steps of length h
+    (start, middle, end of each step; the end of one is the start of the
+    next).  The stages K1 = M0, K2 = Mh (I + h/2 K1), K3 = Mh (I + h/2 K2),
+    K4 = M1 (I + h K3) are RK4's stages applied to I, so
+    D = h/6 (K1 + 2 K2 + 2 K3 + K4)
+      = h/6 (M0 + 4 Mh + M1) + h^2/6 (Mh M0 + Mh^2 + M1 Mh)
+        + h^3/12 (Mh^2 M0 + M1 Mh^2) + h^4/24 M1 Mh^2 M0,
+    evaluated nested, with the identity never added.
     """
-    dt = 1.0 / steps
-    y = np.array(y0, dtype=complex)
-    if collect:
-        out = np.empty((steps + 1,) + y.shape, dtype=complex)
-        out[0] = y
-    a0 = a_fn(0.0)
-    for i in range(steps):
-        ah = a_fn(i * dt + 0.5 * dt)
-        a1 = a_fn((i + 1) * dt)
-        k1 = rhs(a0, y)
-        k2 = rhs(ah, y + 0.5 * dt * k1)
-        k3 = rhs(ah, y + 0.5 * dt * k2)
-        k4 = rhs(a1, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        a0 = a1
-        if collect:
-            out[i + 1] = y
-    return (out, y) if collect else y
+    m0, mh, m1 = gen[:-1:2], gen[1::2], gen[2::2]
+    k2 = mh + 0.5 * h * (mh @ m0)
+    k3 = mh + 0.5 * h * (mh @ k2)
+    k4 = m1 + h * (m1 @ k3)
+    return h / 6.0 * (m0 + 2.0 * (k2 + k3) + k4)
 
 
-def _transport_rhs(a, g):
-    return -(a @ g)
+def _compose(d):
+    """Deviation of (I + d[-1]) ... (I + d[0]), multiplied by a pairwise tree.
+
+    (I + D1)(I + D0) = I + (D1 + D0 + D1 D0); carrying deviations instead of
+    the maps keeps the identity out of every rounding.
+    """
+    while len(d) > 1:
+        later, earlier = d[1::2], d[:-1:2]
+        pairs = later + earlier + later @ earlier
+        d = pairs if len(d) % 2 == 0 else np.concatenate((pairs, d[-1:]))
+    return d[0]
+
+
+def _rk4(sample, generator, steps):
+    """RK4 for y' = M y on [0, 1], with M = generator(A) at the sampled nodes.
+
+    Yields, chunk by chunk in step order, the stacked deviations D = P - I of
+    the one-step maps.  Each chunk of up to _CHUNK steps samples its new
+    nodes in one call; its start sample is the previous chunk's end sample.
+    """
+    h = 1.0 / steps
+    end = None
+    for i0 in range(0, steps, _CHUNK):
+        i1 = min(i0 + _CHUNK, steps)
+        first = 0 if end is None else 2 * i0 + 1
+        a = sample(np.arange(first, 2 * i1 + 1) / (2 * steps))
+        if end is not None:
+            a = np.concatenate((end, a))
+        end = a[-1:]
+        yield _step_maps(generator(a), h)
+
+
+def _apply(maps, states):
+    """Fill row n + 1 of `states` with (I + D_n) applied to row n."""
+    n = 0
+    for d in maps:
+        for dn in d:
+            states[n + 1] = states[n] + dn @ states[n]
+            n += 1
+    return states
 
 
 def parallel_transport(potential, path, steps=1000, trajectory=False):
     """Fundamental solution of dv/dt + A(xdot(t)) v = 0 over [0, 1]."""
-    potential, a_fn, steps = _transport_setup(potential, path, steps)
-    g0 = np.eye(potential.m, dtype=complex)
+    potential, sample, steps = _transport_setup(potential, path, steps)
+    eye = np.eye(potential.m, dtype=complex)
+    maps = _rk4(sample, np.negative, steps)
     if trajectory:
-        traj, _ = _rk4(a_fn, g0, steps, _transport_rhs, collect=True)
-        return np.linspace(0.0, 1.0, steps + 1), traj
-    return _rk4(a_fn, g0, steps, _transport_rhs)
+        traj = np.empty((steps + 1,) + eye.shape, dtype=complex)
+        traj[0] = eye
+        return np.linspace(0.0, 1.0, steps + 1), _apply(maps, traj)
+    return eye + _compose(np.stack([_compose(d) for d in maps]))
 
 
 def wilson_loop(potential, path, steps=1000):
@@ -302,8 +377,15 @@ def aharonov_bohm_monodromy(k, winding=1, steps=None):
     return MonodromyRecord(k, winding, int(steps), complex(g[0, 0]), -2.0 * np.pi * k)
 
 
-def _wong_rhs(a, i):
-    return -(a @ i - i @ a)
+def _minus_ad(a):
+    """-ad(A) for each A of the stack, as an (m^2, m^2) matrix on row-major vec.
+
+    vec(A I - I A) = (A (x) 1 - 1 (x) A^T) vec(I).
+    """
+    eye = np.eye(a.shape[-1])
+    m2 = a.shape[-1] ** 2
+    ad = np.einsum("nij,kl->nikjl", a, eye) - np.einsum("ij,nlk->nikjl", eye, a)
+    return -ad.reshape(len(a), m2, m2)
 
 
 def wong_evolve(potential, path, i0, steps=1000):
@@ -314,8 +396,10 @@ def wong_evolve(potential, path, i0, steps=1000):
     """
     i0 = np.asarray(i0, dtype=complex)
     require_antihermitian(i0, "spin variable")
-    _, a_fn, steps = _transport_setup(potential, path, steps)
-    traj, _ = _rk4(a_fn, i0, steps, _wong_rhs, collect=True)
+    _, sample, steps = _transport_setup(potential, path, steps)
+    traj = np.empty((steps + 1,) + i0.shape, dtype=complex)
+    traj[0] = i0
+    _apply(_rk4(sample, _minus_ad, steps), traj.reshape(steps + 1, i0.size, 1))
     return np.linspace(0.0, 1.0, steps + 1), traj
 
 

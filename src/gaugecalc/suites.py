@@ -397,7 +397,9 @@ def holonomy_suite(rng):
                                   lambda x, y: np.zeros((2, 2), dtype=complex), 2)
 
     def gmap(x, y):
-        return exp_antihermitian(0.4 * np.sin(2.0 * np.pi * x) * E2)
+        # exp(th e2) = cos(th) + sin(th) e2, since e2^2 = -1
+        th = 0.4 * np.sin(2.0 * np.pi * x)
+        return np.cos(th) * np.eye(2) + np.sin(th) * E2
 
     def dgmap(x, y):
         gx = 0.4 * 2.0 * np.pi * np.cos(2.0 * np.pi * x) * (E2 @ gmap(x, y))

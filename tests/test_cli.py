@@ -166,9 +166,31 @@ def test_invalid_inputs_exit_one(capsys):
     code, _, err = _run(capsys, ["torus-curve", "--grid", "8", "--samples", "2",
                                  "--steps", "5"])
     assert code == 1 and "--steps" in err
-    # a winding this large rounds the loop open
+    # a winding this large closes the loop but exceeds the winding bound
     code, _, err = _run(capsys, ["holonomy", "--grid", "8", "--loop", "torus:wx=1e20"])
-    assert code == 1 and "--loop torus:wx=1e20" in err and "endpoints" in err
+    assert code == 1 and "--loop torus:wx=1e20" in err and str(MAX_STEPS) in err
+
+
+@pytest.mark.parametrize("loop, key", (
+    ("torus:wx=1.5", "'wx'"), ("torus:wy=-0.25", "'wy'"), ("tcircle:n=2.5", "'n'"),
+    ("torus:wx=1000001", "'wx'"), ("tcircle:n=-1e7", "'n'"), ("torus:wy=abc", "'wy'")))
+def test_holonomy_rejects_non_integer_or_oversized_windings(capsys, loop, key):
+    code, out, err = _run(capsys, ["holonomy", "--grid", "8", "--steps", "100",
+                                   "--loop", loop])
+    assert code == 1 and out == ""
+    assert f"--loop {loop}" in err and key in err and "integer" in err
+
+
+def test_holonomy_accepts_integral_float_windings(capsys):
+    code, out, _ = _run(capsys, ["holonomy", "--grid", "8", "--steps", "100",
+                                 "--family", "const-dx", "--loop", "torus:wx=2.0,wy=-1e0",
+                                 "--format", "structured-record"])
+    assert code == 0
+    code, ref, _ = _run(capsys, ["holonomy", "--grid", "8", "--steps", "100",
+                                 "--family", "const-dx", "--loop", "torus:wx=2,wy=-1",
+                                 "--format", "structured-record"])
+    assert code == 0
+    assert json.loads(out)["matrix"] == json.loads(ref)["matrix"]
 
 
 @pytest.mark.parametrize("command", (["residual"], ["spectrum", "--grid", "8"],
@@ -277,6 +299,17 @@ def test_non_finite_report_exits_one(capsys, argv, key, flag, fmt):
     assert code == 1 and out == ""
     assert err.startswith(f"gaugecalc: error: report value {key} ")
     assert "not finite" in err and flag in err
+
+
+@pytest.mark.parametrize("loop, family", (("tcircle:r=1e305,n=1000", "const-dx"),
+                                          ("torus:wx=2", "const-dx:c=1.7e308")))
+def test_holonomy_names_its_flags_when_a_potential_sample_overflows(capsys, loop, family):
+    # both loops are closed mod 1, but A(xdot) overflows at the first node
+    code, out, err = _run(capsys, ["holonomy", "--grid", "8", "--steps", "100",
+                                   "--loop", loop, "--family", family])
+    assert code == 1 and out == ""
+    assert "not finite at t = 0.0" in err and f"--loop {loop}" in err
+    assert f"--family {family}" in err
 
 
 @pytest.mark.parametrize("samples", ("1000000000", str(cli._MAX_SAMPLES + 1)))
@@ -402,6 +435,8 @@ _WILD = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf, 1e300, -1e300)
                   st.floats(allow_nan=True, allow_infinity=True))
 _BAD_GRIDS = st.one_of(st.integers(-10 ** 6, 7), st.integers(1025, 10 ** 12))
 _GOOD_TOLS = st.one_of(st.none(), st.floats(1e-12, 1e3).map(repr))
+_BAD_WINDINGS = st.one_of(st.integers(MAX_STEPS + 1, 10 ** 30),
+                          st.integers(-10 ** 30, -MAX_STEPS - 1))
 _BAD_STEPS = st.one_of(st.integers(-10 ** 6, MIN_STEPS - 1), st.integers(MAX_STEPS + 1, 10 ** 12))
 
 
@@ -452,6 +487,7 @@ def test_torus_curve_argument_vectors_end_in_report_or_error(data, bad):
 
 
 _LOOP_PARAMS = {"torus": ("wx", "wy", "x0", "y0"), "tcircle": ("cx", "cy", "r", "n")}
+_WINDINGS = ("wx", "wy", "n")  # integer loop parameters, at most MAX_STEPS in magnitude
 
 
 @settings(max_examples=30, deadline=None)
@@ -468,8 +504,10 @@ def test_holonomy_argument_vectors_end_in_report_or_error(data, bad, name, direc
     params = {"zero": "", "const-dx": f"c={c!r},dir={direction}",
               "const-mix": f"c={c!r},lam={lam!r}", "sin-dy": f"freq={freq!r},dir={direction}"}
     family = f"{name}:{params[name]}" if params[name] else name
-    loop_sel = loop + ":" + ",".join(f"{key}={draw('--loop', _SMALL, _WILD)!r}"
-                                     for key in _LOOP_PARAMS[loop])
+    loop_sel = loop + ":" + ",".join(
+        f"{key}={draw('--loop', st.integers(-3, 3), st.one_of(_WILD, _BAD_WINDINGS))!r}"
+        if key in _WINDINGS else f"{key}={draw('--loop', _SMALL, _WILD)!r}"
+        for key in _LOOP_PARAMS[loop])
     argv = ["holonomy", "--grid", str(grid), "--steps", str(steps), "--family", family,
             "--loop", loop_sel]
     names = {"--family": ("--family", "'c'", "'lam'", "'freq'"),
@@ -492,6 +530,22 @@ def test_wong_argument_vectors_end_in_report_or_error(data, bad):
                        bad, (bad,))
     if record is not None:
         assert record["config"]["steps"] == steps and len(record["initial"]) == 4
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), bad=st.sampled_from((None, "--grid", "--seed")))
+def test_verify_argument_vectors_end_in_report_or_error(data, bad):
+    def draw(flag, good, wild):
+        return data.draw(wild if flag == bad else good, label=flag)
+
+    # a valid run must pass every check, so exit 2 fails the contract too
+    grid = draw("--grid", st.integers(8, 12), _BAD_GRIDS)
+    seed = draw("--seed", st.integers(0, 2 ** 64), st.integers(-10 ** 12, -1))
+    record = _contract(["verify", "--grid", str(grid), "--seed", str(seed)], bad, (bad,))
+    if record is not None:
+        assert record["passed"] is True and record["seed"] == seed
+        assert record["config"]["grid"] == grid
+        assert record["tolerances"] == {c["name"]: c["bound"] for c in record["checks"]}
 
 
 def test_verify_seed_13_first_variation_passes(capsys):

@@ -70,7 +70,7 @@ def test_transport_rejects_too_few_steps():
 
 
 class _Recording:
-    """Wraps a potential and records the position of every `along` call."""
+    """Wraps a potential and records the stacked positions of every `along` call."""
 
     def __init__(self, base):
         self.base = base
@@ -110,9 +110,75 @@ def test_transport_samples_each_node_once(transport, steps):
     # x = t along this loop, so the sampled x are the sampled times
     pot = _Recording(_const_potential(0.8 * E1 + 0.3 * E2))
     transport(pot, torus_loop((1, 0)), steps)
-    assert len(pot.positions) == 2 * steps + 1
-    ts = np.array([p[0] for p in pot.positions])
+    ts = np.concatenate([p[..., 0] for p in pot.positions])
+    assert len(ts) == 2 * steps + 1
     assert np.max(np.abs(ts - np.linspace(0.0, 1.0, 2 * steps + 1))) < 1e-15
+
+
+def test_transport_names_the_first_non_finite_node():
+    # x = t along this loop; nodes are j / 200, so the first with x > 0.3 is 0.305
+    pot = AnalyticTorusPotential(lambda x, y: np.full((2, 2), np.nan) if x > 0.3 else E1,
+                                 lambda x, y: ZERO2, 2)
+    for run in (lambda: parallel_transport(pot, torus_loop((1, 0)), 100),
+                lambda: wong_evolve(pot, torus_loop((1, 0)), E2, 100)):
+        with pytest.raises(ValueError, match=r"not finite at t = 0\.305$"):
+            run()
+
+
+_PATHS = {
+    "torus_loop": torus_loop((2, -1), (0.25, 0.5)),
+    "torus_circle": torus_circle((0.4, 0.6), 0.25, -2),
+    "circle_path": circle_path(1j, 2.0, 3),
+    "segment_plane": segment_path(0j, 1.0 + 1j),
+    "segment_torus": segment_path((0.1, 0.2), (0.7, -0.4)),
+    "reverse": reverse_path(torus_circle((0.4, 0.6), 0.25, 1)),
+    "concat": concat_paths(torus_loop((1, 0)), torus_loop((0, 1))),
+}
+
+
+@pytest.mark.parametrize("name", tuple(_PATHS))
+def test_paths_take_arrays_of_times(name):
+    path = _PATHS[name]
+    ts = np.linspace(0.0, 1.0, 9)
+    for fn in (path.position, path.velocity):
+        stacked = fn(ts)
+        single = np.array([fn(float(t)) for t in ts])
+        assert stacked.shape == single.shape
+        assert np.max(np.abs(stacked - single)) <= 1e-15 * max(1.0, np.max(np.abs(single)))
+        assert fn(ts.reshape(3, 3)).shape == ts.reshape(3, 3).shape + single.shape[1:]
+
+
+def test_potentials_take_stacks_of_points():
+    rng = np.random.default_rng(5)
+    comps = tuple(random_antihermitian(rng, 2) * rng.standard_normal((8, 8, 1, 1))
+                  for _ in range(2))
+    grid = GridPotential(Connection(MatrixForm(1, TorusGrid(8), comps, ANTIHERMITIAN)))
+    analytic = AnalyticTorusPotential(lambda x, y: np.sin(2.0 * np.pi * y) * E1,
+                                      lambda x, y: np.cos(2.0 * np.pi * x) * E3, 2)
+    conj = GaugeConjugatedPotential(
+        analytic, lambda x, y: expm(x * E2),
+        lambda x, y: (E2 @ expm(x * E2), ZERO2))
+    pos, vel = rng.uniform(-2.0, 2.0, (4, 3, 2)), rng.standard_normal((4, 3, 2))
+    for pot in (grid, analytic, conj):
+        stacked = pot.along(pos, vel)
+        assert stacked.shape == (4, 3, 2, 2)
+        single = np.array([[pot.along(p, v) for p, v in zip(ps, vs)] for ps, vs in zip(pos, vel)])
+        if pot is grid:  # the grid gather is the per-point formula, bit for bit
+            assert np.array_equal(stacked, single)
+        else:
+            assert np.max(np.abs(stacked - single)) < 1e-14
+    mero = MeromorphicPotential(lambda z: np.array([[1.0 / z, z], [0.0, -1.0 / z]]), (0j,), 2)
+    z = pos[..., 0] + 1j * pos[..., 1]
+    w = vel[..., 0] + 1j * vel[..., 1]
+    single = np.array([[mero.along(a, b) for a, b in zip(za, wa)] for za, wa in zip(z, w)])
+    assert np.max(np.abs(mero.along(z, w) - single)) < 1e-14
+
+
+def test_pole_guard_names_the_first_point_near_a_pole():
+    pot = MeromorphicPotential(lambda z: np.array([[1.0 / z]]), (3.0 + 0j, 1j), 1)
+    zs = np.array([0.0, 1j + 1e-7, 3.0 + 2e-7, 1j])
+    with pytest.raises(ValueError, match=r"pole at 1j: distance 1\.000e-07"):
+        pot.along(zs, np.ones(4))
 
 
 def test_pole_guard_checks_half_step_nodes_through_wrappers():
@@ -241,6 +307,54 @@ def test_monodromy_diagonal_potential():
     assert abs(g[0, 0] - cmath.exp(2j * cmath.pi * k1)) < 1e-8
     assert abs(g[1, 1] - cmath.exp(2j * cmath.pi * k2)) < 1e-8
     assert abs(g[0, 1]) < 1e-12 and abs(g[1, 0]) < 1e-12
+
+
+def _poles_potential(residues, poles):
+    """sum_k R_k / (z - p_k) dz, a simple pole with residue R_k at each p_k."""
+    return MeromorphicPotential(
+        lambda z: sum(r / (z - p) for r, p in zip(residues, poles)), tuple(poles), 2)
+
+
+def _lasso(pot, base, pole, radius, steps):
+    """Transport from `base` straight to pole + radius, once around the pole, and back.
+
+    Each smooth piece is transported on its own and the factors are
+    multiplied: concatenated, the kinks would be shared nodes of one
+    transport, where the velocity jumps and the scheme drops to first order.
+    """
+    there = segment_path(base, pole + radius)
+    g = np.eye(2)
+    for piece in (there, circle_path(pole, radius, 1), reverse_path(there)):
+        g = parallel_transport(pot, piece, steps) @ g
+    return g
+
+
+def test_monodromy_around_a_simple_pole_with_commuting_residues():
+    # for diagonal residues every sample commutes, so a loop around p1 alone
+    # picks up exp(-2 pi i R1) whatever the other pole and the path to it
+    r1 = np.diag([0.31 + 0.2j, -0.57])
+    r2 = np.diag([1.3, 0.45 - 0.1j])
+    p1 = 0.4 + 0.3j
+    pot = _poles_potential((r1, r2), (p1, -0.7 - 0.2j))
+    expect = np.diag(np.exp(-2j * np.pi * np.diag(r1)))
+    assert np.max(np.abs(parallel_transport(pot, circle_path(p1, 0.5, 1), 2000) - expect)) < 1e-8
+    assert np.max(np.abs(_lasso(pot, 2.0 + 0j, p1, 0.25, 2000) - expect)) < 1e-8
+
+
+def test_local_monodromies_compose_to_the_enclosing_circle():
+    # lassos from the base point 2 to the poles at +-i/2; the circle |z| = 2,
+    # based at 2, is the upper lasso followed by the lower one, and traversing
+    # `first` then `second` transports as g(second) g(first)
+    r_up = np.array([[0.2, 0.5 - 0.1j], [0.3j, -0.35]])
+    r_down = np.array([[-0.15 + 0.1j, 0.4], [-0.25, 0.3]])
+    up, down = 0.5j, -0.5j
+    pot = _poles_potential((r_up, r_down), (up, down))
+    g_up = _lasso(pot, 2.0 + 0j, up, 0.25, 2000)
+    g_down = _lasso(pot, 2.0 + 0j, down, 0.25, 2000)
+    g_big = parallel_transport(pot, circle_path(0j, 2.0, 1), 2000)
+    assert np.max(np.abs(g_big - g_down @ g_up)) < 1e-8
+    # the residues do not commute, so the order of the factors matters
+    assert np.max(np.abs(g_big - g_up @ g_down)) > 1e-2
 
 
 def test_monodromy_zero_potential():
