@@ -41,40 +41,28 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _complex_arg(text):
-    try:
-        return complex(text)
-    except ValueError as exc:
-        raise CliError(f"cannot parse complex number {text!r}") from exc
+def _input_type(parse, rule, accept=lambda val: True, keep_text=False):
+    """The argparse type= of an input whose text must `parse` to a value that `accept` takes.
+
+    A float or complex value must also be finite.  `rule` words the whole rule,
+    and argparse puts the flag's name in front of every refusal.  With
+    `keep_text` the input keeps its text, so reports echo it as typed.
+    """
+    def check(text):
+        try:
+            val = parse(text)
+        except ValueError:
+            val = None
+        finite = not isinstance(val, (float, complex)) or np.isfinite(val)
+        if val is None or not (finite and accept(val)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return text if keep_text else val
+    return check
 
 
-def _grid(args):
-    """The --grid flag, checked before anything is allocated."""
-    if not MIN_GRID <= args.grid <= _MAX_GRID:
-        raise CliError(f"--grid must be an integer in [{MIN_GRID}, {_MAX_GRID}], got {args.grid}")
-    return args.grid
-
-
-def _steps(args):
-    """The --steps flag, checked against the transport step range before any transport."""
-    if not MIN_STEPS <= args.steps <= MAX_STEPS:
-        raise CliError(f"--steps must lie in [{MIN_STEPS}, {MAX_STEPS}], got {args.steps}")
-    return args.steps
-
-
-def _finite(name, value):
-    if not np.isfinite(value):
-        raise CliError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _tolerance(args, default):
-    """The --tol flag, or `default` when absent; it must be finite and positive."""
-    if args.tol is None:
-        return default
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise CliError(f"--tol must be a finite number > 0, got {args.tol}")
-    return args.tol
+def _int_flag(low, high=None):
+    rule = f"an integer >= {low}" if high is None else f"an integer in [{low}, {high}]"
+    return _input_type(int, rule, lambda val: low <= val and (high is None or val <= high))
 
 
 def build_parser():
@@ -85,12 +73,13 @@ def build_parser():
     def common(p, grid=None, steps=False, tol=False):
         # --grid, --steps and --tol exist only on the commands that read them
         if grid:
-            p.add_argument("--grid", type=int, default=grid)
+            p.add_argument("--grid", type=_int_flag(MIN_GRID, _MAX_GRID), default=grid)
         if steps:
-            p.add_argument("--steps", type=int, default=1000)
+            p.add_argument("--steps", type=_int_flag(MIN_STEPS, MAX_STEPS), default=1000)
         if tol:
-            p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tol", type=_input_type(float, "a finite number > 0",
+                                                    lambda val: val > 0), default=None)
+        p.add_argument("--seed", type=_int_flag(0), default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", default="report-text",
                        choices=("report-text", "structured-record", "csv"))
@@ -100,8 +89,9 @@ def build_parser():
 
     p = sub.add_parser("torus-curve", description="claim report for the torus family")
     common(p, grid=64, steps=True, tol=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=11)
+    p.add_argument("--lambda", dest="lam", type=_input_type(float, "a finite number"),
+                   default=1.0)
+    p.add_argument("--samples", type=_int_flag(2, _MAX_SAMPLES), default=11)
 
     p = sub.add_parser("residual", description="Yang-Mills residual of a named field")
     common(p, grid=64, tol=True)
@@ -114,7 +104,8 @@ def build_parser():
 
     p = sub.add_parser("ab", description="Aharonov-Bohm monodromy")
     common(p, steps=True)
-    p.add_argument("--k", type=str, default="0.5")
+    p.add_argument("--k", type=_input_type(complex, "a finite complex number", keep_text=True),
+                   default="0.5")
     p.add_argument("--winding", type=int, default=1)
 
     p = sub.add_parser("wong", description="spin transport cases")
@@ -125,35 +116,52 @@ def build_parser():
 
     p = sub.add_parser("spectrum", description="harmonic space dimensions")
     common(p, grid=16, tol=True)
-    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("--rank", type=_int_flag(1), default=1)
     p.add_argument("--degree", default="all", choices=("0", "1", "2", "all"))
     return parser
 
 
-def parse_params(text):
-    """Parse 'name:key=val,key=val' selectors; numeric values become finite floats."""
+# The parameters of each selector family with their defaults.  A default's type
+# picks its parameter's rule from _PARAM_TYPES.
+_SELECTORS = {
+    "--family": {"zero": {}, "const-dx": {"c": np.pi, "dir": "e1"},
+                 "const-mix": {"c": np.pi, "lam": 1.0}, "sin-dy": {"freq": 1.0, "dir": "e1"}},
+    "--loop": {"torus": {"wx": 1, "wy": 0, "x0": 0.0, "y0": 0.0},
+               "tcircle": {"cx": 0.5, "cy": 0.5, "r": 0.2, "n": 1}},
+}
+# an int parameter is a winding; it stays a float, which the loop builders take when integral
+_PARAM_TYPES = {
+    float: _input_type(float, "a finite number"),
+    int: _input_type(float, f"an integer of magnitude at most {MAX_STEPS}",
+                     lambda val: val.is_integer() and abs(val) <= MAX_STEPS),
+    str: _input_type(str, f"one of {', '.join(_SU2)}", lambda val: val in _SU2),
+}
+
+
+def parse_params(text, flag="--family"):
+    """Parse a 'name:key=val,key=val' selector of `flag` against `_SELECTORS`.
+
+    Each key must be a parameter of the family, given at most once, with a
+    value that keeps its rule; absent parameters take their defaults.
+    """
     name, _, rest = text.partition(":")
+    if name not in _SELECTORS[flag]:
+        kind = "field" if flag == "--family" else "loop"
+        raise CliError(f"{flag} {text}: unknown {kind} family {name!r}")
+    defaults = _SELECTORS[flag][name]
     params = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, val = item.partition("=")
-            if not sep:
-                raise CliError(f"malformed selector parameter {item!r}")
-            try:
-                params[key] = float(val)
-            except ValueError:
-                params[key] = val
-            else:
-                if not np.isfinite(params[key]):
-                    raise CliError(f"selector parameter {key!r} must be finite, got {val!r}")
-    return name, params
-
-
-def _su2_direction(params):
-    name = params.get("dir", "e1")
-    if name not in _SU2:
-        raise CliError(f"unknown algebra direction {name!r}")
-    return _SU2[name]
+    for item in rest.split(",") if rest else ():
+        key, sep, val = item.partition("=")
+        if not sep or key not in defaults:
+            takes = ", ".join(f"{k}=..." for k in defaults) or "no parameters"
+            raise CliError(f"{flag} {text}: {name} takes {takes}, got {item!r}")
+        if key in params:
+            raise CliError(f"{flag} {text}: parameter {key!r} is given twice")
+        try:
+            params[key] = _PARAM_TYPES[type(defaults[key])](val)
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"{flag} {text}: parameter {key!r} {exc}") from None
+    return name, {**defaults, **params}
 
 
 def build_family(grid, selector):
@@ -161,42 +169,26 @@ def build_family(grid, selector):
     name, params = parse_params(selector)
     if name == "zero":
         return zero_connection(grid, 2)
-    if name in ("const-dx", "const-mix"):
-        c = float(params.get("c", np.pi))
-        mat = c * (_su2_direction(params) if name == "const-dx"
-                   else E1 + float(params.get("lam", 1.0)) * E2)
-        if not np.all(np.isfinite(mat)):
-            raise CliError(f"--family {selector} gives a non-finite potential; "
-                           f"reduce its parameters")
+    try:  # the form builders refuse the non-finite values of an overflow
+        if name == "sin-dy":
+            x, _ = grid.nodes()
+            prof = scalar_form(grid, 1, np.zeros((grid.n, grid.n)),
+                               np.sin(2.0 * np.pi * params["freq"] * x))
+            return Connection(tensor_form(prof, _SU2[params["dir"]]))
+        mat = params["c"] * (_SU2[params["dir"]] if name == "const-dx"
+                             else E1 + params["lam"] * E2)
         return Connection(constant_form(grid, 1, mat, np.zeros((2, 2))))
-    if name == "sin-dy":
-        freq = float(params.get("freq", 1.0))
-        mat = _su2_direction(params)
-        x, _ = grid.nodes()
-        prof = scalar_form(grid, 1, np.zeros((grid.n, grid.n)),
-                           np.sin(2.0 * np.pi * freq * x))
-        return Connection(tensor_form(prof, mat))
-    raise CliError(f"unknown field family {name!r}")
+    except ValueError:
+        raise CliError(f"--family {selector} gives a non-finite potential; "
+                       f"reduce its parameters") from None
 
 
 def build_loop(selector):
-    name, params = parse_params(selector)
-
-    def winding(key, default):
-        val = params.get(key, float(default))
-        if isinstance(val, str) or abs(val) > MAX_STEPS or val != int(val):
-            raise CliError(f"--loop {selector}: {key!r} must be an integer of magnitude "
-                           f"at most {MAX_STEPS}, got {val!r}")
-        return int(val)
-
+    name, params = parse_params(selector, "--loop")
     if name == "torus":
-        loop = torus_loop((winding("wx", 1), winding("wy", 0)),
-                          (float(params.get("x0", 0.0)), float(params.get("y0", 0.0))))
-    elif name == "tcircle":
-        loop = torus_circle((float(params.get("cx", 0.5)), float(params.get("cy", 0.5))),
-                            float(params.get("r", 0.2)), winding("n", 1))
+        loop = torus_loop((params["wx"], params["wy"]), (params["x0"], params["y0"]))
     else:
-        raise CliError(f"unknown loop family {name!r}")
+        loop = torus_circle((params["cx"], params["cy"]), params["r"], params["n"])
     try:
         require_closed(loop)
     except ValueError as exc:
@@ -301,16 +293,17 @@ def _emit(record, args, csv_header, csv_rows):
     else:
         text = _render_text(record)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"--out {args.out}: cannot write the report: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
 def _cmd_verify(args):
-    if args.seed < 0:
-        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
-    checks, passed = run_verify(args.seed, _grid(args))
+    checks, passed = run_verify(args.seed, args.grid)
     record = _base_record(args, {c.name: c.bound for c in checks}, {
         "checks": [
             {"name": c.name, "value": c.value, "bound": c.bound, "kind": c.kind,
@@ -327,14 +320,9 @@ def _cmd_verify(args):
 
 
 def _cmd_torus_curve(args):
-    samples = args.samples
-    if not 2 <= samples <= _MAX_SAMPLES:
-        raise CliError(f"--samples must be an integer in [2, {_MAX_SAMPLES}], got {samples}")
-    grid_n = _grid(args)
-    flat_tol = _tolerance(args, FLAT_TOL)
-    lam = _finite("--lambda", args.lam)
-    ts = [i / (samples - 1) for i in range(samples)]
-    report = torus_family_report(lam, ts, n=grid_n, flat_tol=flat_tol, steps=_steps(args))
+    flat_tol = args.tol or FLAT_TOL  # a given --tol is positive
+    ts = [i / (args.samples - 1) for i in range(args.samples)]
+    report = torus_family_report(args.lam, ts, n=args.grid, flat_tol=flat_tol, steps=args.steps)
     record = _base_record(args, {"flat_tol": flat_tol}, {"report": report.to_record()})
     rows = [(format(t, ".12e"), format(c, ".12e"), format(r, ".12e"))
             for t, c, r in report.csv_rows()]
@@ -343,8 +331,8 @@ def _cmd_torus_curve(args):
 
 
 def _cmd_residual(args):
-    grid = TorusGrid(_grid(args))
-    flat_tol = _tolerance(args, FLAT_TOL)
+    grid = TorusGrid(args.grid)
+    flat_tol = args.tol or FLAT_TOL  # a given --tol is positive
     conn = build_family(grid, args.family)
     rep = residual_report(conn, flat_tol)
     record = _base_record(args, {"flat_tol": flat_tol}, {"report": rep})
@@ -354,17 +342,23 @@ def _cmd_residual(args):
     return 0
 
 
-def _cmd_holonomy(args):
-    grid = TorusGrid(_grid(args))
-    steps = _steps(args)
-    conn = build_family(grid, args.family)
-    loop = build_loop(args.loop)
+def _transport(args, transport, *inputs):
+    """`transport(*inputs)`, whose refusal of a non-finite potential sample names the flags.
+
+    Finite flags can still overflow a sample: a loop closed mod 1 may be too
+    large for its potential, and a huge `--k` overflows k / z.
+    """
     try:
-        g, trace = wilson_loop(conn, loop, steps)
+        return transport(*inputs)
     except ValueError as exc:
-        # a loop can be closed mod 1 and still too large for its potential samples
         raise CliError(f"{exc} for {_flag_echo(args)}; "
                        f"reduce the magnitude of the numeric inputs") from None
+
+
+def _cmd_holonomy(args):
+    conn = build_family(TorusGrid(args.grid), args.family)
+    loop = build_loop(args.loop)
+    g, trace = _transport(args, wilson_loop, conn, loop, args.steps)
     record = _base_record(args, {}, {
         "matrix": _matrix_entries(g),
         "trace": trace,
@@ -376,13 +370,12 @@ def _cmd_holonomy(args):
 
 
 def _cmd_ab(args):
-    k = _finite("--k", _complex_arg(args.k))
-    steps = _steps(args)
-    total = steps * max(1, abs(args.winding))
+    k = complex(args.k)
+    total = args.steps * max(1, abs(args.winding))
     if total > MAX_STEPS:
-        raise CliError(f"--steps {steps} times |--winding {args.winding}| gives {total} "
+        raise CliError(f"--steps {args.steps} times |--winding {args.winding}| gives {total} "
                        f"transport steps, more than {MAX_STEPS}")
-    rec = aharonov_bohm_monodromy(k, args.winding, total)
+    rec = _transport(args, aharonov_bohm_monodromy, k, args.winding, total)
     closed_form = complex(np.exp(2j * np.pi * k * args.winding))
     # np.abs, unlike abs, returns inf on overflow for the finite-report check to catch
     deviation = float(np.abs(rec.monodromy - closed_form))
@@ -401,7 +394,7 @@ def _cmd_ab(args):
 
 
 def _cmd_wong(args):
-    steps = _steps(args)
+    steps = args.steps
     i0 = _SU2[args.i0]
     ax = E3 if args.case == "constant" else np.pi * E1
     pot = AnalyticTorusPotential(lambda x, y: ax,
@@ -425,11 +418,9 @@ def _cmd_wong(args):
 
 
 def _cmd_spectrum(args):
-    grid = TorusGrid(_grid(args))
+    grid = TorusGrid(args.grid)
     rank = args.rank
-    if rank < 1:
-        raise CliError(f"--rank must be an integer >= 1, got {rank}")
-    threshold = _tolerance(args, KERNEL_THRESHOLD)
+    threshold = args.tol or KERNEL_THRESHOLD  # a given --tol is positive
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
     dof = max(eigenproblem_size(grid.n, rank, k) for k in degrees)
     if dof > DOF_LIMIT:

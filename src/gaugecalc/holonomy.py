@@ -83,16 +83,23 @@ def _torus_line(p0, d):
     return ParametricPath(lambda t: p0 + np.multiply.outer(t, d), lambda t: _constant(d, t))
 
 
+def _winding(value):
+    """A winding number as an int; integral floats such as 2.0 are accepted."""
+    if isinstance(value, (int, np.integer)) or float(value).is_integer():
+        return int(value)
+    raise ValueError(f"a winding must be a finite integer, got {value!r}")
+
+
 def torus_loop(winding=(1, 0), base=(0.0, 0.0)):
     """Straight loop winding (wx, wy) times around the torus generators."""
     return _torus_line(np.array([float(base[0]), float(base[1])]),
-                       np.array([float(int(winding[0])), float(int(winding[1]))]))
+                       np.array([float(_winding(winding[0])), float(_winding(winding[1]))]))
 
 
 def torus_circle(center=(0.5, 0.5), radius=0.2, winding=1):
     """Contractible circular loop inside the fundamental square."""
     cx, cy = float(center[0]), float(center[1])
-    r, w = float(radius), int(winding)
+    r, w = float(radius), _winding(winding)
 
     def position(t):
         ph = 2.0 * np.pi * w * t
@@ -109,7 +116,7 @@ def circle_path(center=0j, radius=1.0, winding=1):
     """Circle in the punctured plane, traversed `winding` times."""
     c = complex(center)
     r = float(radius)
-    w = int(winding)
+    w = _winding(winding)
 
     def position(t):
         return c + r * np.exp(2j * np.pi * w * t)
@@ -369,7 +376,7 @@ def aharonov_bohm_monodromy(k, winding=1, steps=None):
     returned record carries the transported value and the flux identification.
     """
     k = complex(k)
-    winding = int(winding)
+    winding = _winding(winding)
     if steps is None:
         steps = max(MIN_STEPS, 1000 * abs(winding))
     pot = MeromorphicPotential(lambda z: np.array([[-k / z]], dtype=complex), (0j,), 1)

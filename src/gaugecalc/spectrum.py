@@ -24,7 +24,12 @@ The count takes one of two paths, chosen from the input:
   d0 = [Dx; Dy], d1 = [-Dy, Dx]; the Laplacian is block diagonal with
   Hermitian blocks of size ncomp * m^2, all solved in one batched eigensolve.
   This covers the zero connection and every constant twisted connection.
-- Any other flat potential densifies the sparse Laplacian and solves it whole.
+- Any flat potential whose one-sided complex closes densifies the sparse
+  Laplacian and solves it whole.  Flatness under the central differences of
+  `gauge` does not make d1 d0 vanish here: the pure gauge d phi x e1 passes
+  `require_flat`, yet max |d1 d0| is 13.6 at n = 8.  So this path also
+  refuses a potential whose largest entry of d1 d0 exceeds FLAT_TOL.  On
+  Fourier blocks d1 d0 is ad([Ex, Ey]), the curvature `require_flat` measures.
   This path is also the reference the Fourier blocks are tested against, and
   the only code in the package that loads scipy (`scipy.sparse`, imported
   where the sparse differentials are built).
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gauge import require_flat
+from .gauge import FLAT_TOL, require_flat
 
 DOF_LIMIT = 4608  # largest real eigenproblem counted (n = 24 at rank 2, degree 1)
 KERNEL_THRESHOLD = 1e-6  # Laplacian eigenvalues below this count as harmonic
@@ -100,10 +105,18 @@ def _covariant_differentials(conn):
 
 
 def laplacian_matrix(conn, degree):
-    """Covariant Hodge Laplacian d^T d + d d^T at `degree` as a sparse matrix."""
+    """Covariant Hodge Laplacian d^T d + d d^T at `degree` as a sparse matrix.
+
+    Refuses a connection whose one-sided complex does not close (an entry of
+    d1 d0 above FLAT_TOL), with the measured defect.
+    """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     d0, d1 = _covariant_differentials(conn)
+    defect = np.abs((d1 @ d0).data).max(initial=0.0)
+    if not defect <= FLAT_TOL:
+        raise ValueError(f"the one-sided covariant complex does not close: max |d1 d0| "
+                         f"{defect:.3e} exceeds {FLAT_TOL:.1e}")
     if degree == 0:
         return d0.T @ d0
     if degree == 1:
@@ -148,7 +161,8 @@ def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD):
     only when the curvature vanishes, so non-flat input is rejected with the
     measured curvature norm.  The problem size is checked first, before the
     curvature is computed.  A constant potential is counted by Fourier blocks,
-    any other by the dense Laplacian (see the module docstring).
+    any other by the dense Laplacian, which also refuses a potential whose
+    one-sided complex does not close (see the module docstring).
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")

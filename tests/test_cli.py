@@ -171,6 +171,30 @@ def test_invalid_inputs_exit_one(capsys):
     assert code == 1 and "--loop torus:wx=1e20" in err and str(MAX_STEPS) in err
 
 
+@pytest.mark.parametrize("command,flag,selector,key", (
+    ("residual", "--family", "const-dx:cc=1", "'cc=1'"),
+    ("residual", "--family", "zero:c=5", "'c=5'"),
+    ("residual", "--family", "const-dx:dir=e1,dir=e2", "'dir'"),
+    ("residual", "--family", "const-dx:c=abc", "'c'"),
+    ("holonomy", "--loop", "torus:x0=abc", "'x0'")),
+    ids=("unknown-key", "key-of-a-family-without-parameters", "repeated-key",
+         "non-numeric-family-value", "non-numeric-loop-value"))
+def test_selectors_refuse_what_they_cannot_run(capsys, command, flag, selector, key):
+    # the first three used to exit 0, echoing the typed selector after running a
+    # default or the last value; the last two exited 1 naming neither flag nor key
+    code, out, err = _run(capsys, [command, "--grid", "8", flag, selector])
+    assert code == 1 and out == ""
+    assert err.startswith(f"gaugecalc: error: {flag} {selector}: ") and key in err
+
+
+@pytest.mark.parametrize("target", ("missing-dir/report.txt", "."), ids=("missing-dir", "dir"))
+def test_unwritable_out_exits_one_naming_it(tmp_path, capsys, target):
+    out_path = str(tmp_path / target)
+    code, out, err = _run(capsys, ["ab", "--steps", "100", "--out", out_path])
+    assert code == 1 and out == ""
+    assert err.startswith(f"gaugecalc: error: --out {out_path}: ")
+
+
 @pytest.mark.parametrize("loop, key", (
     ("torus:wx=1.5", "'wx'"), ("torus:wy=-0.25", "'wy'"), ("tcircle:n=2.5", "'n'"),
     ("torus:wx=1000001", "'wx'"), ("tcircle:n=-1e7", "'n'"), ("torus:wy=abc", "'wy'")))
@@ -236,6 +260,15 @@ def test_rejects_non_finite_selector_values(capsys, family, key):
 @pytest.mark.parametrize("command", ("residual", "holonomy"))
 def test_rejects_family_whose_potential_overflows(capsys, command):
     family = "const-mix:c=1e300,lam=1e300"
+    code, out, err = _run(capsys, [command, "--grid", "8", "--family", family])
+    assert code == 1 and out == ""
+    assert f"--family {family}" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("command", ("residual", "holonomy"))
+def test_rejects_sin_dy_frequency_whose_profile_overflows(capsys, command):
+    # 2 pi freq overflows to inf, and sin(inf) is nan at every node
+    family = "sin-dy:freq=1e308"
     code, out, err = _run(capsys, [command, "--grid", "8", "--family", family])
     assert code == 1 and out == ""
     assert f"--family {family}" in err and "non-finite" in err
@@ -310,6 +343,14 @@ def test_holonomy_names_its_flags_when_a_potential_sample_overflows(capsys, loop
     assert code == 1 and out == ""
     assert "not finite at t = 0.0" in err and f"--loop {loop}" in err
     assert f"--family {family}" in err
+
+
+@pytest.mark.parametrize("k", ("1e308", "1e308+1e308j"))
+def test_ab_names_its_flags_when_a_potential_sample_overflows(capsys, k):
+    # k / z overflows at the first node of the unit circle
+    code, out, err = _run(capsys, ["ab", "--steps", "100", "--k", k])
+    assert code == 1 and out == ""
+    assert "not finite at t = 0.0" in err and f"--k {k}" in err
 
 
 @pytest.mark.parametrize("samples", ("1000000000", str(cli._MAX_SAMPLES + 1)))
@@ -440,6 +481,27 @@ _BAD_WINDINGS = st.one_of(st.integers(MAX_STEPS + 1, 10 ** 30),
 _BAD_STEPS = st.one_of(st.integers(-10 ** 6, MIN_STEPS - 1), st.integers(MAX_STEPS + 1, 10 ** 12))
 
 
+# a bad selector value is a wild float or text that is not a number, and a bad
+# selector may carry extra items: each is a key its family does not take, a key
+# it already has, or an item without '='
+_WILD_VALUES = st.one_of(_WILD.map(repr),
+                         st.sampled_from(("abc", "", "1.5.0", "0x10", "e1", "1+2j", "--1")),
+                         st.text(max_size=6))
+_EXTRA_ITEMS = st.lists(st.sampled_from(("c=1", "dir=e2", "lam=0.5", "freq=2", "wx=1", "y0=0",
+                                         "n=2", "r=0.1", "cx=0.5", "cc=1", "noeq")),
+                        max_size=2)
+
+
+def _family(name, direction, draw):
+    """A --family selector of `name`; `draw(good, wild)` draws its parameter text."""
+    c, lam, freq = (draw(_SMALL.map(repr), _WILD_VALUES) for _ in range(3))
+    items = {"zero": [], "const-dx": [f"c={c}", f"dir={direction}"],
+             "const-mix": [f"c={c}", f"lam={lam}"],
+             "sin-dy": [f"freq={freq}", f"dir={direction}"]}[name]
+    items += draw(st.just([]), _EXTRA_ITEMS)
+    return f"{name}:{','.join(items)}" if items else name
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), bad=st.sampled_from((None, "--grid", "--tol", "--family")),
        name=st.sampled_from(("zero", "const-dx", "const-mix", "sin-dy")),
@@ -450,10 +512,7 @@ def test_residual_argument_vectors_end_in_report_or_error(data, bad, name, direc
 
     grid = draw("--grid", st.integers(8, 16), _BAD_GRIDS)
     tol = draw("--tol", _GOOD_TOLS, _TOLS)
-    c, lam, freq = (draw("--family", _SMALL, _WILD) for _ in range(3))
-    params = {"zero": "", "const-dx": f"c={c!r},dir={direction}",
-              "const-mix": f"c={c!r},lam={lam!r}", "sin-dy": f"freq={freq!r},dir={direction}"}
-    family = f"{name}:{params[name]}" if params[name] else name
+    family = _family(name, direction, lambda good, wild: draw("--family", good, wild))
     argv = ["residual", "--grid", str(grid), "--family", family]
     if tol is not None:
         argv.append(f"--tol={tol}")
@@ -500,14 +559,12 @@ def test_holonomy_argument_vectors_end_in_report_or_error(data, bad, name, direc
 
     grid = draw("--grid", st.integers(8, 12), _BAD_GRIDS)
     steps = draw("--steps", st.integers(MIN_STEPS, 150), _BAD_STEPS)
-    c, lam, freq = (draw("--family", _SMALL, _WILD) for _ in range(3))
-    params = {"zero": "", "const-dx": f"c={c!r},dir={direction}",
-              "const-mix": f"c={c!r},lam={lam!r}", "sin-dy": f"freq={freq!r},dir={direction}"}
-    family = f"{name}:{params[name]}" if params[name] else name
-    loop_sel = loop + ":" + ",".join(
-        f"{key}={draw('--loop', st.integers(-3, 3), st.one_of(_WILD, _BAD_WINDINGS))!r}"
-        if key in _WINDINGS else f"{key}={draw('--loop', _SMALL, _WILD)!r}"
-        for key in _LOOP_PARAMS[loop])
+    family = _family(name, direction, lambda good, wild: draw("--family", good, wild))
+    items = [f"{key}=" + (draw("--loop", st.integers(-3, 3).map(repr),
+                               st.one_of(_WILD_VALUES, _BAD_WINDINGS.map(repr)))
+                          if key in _WINDINGS else draw("--loop", _SMALL.map(repr), _WILD_VALUES))
+             for key in _LOOP_PARAMS[loop]]
+    loop_sel = loop + ":" + ",".join(items + draw("--loop", st.just([]), _EXTRA_ITEMS))
     argv = ["holonomy", "--grid", str(grid), "--steps", str(steps), "--family", family,
             "--loop", loop_sel]
     names = {"--family": ("--family", "'c'", "'lam'", "'freq'"),

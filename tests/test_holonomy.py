@@ -454,3 +454,26 @@ def test_path_constructors():
     require_closed(both)
     with pytest.raises(ValueError):
         concat_paths(segment_path(0j, 1j), segment_path(5j, 6j))
+
+
+@pytest.mark.parametrize("build", (
+    lambda w: torus_loop((w, 0)), lambda w: torus_loop((1, w)),
+    lambda w: torus_circle((0.5, 0.5), 0.2, w), lambda w: circle_path(0j, 1.0, w),
+    lambda w: aharonov_bohm_monodromy(0.5, w, 100)),
+    ids=("torus-wx", "torus-wy", "torus-circle", "circle-path", "aharonov-bohm"))
+@pytest.mark.parametrize("winding", (1.5, -0.25, np.nan, np.inf))
+def test_library_windings_refuse_non_integers(build, winding):
+    # int() used to truncate them: torus_loop((1.5, 0)) was the wx = 1 loop
+    with pytest.raises(ValueError, match=f"winding .*{winding!r}"):
+        build(winding)
+
+
+def test_library_windings_accept_integral_floats():
+    ts = np.linspace(0.0, 1.0, 7)
+    for got, want in ((torus_loop((2.0, -1.0)), torus_loop((2, -1))),
+                      (torus_circle(winding=np.float64(3.0)), torus_circle(winding=3)),
+                      (circle_path(winding=-2.0), circle_path(winding=-2))):
+        assert np.array_equal(got.velocity(ts), want.velocity(ts))
+    rec = aharonov_bohm_monodromy(0.5, 2.0, 200)
+    assert rec.winding == 2 and isinstance(rec.winding, int)
+    assert rec == aharonov_bohm_monodromy(0.5, 2, 200)

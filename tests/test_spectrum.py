@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaugecalc.algebra import E1, inner
-from gaugecalc.forms import TorusGrid, constant_form, tensor_form, scalar_form
+from gaugecalc.forms import TorusGrid, constant_form, exterior_d, tensor_form, scalar_form
 from gaugecalc.gauge import Connection, zero_connection
 from gaugecalc import gauge, spectrum
 from gaugecalc.spectrum import (antihermitian_basis, eigenproblem_size, harmonic_space_dim,
@@ -221,3 +221,22 @@ def test_size_is_checked_before_curvature(monkeypatch):
     conn = zero_connection(TorusGrid(32), 3)
     with pytest.raises(ValueError, match=r"grid 32, rank 3.*exceeds the limit"):
         harmonic_space_dim(conn, 0)
+
+
+def test_refuses_flat_connection_whose_one_sided_complex_does_not_close():
+    # E = d(phi) x e1 is pure gauge: its central-difference curvature is zero to
+    # rounding, but the one-sided d1 d0 is not, and the count it used to give,
+    # (2, 4, 2), differed from the (4, 8, 4) of the gauge-equivalent zero connection
+    grid = TorusGrid(8)
+    x, y = grid.nodes()
+    phi = scalar_form(grid, 0, 0.3 * np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y))
+    conn = Connection(tensor_form(exterior_d(phi), E1))
+    gauge.require_flat(conn, "this test")
+    d0, d1 = spectrum._covariant_differentials(conn)
+    defect = np.abs((d1 @ d0).toarray()).max()
+    assert defect > 10.0
+    for degree in (0, 1, 2):
+        with pytest.raises(ValueError, match="does not close") as info:
+            harmonic_space_dim(conn, degree)
+        assert f"{defect:.3e}" in str(info.value)
+    assert tuple(harmonic_space_dim(zero_connection(grid, 2), k) for k in (0, 1, 2)) == (4, 8, 4)
