@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_antihermitian, require_antihermitian
+from .algebra import is_antihermitian, require_antihermitian, stack_matmul
 
 ANTIHERMITIAN = "antihermitian"
 GENERAL = "general"
@@ -229,7 +229,7 @@ def _coeff_product(a, b):
         return a[:, :, 0, 0][..., None, None] * b
     if b.shape[2] == 1 and a.shape[2] > 1:
         return a * b[:, :, 0, 0][..., None, None]
-    return a @ b
+    return stack_matmul(a, b)
 
 
 def wedge_compose(a, b):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger
+from .algebra import dagger, stack_matmul
 from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
                     _form, exterior_d, form_from_record, form_to_record,
                     hodge_star, l2_inner, l2_norm, wedge_compose, zero_form)
@@ -113,7 +113,8 @@ def wedge_action_adjoint(e_form, w):
         raise ValueError("adjoint wedge action needs anti-Hermitian inputs")
     ex, ey = e_form.comps
     (r,) = w.comps
-    return _form(1, w.grid, (ey @ r - r @ ey, r @ ex - ex @ r), ANTIHERMITIAN)
+    return _form(1, w.grid, (stack_matmul(ey, r) - stack_matmul(r, ey),
+                             stack_matmul(r, ex) - stack_matmul(ex, r)), ANTIHERMITIAN)
 
 
 def yang_mills_functional(conn):
@@ -170,13 +171,13 @@ def gauge_transform(conn, g):
     if g.shape != (n, n, m, m):
         raise ValueError(f"gauge field must have shape ({n}, {n}, {m}, {m})")
     gh = dagger(g)
-    unit_defect = float(np.max(np.abs(g @ gh - np.eye(m))))
+    unit_defect = float(np.max(np.abs(stack_matmul(g, gh) - np.eye(m))))
     if not unit_defect <= 1e-10:
         raise ValueError(f"gauge field is not unitary: defect {unit_defect:.3e}")
     h = conn.grid.h
     ex, ey = conn.potential.comps
-    new_x = g @ ex @ gh - _skew(_ddx(g, h) @ gh)
-    new_y = g @ ey @ gh - _skew(_ddy(g, h) @ gh)
+    new_x = stack_matmul(stack_matmul(g, ex), gh) - _skew(stack_matmul(_ddx(g, h), gh))
+    new_y = stack_matmul(stack_matmul(g, ey), gh) - _skew(stack_matmul(_ddy(g, h), gh))
     # conjugation and the skew part keep the values anti-Hermitian
     return Connection(_form(1, conn.grid, (new_x, new_y), ANTIHERMITIAN))
 

@@ -39,7 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import E3, SIGMA3, dagger, exp_antihermitian, require_antihermitian
+from .algebra import (E3, SIGMA3, dagger, exp_antihermitian, require_antihermitian,
+                      stack_matmul)
 
 _POLE_MARGIN = 1e-6
 _CHUNK = 128  # RK4 steps whose nodes one `along` call samples
@@ -250,7 +251,7 @@ class GaugeConjugatedPotential:
         dg = _torus_samples(self.dg, pos)
         gdot = _along_torus(vel, dg[..., 0, :, :], dg[..., 1, :, :])
         gi = dagger(gm)
-        return gm @ a @ gi - gdot @ gi
+        return stack_matmul(stack_matmul(gm, a), gi) - stack_matmul(gdot, gi)
 
 
 def _as_potential(potential):
@@ -293,9 +294,9 @@ def _step_maps(gen, h):
     evaluated nested, with the identity never added.
     """
     m0, mh, m1 = gen[:-1:2], gen[1::2], gen[2::2]
-    k2 = mh + 0.5 * h * (mh @ m0)
-    k3 = mh + 0.5 * h * (mh @ k2)
-    k4 = m1 + h * (m1 @ k3)
+    k2 = mh + 0.5 * h * stack_matmul(mh, m0)
+    k3 = mh + 0.5 * h * stack_matmul(mh, k2)
+    k4 = m1 + h * stack_matmul(m1, k3)
     return h / 6.0 * (m0 + 2.0 * (k2 + k3) + k4)
 
 
@@ -307,7 +308,7 @@ def _compose(d):
     """
     while len(d) > 1:
         later, earlier = d[1::2], d[:-1:2]
-        pairs = later + earlier + later @ earlier
+        pairs = later + earlier + stack_matmul(later, earlier)
         d = pairs if len(d) % 2 == 0 else np.concatenate((pairs, d[-1:]))
     return d[0]
 

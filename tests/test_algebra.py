@@ -6,7 +6,7 @@ from scipy.linalg import expm
 from gaugecalc.algebra import (E1, E2, E3, LEVI_CIVITA, SU2_BASIS, bracket,
                                dagger, exp_antihermitian, inner,
                                is_antihermitian, random_antihermitian,
-                               require_antihermitian)
+                               require_antihermitian, stack_matmul)
 from gaugecalc.algebra import SIGMA1, SIGMA3
 
 
@@ -70,6 +70,38 @@ def test_exp_antihermitian_batch_matches_expm():
     batched = exp_antihermitian(stack)
     for idx in np.ndindex(2, 3):
         assert np.max(np.abs(batched[idx] - expm(stack[idx]))) < 1e-12
+
+
+def _node_norms(x):
+    return np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_stack_matmul_matches_matmul(m):
+    # `@` is the oracle; the kernel sums in a different order, so agreement is
+    # to rounding, per node relative to |a| |b| (Frobenius norms)
+    rng = np.random.default_rng(10 + m)
+
+    def draw(*shape):
+        return rng.standard_normal(shape + (m, m)) + 1j * rng.standard_normal(shape + (m, m))
+
+    gen = draw(257)
+    cases = [(draw(16, 16), draw(16, 16)),       # an (N, N, m, m) field
+             (draw(128), draw(128)),             # a (c, m, m) chunk
+             (gen[1::2], gen[:-1:2]),            # strided views, as RK4 passes them
+             (draw(16, 16), draw()),             # a stack against one matrix
+             (draw(8).real, draw(8))]            # real against complex
+    for a, b in cases:
+        got = stack_matmul(a, b)
+        want = a @ b
+        assert got.shape == want.shape and got.dtype == want.dtype
+        bound = 1e-14 * _node_norms(a) * _node_norms(b)
+        assert np.all(_node_norms(got - want) <= bound)
+
+
+def test_stack_matmul_rejects_mismatched_inner_dimension():
+    with pytest.raises(ValueError, match="inner dimensions"):
+        stack_matmul(np.ones((4, 2, 3)), np.ones((4, 2, 2)))
 
 
 def test_ad_invariance_and_jacobi():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaugecalc.algebra import E1, E2, E3
+from gaugecalc.algebra import E1, E2, E3, stack_matmul
 from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid,
                              VectorField, constant_form, exterior_d,
                              form_from_json, form_from_record, form_to_json,
@@ -186,7 +186,7 @@ def test_wedge_with_zero_form_is_pointwise_product():
     w = random_form(rng, grid, 1, 2)
     fw = wedge_compose(f, w)
     for c_out, c_in in zip(fw.comps, w.comps):
-        assert np.max(np.abs(c_out - f.comps[0] @ c_in)) == 0.0
+        assert np.max(np.abs(c_out - stack_matmul(f.comps[0], c_in))) == 0.0
 
 
 def test_wedge_rejects_degree_overflow():
