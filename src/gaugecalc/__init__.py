@@ -18,10 +18,9 @@ from .gauge import (FLAT_TOL, Connection, codifferential, codifferential_flat,
                     yang_mills_residual_covariant, zero_connection)
 from .spectrum import antihermitian_basis, harmonic_space_dim, laplacian_matrix
 from .curves import (ClaimReport, ConnectionCurve, PerturbationJets, Su2Ansatz,
-                     curve_jets, decompose_su2, flat_curve_report,
-                     gauge_orbit_curve, harmonic_projection, seam_family_form,
-                     su2_potential, su2_ym_conditions, torus_family_curve,
-                     torus_family_report, ym_curve_report)
+                     curve_jets, flat_curve_report, gauge_orbit_curve,
+                     harmonic_projection, su2_potential, su2_ym_conditions,
+                     torus_family, torus_family_report, ym_curve_report)
 from .holonomy import (AnalyticTorusPotential, GaugeConjugatedPotential,
                        GridPotential, MeromorphicPotential, MonodromyRecord,
                        ParametricPath, SpinPhaseRecord, aharonov_bohm_monodromy,

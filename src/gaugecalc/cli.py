@@ -29,7 +29,7 @@ from .suites import run_verify
 _SU2 = dict(zip(("e1", "e2", "e3"), SU2_BASIS))
 
 _MAX_GRID = 1024  # memory grows as N^2; a rank-2 residual at N = 512 peaks near 250 MB
-_MAX_SAMPLES = 10 ** 4  # torus-curve costs about 2.6 ms per sample at --grid 8: about 26 s
+_MAX_SAMPLES = 10 ** 4  # torus-curve costs about 0.9 ms per sample at --grid 8: about 9.5 s
 
 
 class CliError(Exception):

@@ -9,6 +9,13 @@ The su(2) ansatz machinery evaluates the stationarity conditions of a
 potential alpha x e1 + beta x e2 + gamma x e3 with scalar 1-form coefficients
 along two independent code paths (the general residual and the reduced scalar
 equations) so they can be cross-checked against each other.
+
+The torus family E_t = t pi dx x (e1 + lam (1 - t) e2) is that ansatz with
+constant coefficients.  It is flat and Yang-Mills at every t and joins two
+vacua that no gauge transform relates: E_0 = 0, with trivial holonomy, and
+E_1 = pi dx x e1, whose x-holonomy is exp(-pi e1) = -I.
+`torus_family_report` collects its per-t residuals, its jets at t = 0 and
+the holonomies of its two ends.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _form, exterior_d,
                     tensor_form, wedge_compose)
 from .gauge import (FLAT_TOL, Connection, codifferential, covariant_d, curvature,
                     gauge_transform, require_flat, yang_mills_residual, zero_connection)
-from .holonomy import AnalyticTorusPotential, parallel_transport, torus_loop
+from .holonomy import parallel_transport, torus_loop
 
 T_SMALL = 1e-3  # default jet stencil step of curve_jets
 
@@ -170,22 +177,6 @@ def su2_potential(alpha, beta, gamma):
                      alpha, beta, gamma, h)
 
 
-def decompose_su2(conn):
-    """Recover scalar ansatz coefficients from a rank-2 connection, or reject."""
-    if conn.m != 2:
-        raise ValueError("su(2) decomposition needs a rank-2 connection")
-    grid = conn.grid
-    coeffs = []
-    for comp in conn.potential.comps:
-        cs = [np.einsum("xyij,ij->xy", comp, e.conj()).real / 2.0 for e in SU2_BASIS]
-        recon = sum(c[..., None, None] * e for c, e in zip(cs, SU2_BASIS))
-        if float(np.max(np.abs(comp - recon))) > 1e-10:
-            raise ValueError("potential is not in the scalar su(2) ansatz span")
-        coeffs.append(cs)
-    forms = tuple(scalar_form(grid, 1, coeffs[0][a], coeffs[1][a]) for a in range(3))
-    return forms
-
-
 def su2_ym_conditions(ansatz):
     """Scalar stationarity residuals of the ansatz plus the general cross-check.
 
@@ -219,48 +210,24 @@ def su2_ym_conditions(ansatz):
     }
 
 
-def seam_family_form(grid):
-    """The 1-form sin(pi x) dy + cos(pi y) dx sampled at the nodes.
+def torus_family(grid, lam, t):
+    """The su(2) ansatz of E_t = t pi dx x (e1 + lam (1 - t) e2).
 
-    The dx coefficient cos(pi y) does not match across the y identification
-    (cos 0 = 1 against cos pi = -1); it is sampled as-is, without smoothing,
-    and the resulting seam artifacts are reported downstream.
+    Its coefficients are constant multiples of dx, so dE_t = 0 and
+    E_t ^ E_t = 0: every E_t is flat and Yang-Mills on any grid.  The curve
+    runs from the vacuum E_0 = 0 to the vacuum E_1 = pi dx x e1, whose
+    x-holonomy exp(-pi e1) = -I is central and so not gauge equivalent to I.
     """
-    x, y = grid.nodes()
-    return scalar_form(grid, 1, np.cos(np.pi * y), np.sin(np.pi * x))
-
-
-def torus_family_curve(grid, lam=1.0):
-    """Curve E_t = t a~ x (e1 + lam (1 - t) e2) built on the seam family form a~."""
-    at = seam_family_form(grid)
-    zero = scalar_form(grid, 1, np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n)))
-
-    def sampler(t):
-        alpha = t * at
-        beta = (lam * t * (1.0 - t)) * at
-        return su2_potential(alpha, beta, zero).connection.potential
-
-    return ConnectionCurve(sampler)
-
-
-def _family_endpoint_potential(lam, t):
-    mmat = SU2_BASIS[0] + lam * (1.0 - t) * SU2_BASIS[1]
-
-    def ax(x, y):
-        return (t * np.cos(np.pi * y)) * mmat
-
-    def ay(x, y):
-        return (t * np.sin(np.pi * x)) * mmat
-
-    return AnalyticTorusPotential(ax, ay, 2)
+    zero = np.zeros((grid.n, grid.n))
+    pi_dx = scalar_form(grid, 1, np.full_like(zero, np.pi), zero)
+    return su2_potential(t * pi_dx, (lam * t * (1.0 - t)) * pi_dx,
+                         scalar_form(grid, 1, zero, zero))
 
 
 @dataclass(frozen=True)
 class ClaimReport:
-    """Per-t residual and flatness data for the torus family, plus diagnostics.
-
-    All entries are measurements: flatness claims at the endpoints are
-    reported with their computed norms, never asserted.
+    """Per-t residual and flatness data of the torus family, its jets and its
+    endpoint holonomies: measured norms, never asserted.
     """
 
     lam: float
@@ -269,7 +236,6 @@ class ClaimReport:
     rows: tuple
     jet_summary: dict
     endpoint_holonomies: dict
-    seam: dict
 
     def csv_rows(self):
         return [(r["t"], r["curvature_l2"], r["residual_l2"]) for r in self.rows]
@@ -285,7 +251,6 @@ class ClaimReport:
                 key: {gen: _matrix_entries(mat) for gen, mat in val.items()}
                 for key, val in self.endpoint_holonomies.items()
             },
-            "seam": self.seam,
         }
 
 
@@ -294,14 +259,16 @@ def _matrix_entries(mat):
 
 
 def torus_family_report(lam, ts, n=64, steps=1000, flat_tol=FLAT_TOL):
-    """Evaluate the torus family at the sample times and collect every claim."""
+    """Evaluate the torus family at the sample times and collect every claim.
+
+    The endpoint holonomies transport the family's own grid connections; the
+    bilinear interpolation of constant coefficients is exact.
+    """
     grid = TorusGrid(n)
-    at = seam_family_form(grid)
-    zero = scalar_form(grid, 1, np.zeros((n, n)), np.zeros((n, n)))
     rows = []
     for t in ts:
         t = float(t)
-        ansatz = su2_potential(t * at, (lam * t * (1.0 - t)) * at, zero)
+        ansatz = torus_family(grid, lam, t)
         cond = su2_ym_conditions(ansatz)
         kn = l2_norm(curvature(ansatz.connection))
         rows.append({
@@ -314,23 +281,13 @@ def torus_family_report(lam, ts, n=64, steps=1000, flat_tol=FLAT_TOL):
             "wedge_l2": list(cond["wedge_l2"]),
             "flat": bool(kn <= flat_tol),
         })
-    jets = curve_jets(torus_family_curve(grid, lam))
-    jet_summary = ym_curve_report(jets, zero_connection(grid, 2))
+    curve = ConnectionCurve(lambda t: torus_family(grid, lam, t).connection.potential)
+    jet_summary = ym_curve_report(curve_jets(curve), zero_connection(grid, 2))
     holo = {}
     for label, t_end in (("t0", 0.0), ("t1", 1.0)):
-        pot = _family_endpoint_potential(lam, t_end)
+        conn = curve.connection(t_end)
         holo[label] = {
-            "x_generator": parallel_transport(pot, torus_loop((1, 0)), steps),
-            "y_generator": parallel_transport(pot, torus_loop((0, 1)), steps),
+            "x_generator": parallel_transport(conn, torus_loop((1, 0)), steps),
+            "y_generator": parallel_transport(conn, torus_loop((0, 1)), steps),
         }
-    dx_coeff = at.comps[0][:, :, 0, 0].real
-    k1 = curvature(su2_potential(at, zero, zero).connection).comps[0]
-    kmag = np.abs(k1).max(axis=(2, 3))
-    seam_rows = np.concatenate([kmag[:, :1], kmag[:, -1:]], axis=1)
-    interior_rows = kmag[:, 1:-1]
-    seam = {
-        "dx_coefficient_jump": float(np.max(np.abs(dx_coeff[:, 0] - dx_coeff[:, -1]))),
-        "curvature_max_at_seam": float(seam_rows.max()),
-        "curvature_max_interior": float(interior_rows.max()),
-    }
-    return ClaimReport(float(lam), n, float(flat_tol), tuple(rows), jet_summary, holo, seam)
+    return ClaimReport(float(lam), n, float(flat_tol), tuple(rows), jet_summary, holo)

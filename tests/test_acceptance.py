@@ -201,10 +201,15 @@ def test_criterion_07_torus_claim_harness(tmp_path, capsys):
     rows = record["report"]["rows"]
     t0_row = rows[0]
     t1_row = rows[-1]
+    # the t1 end is the vacuum pi dx x e1: flat, stationary, x-holonomy -I
+    t1_x = np.array([complex(re, im) for re, im in
+                     record["report"]["endpoint_holonomies"]["t1"]["x_generator"]])
+    holonomy_dev = float(np.max(np.abs(t1_x + np.eye(2).ravel())))
     harness_ok = (code == 0 and len(rows) == 11
                   and t0_row["curvature_l2"] <= 1e-10
                   and all("curvature_l2" in r and "residual_l2" in r for r in rows)
-                  and "curvature_l2" in t1_row)  # t=1 status reported, not asserted
+                  and t1_row["curvature_l2"] <= 1e-10 and t1_row["residual_l2"] <= 1e-10
+                  and holonomy_dev <= 1e-8)
     grid = TorusGrid(64)
     rng = np.random.default_rng(7)
     agree = 0.0
@@ -216,7 +221,8 @@ def test_criterion_07_torus_claim_harness(tmp_path, capsys):
     ok = harness_ok and agree <= 1e-8
     elapsed = time.perf_counter() - t0
     _criterion(7, ok, f"11 rows, t0 flat, t1 curvature={t1_row['curvature_l2']:.3e} "
-               f"(reported), two-path={agree:.1e}", elapsed, 60.0)
+               f"residual={t1_row['residual_l2']:.3e}, t1 x-holonomy -I to {holonomy_dev:.1e}, "
+               f"two-path={agree:.1e}", elapsed, 60.0)
 
 
 def test_criterion_08_aharonov_bohm():

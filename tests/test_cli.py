@@ -324,7 +324,7 @@ def test_rejects_transport_steps_above_the_cap_before_transport(capsys, monkeypa
     (["holonomy", "--grid", "8", "--family", "const-dx:c=1e300"], "matrix.0.0",
      "--family const-dx:c=1e300"),
     (["torus-curve", "--grid", "8", "--samples", "2", "--steps", "100", "--lambda", "1e300"],
-     "report.jet_summary.grad_e1_l2", "--lambda 1e+300")),
+     "report.jet_summary.harmonic_e1_l2", "--lambda 1e+300")),
     ids=("ab-k-1e300", "ab-k-1e5", "holonomy-c-1e300", "torus-curve-lambda-1e300"))
 @pytest.mark.parametrize("fmt", ("report-text", "csv"))
 def test_non_finite_report_exits_one(capsys, argv, key, flag, fmt):
