@@ -205,6 +205,30 @@ def test_stokes_mean_of_d():
         assert abs(complex(mean)) < 1e-12
 
 
+def test_substituted_smooth_family_is_flat_and_stationary():
+    # the ansatz built directly from the smooth form pi dx is flat and
+    # stationary at every t, coincides with torus_family, and has endpoint
+    # holonomy exp(-t pi (e1 + ...))
+    zeros = np.zeros((32, 32))
+    alpha_smooth = scalar_form(GRID, 1, np.pi * np.ones((32, 32)), zeros)
+    lam = 1.0
+    for t in (0.0, 0.3, 1.0):
+        beta = (lam * t * (1.0 - t)) * alpha_smooth
+        ansatz = su2_potential(t * alpha_smooth, beta, _zero_scalar_one_form(GRID))
+        cond = su2_ym_conditions(ansatz)
+        assert cond["general_residual_l2"] < 1e-10
+        from gaugecalc.gauge import curvature
+        assert l2_norm(curvature(ansatz.connection)) < 1e-10
+        family = torus_family(GRID, lam, t).connection.potential
+        assert l2_norm(family - ansatz.connection.potential) < 1e-12
+    # holonomy of the endpoint around the x generator is exp(-pi e1) = -Id
+    from gaugecalc.holonomy import AnalyticTorusPotential, parallel_transport, torus_loop
+    pot = AnalyticTorusPotential(lambda x, y: np.pi * E1,
+                                 lambda x, y: np.zeros((2, 2), dtype=complex), 2)
+    g = parallel_transport(pot, torus_loop((1, 0)), 1000)
+    assert np.max(np.abs(g + np.eye(2))) < 1e-8
+
+
 def test_torus_family_report_structure():
     # the torus-curve oracle: every sample is flat and Yang-Mills, the t = 0 end
     # has trivial holonomy and the t = 1 end has x-holonomy exp(-pi e1) = -I
