@@ -1,16 +1,18 @@
 """Parallel transport along parametric paths.
 
 Transport solves dv/dt + A(xdot(t)) v = 0 for the fundamental matrix g with
-v(1) = g v(0), using the classical fourth-order one-step scheme.  A transport
-of `steps` steps samples A(xdot) once at each of its 2*steps + 1 nodes
-t = j / (2 steps); the end sample of one step is the start sample of the
-next.  The work is batched over nodes: paths and potentials take stacks of
-times and points, each chunk of up to 128 steps samples its nodes in one
-`along` call, and the RK4 polynomial of each step is evaluated as a stack of
-one-step maps I + D.  A final-only transport composes those maps by a
-pairwise tree on the deviations D; a trajectory applies them in turn.
+v(1) = g v(0), using the classical fourth-order one-step scheme.  A path is
+one smooth piece or a tuple of pieces (`concat_paths`); a transport of `steps`
+steps per piece samples A(xdot) once at each piece's 2*steps + 1 nodes
+t = j / (2 steps).  Within a piece the end sample of one step starts the
+next; a kink is sampled once from each side and keeps the order.  The work
+is batched over nodes: paths and potentials take stacks of times and points,
+each chunk of up to 128 steps samples its nodes in one `along` call, and the
+RK4 polynomial of each step is evaluated as a stack of one-step maps I + D.
+A final-only transport composes those maps by a pairwise tree on the
+deviations D; a trajectory applies them in turn.
 
-Paths map an array of times to stacked points: torus points as (..., 2)
+Pieces map an array of times to stacked points: torus points as (..., 2)
 arrays (coordinates taken mod 1), plane points as complex (...) arrays.
 A scalar time gives one point.  Potentials expose `m` and
 `along(pos, vel)`, which takes stacked positions and velocities and returns
@@ -50,11 +52,11 @@ MAX_STEPS = 10 ** 6  # most RK4 steps a transport takes: 5-15 s at 5-15 us per s
 
 @dataclass(frozen=True)
 class ParametricPath:
-    """Curve on [0,1] with explicit velocity.
+    """One smooth piece of a path: a curve on [0,1] with explicit velocity.
 
     `position` and `velocity` take a time or an array of times and return
     stacked points: torus points as (..., 2) arrays (coordinates taken mod 1)
-    or complex plane points as (...) arrays.
+    or complex plane points as (...) arrays; a kinked path is a tuple of pieces.
     """
 
     position: Callable
@@ -69,8 +71,14 @@ def _same_point(p, q, tol):
     return bool(np.all(np.abs(d - np.round(d)) <= tol))
 
 
+def _pieces(path):
+    """The smooth pieces of `path`, a `ParametricPath` or a tuple of them."""
+    return path if isinstance(path, tuple) else (path,)
+
+
 def require_closed(path):
-    if not _same_point(path.position(0.0), path.position(1.0), 1e-12):
+    pieces = _pieces(path)
+    if not _same_point(pieces[0].position(0.0), pieces[-1].position(1.0), 1e-12):
         raise ValueError("a closed path is required: its endpoints do not match")
 
 
@@ -84,23 +92,23 @@ def _torus_line(p0, d):
     return ParametricPath(lambda t: p0 + np.multiply.outer(t, d), lambda t: _constant(d, t))
 
 
-def _winding(value):
-    """A winding number as an int; integral floats such as 2.0 are accepted."""
+def _integer(value, name):
+    """`value` as an int; integral floats such as 2.0 are accepted."""
     if isinstance(value, (int, np.integer)) or float(value).is_integer():
         return int(value)
-    raise ValueError(f"a winding must be a finite integer, got {value!r}")
+    raise ValueError(f"a {name} must be a finite integer, got {value!r}")
 
 
 def torus_loop(winding=(1, 0), base=(0.0, 0.0)):
     """Straight loop winding (wx, wy) times around the torus generators."""
     return _torus_line(np.array([float(base[0]), float(base[1])]),
-                       np.array([float(_winding(winding[0])), float(_winding(winding[1]))]))
+                       np.array([float(_integer(w, "winding")) for w in winding[:2]]))
 
 
 def torus_circle(center=(0.5, 0.5), radius=0.2, winding=1):
     """Contractible circular loop inside the fundamental square."""
     cx, cy = float(center[0]), float(center[1])
-    r, w = float(radius), _winding(winding)
+    r, w = float(radius), _integer(winding, "winding")
 
     def position(t):
         ph = 2.0 * np.pi * w * t
@@ -117,7 +125,7 @@ def circle_path(center=0j, radius=1.0, winding=1):
     """Circle in the punctured plane, traversed `winding` times."""
     c = complex(center)
     r = float(radius)
-    w = _winding(winding)
+    w = _integer(winding, "winding")
 
     def position(t):
         return c + r * np.exp(2j * np.pi * w * t)
@@ -138,27 +146,20 @@ def segment_path(start, end):
 
 
 def reverse_path(path):
-    return ParametricPath(lambda t: path.position(1.0 - t),
-                          lambda t: np.negative(path.velocity(1.0 - t)))
+    """`path` backwards, piece by piece in reverse order; a piece stays a piece."""
+    back = tuple(ParametricPath(lambda t, p=p: p.position(1.0 - t),
+                                lambda t, p=p: np.negative(p.velocity(1.0 - t)))
+                 for p in reversed(_pieces(path)))
+    return back if _pieces(path) is path else back[0]
 
 
-def _halves(first, second, t):
-    """first(2t) where t < 1/2 and second(2t - 1) elsewhere, stacked like `t`."""
-    t = np.asarray(t, dtype=float)
-    lo = t < 0.5
-    a = np.asarray(first(2.0 * t[lo]))
-    b = np.asarray(second(2.0 * t[~lo] - 1.0))
-    out = np.empty(t.shape + a.shape[1:], dtype=np.result_type(a, b))
-    out[lo], out[~lo] = a, b
-    return out[()]
-
-
-def concat_paths(first, second):
-    """Concatenation traversing `first` then `second` at doubled speed."""
-    if not _same_point(first.position(1.0), second.position(0.0), 1e-9):
-        raise ValueError("paths do not share the concatenation point")
-    return ParametricPath(lambda t: _halves(first.position, second.position, t),
-                          lambda t: 2.0 * _halves(first.velocity, second.velocity, t))
+def concat_paths(*paths):
+    """The path traversing `paths` in turn: the tuple of their smooth pieces."""
+    pieces = tuple(piece for path in paths for piece in _pieces(path))
+    for first, second in zip(pieces, pieces[1:]):
+        if not _same_point(first.position(1.0), second.position(0.0), 1e-9):
+            raise ValueError("paths do not share the concatenation point")
+    return pieces
 
 
 def _torus_samples(fn, pos):
@@ -265,20 +266,13 @@ def _as_potential(potential):
 
 
 def _transport_setup(potential, path, steps):
-    """Checked step count and potential, and the sampler of A(xdot) at an array of times."""
-    steps = int(steps)
-    if not MIN_STEPS <= steps <= MAX_STEPS:
-        raise ValueError(f"transport needs {MIN_STEPS} to {MAX_STEPS} steps, got {steps}")
-    potential = _as_potential(potential)
-
-    def sample(ts):
-        mats = np.asarray(potential.along(path.position(ts), path.velocity(ts)), dtype=complex)
-        finite = np.isfinite(mats).all(axis=(-2, -1))
-        if not finite.all():
-            raise ValueError(f"potential sample is not finite at t = {ts[np.argmin(finite)]}")
-        return mats
-
-    return potential, sample, steps
+    """Checked potential, pieces of `path` and step count per piece."""
+    pieces = _pieces(path)
+    steps = _integer(steps, "step count")
+    if not MIN_STEPS <= steps <= MAX_STEPS // len(pieces):
+        raise ValueError(f"transport needs {MIN_STEPS} to {MAX_STEPS} steps in all and at least "
+                         f"{MIN_STEPS} per piece, got {steps} on each of {len(pieces)} piece(s)")
+    return _as_potential(potential), pieces, steps
 
 
 def _step_maps(gen, h):
@@ -313,23 +307,29 @@ def _compose(d):
     return d[0]
 
 
-def _rk4(sample, generator, steps):
-    """RK4 for y' = M y on [0, 1], with M = generator(A) at the sampled nodes.
+def _rk4(potential, pieces, steps, generator):
+    """RK4 for y' = M y on [0, 1] per piece, with M = generator(A) at the sampled nodes.
 
     Yields, chunk by chunk in step order, the stacked deviations D = P - I of
     the one-step maps.  Each chunk of up to _CHUNK steps samples its new
     nodes in one call; its start sample is the previous chunk's end sample.
     """
     h = 1.0 / steps
-    end = None
-    for i0 in range(0, steps, _CHUNK):
-        i1 = min(i0 + _CHUNK, steps)
-        first = 0 if end is None else 2 * i0 + 1
-        a = sample(np.arange(first, 2 * i1 + 1) / (2 * steps))
-        if end is not None:
-            a = np.concatenate((end, a))
-        end = a[-1:]
-        yield _step_maps(generator(a), h)
+    for k, piece in enumerate(pieces):
+        end = None
+        for i0 in range(0, steps, _CHUNK):
+            i1 = min(i0 + _CHUNK, steps)
+            first = 0 if end is None else 2 * i0 + 1
+            ts = np.arange(first, 2 * i1 + 1) / (2 * steps)
+            a = np.asarray(potential.along(piece.position(ts), piece.velocity(ts)), dtype=complex)
+            finite = np.isfinite(a).all(axis=(-2, -1))
+            if not finite.all():
+                t = (k + ts[np.argmin(finite)]) / len(pieces)
+                raise ValueError(f"potential sample is not finite at t = {t}")
+            if end is not None:
+                a = np.concatenate((end, a))
+            end = a[-1:]
+            yield _step_maps(generator(a), h)
 
 
 def _apply(maps, states):
@@ -344,13 +344,13 @@ def _apply(maps, states):
 
 def parallel_transport(potential, path, steps=1000, trajectory=False):
     """Fundamental solution of dv/dt + A(xdot(t)) v = 0 over [0, 1]."""
-    potential, sample, steps = _transport_setup(potential, path, steps)
+    potential, pieces, steps = _transport_setup(potential, path, steps)
     eye = np.eye(potential.m, dtype=complex)
-    maps = _rk4(sample, np.negative, steps)
+    maps = _rk4(potential, pieces, steps, np.negative)
     if trajectory:
-        traj = np.empty((steps + 1,) + eye.shape, dtype=complex)
+        traj = np.empty((len(pieces) * steps + 1,) + eye.shape, dtype=complex)
         traj[0] = eye
-        return np.linspace(0.0, 1.0, steps + 1), _apply(maps, traj)
+        return np.linspace(0.0, 1.0, len(traj)), _apply(maps, traj)
     return eye + _compose(np.stack([_compose(d) for d in maps]))
 
 
@@ -377,7 +377,7 @@ def aharonov_bohm_monodromy(k, winding=1, steps=None):
     returned record carries the transported value and the flux identification.
     """
     k = complex(k)
-    winding = _winding(winding)
+    winding = _integer(winding, "winding")
     if steps is None:
         steps = max(MIN_STEPS, 1000 * abs(winding))
     pot = MeromorphicPotential(lambda z: np.array([[-k / z]], dtype=complex), (0j,), 1)
@@ -404,11 +404,11 @@ def wong_evolve(potential, path, i0, steps=1000):
     """
     i0 = np.asarray(i0, dtype=complex)
     require_antihermitian(i0, "spin variable")
-    _, sample, steps = _transport_setup(potential, path, steps)
-    traj = np.empty((steps + 1,) + i0.shape, dtype=complex)
+    potential, pieces, steps = _transport_setup(potential, path, steps)
+    traj = np.empty((len(pieces) * steps + 1,) + i0.shape, dtype=complex)
     traj[0] = i0
-    _apply(_rk4(sample, _minus_ad, steps), traj.reshape(steps + 1, i0.size, 1))
-    return np.linspace(0.0, 1.0, steps + 1), traj
+    _apply(_rk4(potential, pieces, steps, _minus_ad), traj.reshape(len(traj), i0.size, 1))
+    return np.linspace(0.0, 1.0, len(traj)), traj
 
 
 @dataclass(frozen=True)
@@ -434,7 +434,7 @@ def aharonov_casher_phase(lam, steps=1000):
 
 
 def monodromy_representation(potential, loops, steps=1000):
-    """Transport matrix per generator loop.
+    """Transport matrix per generator loop (a piece or a tuple), `steps` per piece.
 
     Traversing `first` then `second` composes as g(second) g(first); the
     concatenation check in the verification suite uses that order.

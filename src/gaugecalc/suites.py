@@ -370,7 +370,7 @@ def holonomy_suite(rng):
     pot = MeromorphicPotential(lambda z: np.array([[-k / z]], dtype=complex), (0j,), 1)
     loops = [circle_path(0j, 1.0, 1), circle_path(0j, 1.0, 2)]
     m1, m2 = monodromy_representation(pot, loops, 2000)
-    both = parallel_transport(pot, concat_paths(loops[0], loops[0]), 2000)
+    both = parallel_transport(pot, concat_paths(loops[0], loops[0]), 1000)
     homo = float(np.max(np.abs(both - m1 @ m1)))
     homo = max(homo, float(np.max(np.abs(m2 - m1 @ m1))))
     checks.append(Check("loop-homomorphism", homo, 1e-6))

@@ -69,6 +69,27 @@ def test_transport_rejects_too_few_steps():
         parallel_transport(zero_connection(grid, 2), torus_loop((1, 0)), 50)
 
 
+@pytest.mark.parametrize("steps", (1000.9, 150.5, np.nan, np.inf))
+def test_library_step_counts_refuse_non_integers(steps):
+    # refused, not truncated, with a message that names the step count
+    pot = _const_potential(E1)
+    for run in (lambda: parallel_transport(pot, torus_loop((1, 0)), steps),
+                lambda: parallel_transport(pot, torus_loop((1, 0)), steps, trajectory=True),
+                lambda: wong_evolve(pot, torus_loop((1, 0)), E2, steps),
+                lambda: aharonov_bohm_monodromy(0.5, 1, steps)):
+        with pytest.raises(ValueError, match=f"step count must be a finite integer, got {steps!r}"):
+            run()
+
+
+def test_library_step_counts_accept_integral_floats():
+    pot = _const_potential(0.8 * E1 + 0.3 * E2)
+    loop = torus_loop((1, 0))
+    g = parallel_transport(pot, loop, 1000.0)
+    assert np.array_equal(g, parallel_transport(pot, loop, 1000))
+    rec = aharonov_bohm_monodromy(0.5, 1, np.float64(150.0))
+    assert rec.steps == 150 and rec == aharonov_bohm_monodromy(0.5, 1, 150)
+
+
 class _Recording:
     """Wraps a potential and records the stacked positions of every `along` call."""
 
@@ -100,19 +121,45 @@ def test_transport_refuses_more_than_max_steps_before_allocating(monkeypatch):
         aharonov_bohm_monodromy(0.5, 10 ** 9)
 
 
+def test_max_steps_bounds_the_total_of_a_multi_piece_path():
+    loop = torus_loop((1, 0))
+    three = concat_paths(loop, loop, loop)
+    steps = holonomy.MAX_STEPS // 3 + 1  # within the bound for one piece
+    expect = f"{holonomy.MAX_STEPS} steps in all.* 3 piece"
+    with pytest.raises(ValueError, match=expect):
+        parallel_transport(_Refusing(), three, steps)
+    with pytest.raises(ValueError, match=expect):
+        parallel_transport(_Refusing(), three, steps, trajectory=True)
+    with pytest.raises(ValueError, match=expect):
+        wong_evolve(_Refusing(), three, E1, steps)
+
+
 @pytest.mark.parametrize("transport", (
     lambda pot, path, steps: parallel_transport(pot, path, steps),
     lambda pot, path, steps: parallel_transport(pot, path, steps, trajectory=True),
     lambda pot, path, steps: wong_evolve(pot, path, E1, steps)),
     ids=("final", "trajectory", "wong"))
 @pytest.mark.parametrize("steps", (100, 257))
-def test_transport_samples_each_node_once(transport, steps):
-    # x = t along this loop, so the sampled x are the sampled times
+@pytest.mark.parametrize("pieces", (1, 2))
+def test_transport_samples_each_node_once(transport, steps, pieces):
+    # x = t along each piece, so the sampled x are the sampled times; each
+    # piece samples its own 2 steps + 1 nodes, the junction once per side
     pot = _Recording(_const_potential(0.8 * E1 + 0.3 * E2))
-    transport(pot, torus_loop((1, 0)), steps)
+    transport(pot, concat_paths(*[torus_loop((1, 0))] * pieces), steps)
     ts = np.concatenate([p[..., 0] for p in pot.positions])
-    assert len(ts) == 2 * steps + 1
-    assert np.max(np.abs(ts - np.linspace(0.0, 1.0, 2 * steps + 1))) < 1e-15
+    assert len(ts) == pieces * (2 * steps + 1)
+    nodes = np.tile(np.linspace(0.0, 1.0, 2 * steps + 1), pieces)
+    assert np.max(np.abs(ts - nodes)) < 1e-15
+
+
+def test_transport_names_the_path_time_of_a_non_finite_node_on_a_later_piece():
+    # the second piece runs y = t at x = 1; its first node with y > 0.3 is
+    # t = 0.305, path time (1 + 0.305) / 2
+    pot = AnalyticTorusPotential(lambda x, y: E1,
+                                 lambda x, y: np.full((2, 2), np.nan) if y > 0.3 else E2, 2)
+    path = concat_paths(torus_loop((1, 0)), torus_loop((0, 1), (1.0, 0.0)))
+    with pytest.raises(ValueError, match=f"not finite at t = {(1 + 0.305) / 2}$"):
+        parallel_transport(pot, path, 100)
 
 
 def test_transport_names_the_first_non_finite_node():
@@ -138,9 +185,9 @@ _PATHS = {
 
 @pytest.mark.parametrize("name", tuple(_PATHS))
 def test_paths_take_arrays_of_times(name):
-    path = _PATHS[name]
     ts = np.linspace(0.0, 1.0, 9)
-    for fn in (path.position, path.velocity):
+    for fn in (f for piece in holonomy._pieces(_PATHS[name])
+               for f in (piece.position, piece.velocity)):
         stacked = fn(ts)
         single = np.array([fn(float(t)) for t in ts])
         assert stacked.shape == single.shape
@@ -315,18 +362,14 @@ def _poles_potential(residues, poles):
         lambda z: sum(r / (z - p) for r, p in zip(residues, poles)), tuple(poles), 2)
 
 
-def _lasso(pot, base, pole, radius, steps):
-    """Transport from `base` straight to pole + radius, once around the pole, and back.
-
-    Each smooth piece is transported on its own and the factors are
-    multiplied: concatenated, the kinks would be shared nodes of one
-    transport, where the velocity jumps and the scheme drops to first order.
-    """
+def _lasso_path(base, pole, radius):
+    """From `base` straight to pole + radius, once around the pole, and back."""
     there = segment_path(base, pole + radius)
-    g = np.eye(2)
-    for piece in (there, circle_path(pole, radius, 1), reverse_path(there)):
-        g = parallel_transport(pot, piece, steps) @ g
-    return g
+    return concat_paths(there, circle_path(pole, radius, 1), reverse_path(there))
+
+
+def _lasso(pot, base, pole, radius, steps):
+    return parallel_transport(pot, _lasso_path(base, pole, radius), steps)
 
 
 def test_monodromy_around_a_simple_pole_with_commuting_residues():
@@ -341,6 +384,18 @@ def test_monodromy_around_a_simple_pole_with_commuting_residues():
     assert np.max(np.abs(_lasso(pot, 2.0 + 0j, p1, 0.25, 2000) - expect)) < 1e-8
 
 
+def test_lasso_transport_is_fourth_order():
+    # each kink of the lasso is sampled from both sides, so it costs no order
+    r1 = np.diag([0.31 + 0.2j, -0.57])
+    r2 = np.diag([1.3, 0.45 - 0.1j])
+    p1 = 0.4 + 0.3j
+    pot = _poles_potential((r1, r2), (p1, -0.7 - 0.2j))
+    expect = np.diag(np.exp(-2j * np.pi * np.diag(r1)))
+    e1 = np.max(np.abs(_lasso(pot, 2.0 + 0j, p1, 0.25, 1000) - expect))
+    e2 = np.max(np.abs(_lasso(pot, 2.0 + 0j, p1, 0.25, 2000) - expect))
+    assert e1 / e2 >= 14.0
+
+
 def test_local_monodromies_compose_to_the_enclosing_circle():
     # lassos from the base point 2 to the poles at +-i/2; the circle |z| = 2,
     # based at 2, is the upper lasso followed by the lower one, and traversing
@@ -352,9 +407,44 @@ def test_local_monodromies_compose_to_the_enclosing_circle():
     g_up = _lasso(pot, 2.0 + 0j, up, 0.25, 2000)
     g_down = _lasso(pot, 2.0 + 0j, down, 0.25, 2000)
     g_big = parallel_transport(pot, circle_path(0j, 2.0, 1), 2000)
-    assert np.max(np.abs(g_big - g_down @ g_up)) < 1e-8
+    assert np.max(np.abs(g_big - g_down @ g_up)) < 1e-10
     # the residues do not commute, so the order of the factors matters
     assert np.max(np.abs(g_big - g_up @ g_down)) > 1e-2
+
+
+def _noncommuting_poles():
+    r_up = np.array([[0.2, 0.5 - 0.1j], [0.3j, -0.35]])
+    r_down = np.array([[-0.15 + 0.1j, 0.4], [-0.25, 0.3]])
+    return _poles_potential((r_up, r_down), (0.5j, -0.5j))
+
+
+def test_concatenation_transports_as_the_product_of_its_parts():
+    # T(a then b) = T(b) T(a) for two kinked lassos with non-commuting
+    # monodromies: the pieces take the same steps either way
+    pot = _noncommuting_poles()
+    a = _lasso_path(2.0 + 0j, 0.5j, 0.25)
+    b = _lasso_path(2.0 + 0j, -0.5j, 0.25)
+    g_a, g_b = monodromy_representation(pot, [a, b], 500)
+    assert np.max(np.abs(g_b @ g_a - g_a @ g_b)) > 1e-2
+    both = parallel_transport(pot, concat_paths(a, b), 500)
+    assert len(concat_paths(a, b)) == 6
+    assert np.max(np.abs(both - g_b @ g_a)) < 1e-13
+
+
+def test_multi_piece_trajectories_end_at_the_final_transport():
+    pot = _noncommuting_poles()
+    path = concat_paths(segment_path(2.0 + 0j, 1.0 + 1j), segment_path(1.0 + 1j, -1.0 + 0.2j))
+    steps = 300
+    ts, traj = parallel_transport(pot, path, steps, trajectory=True)
+    assert traj.shape == (2 * steps + 1, 2, 2)
+    assert np.array_equal(ts, np.linspace(0.0, 1.0, 2 * steps + 1))
+    assert np.max(np.abs(traj[-1] - parallel_transport(pot, path, steps))) < 1e-13
+    # the state at the junction is the transport along the first piece
+    first = parallel_transport(pot, path[0], steps)
+    assert np.max(np.abs(traj[steps] - first)) < 1e-13
+    spin = np.array([[0.3j, 0.2 + 0.1j], [-0.2 + 0.1j, -0.3j]])
+    ts_w, spins = wong_evolve(pot, path, spin, steps)
+    assert spins.shape == (2 * steps + 1, 2, 2) and np.array_equal(ts_w, ts)
 
 
 def test_monodromy_zero_potential():
@@ -449,11 +539,22 @@ def test_path_constructors():
     assert seg.position(0.0) == 0j and seg.position(1.0) == 1.0 + 1j
     with pytest.raises(ValueError, match="endpoints"):
         require_closed(seg)
-    both = concat_paths(seg, reverse_path(seg))
-    assert both.position(0.5) == 1.0 + 1j and both.velocity(0.25) == 2.0 + 2.0j
+    back_seg = reverse_path(seg)
+    both = concat_paths(seg, back_seg)
+    assert both == (seg, back_seg)
     require_closed(both)
-    with pytest.raises(ValueError):
+    assert concat_paths(both, seg) == (seg, back_seg, seg)
+    # reversed pieces in reverse order: back along back_seg is seg, and so on
+    ts = np.linspace(0.0, 1.0, 5)
+    back = reverse_path(both)
+    assert isinstance(back, tuple) and len(back) == 2
+    for got, want in zip(back, (seg, back_seg)):
+        for fn in ("position", "velocity"):
+            assert np.max(np.abs(getattr(got, fn)(ts) - getattr(want, fn)(ts))) < 1e-15
+    with pytest.raises(ValueError, match="concatenation point"):
         concat_paths(segment_path(0j, 1j), segment_path(5j, 6j))
+    with pytest.raises(ValueError, match="concatenation point"):
+        concat_paths(both, segment_path(5j, 6j))
 
 
 @pytest.mark.parametrize("build", (
