@@ -134,14 +134,14 @@ def test_max_steps_bounds_the_total_of_a_multi_piece_path():
         wong_evolve(_Refusing(), three, E1, steps)
 
 
-@pytest.mark.parametrize("transport", (
+_TRANSPORTS = pytest.mark.parametrize("transport", (
     lambda pot, path, steps: parallel_transport(pot, path, steps),
     lambda pot, path, steps: parallel_transport(pot, path, steps, trajectory=True),
     lambda pot, path, steps: wong_evolve(pot, path, E1, steps)),
     ids=("final", "trajectory", "wong"))
-@pytest.mark.parametrize("steps", (100, 257))
-@pytest.mark.parametrize("pieces", (1, 2))
-def test_transport_samples_each_node_once(transport, steps, pieces):
+
+
+def _assert_samples_each_node_once(transport, steps, pieces):
     # x = t along each piece, so the sampled x are the sampled times; each
     # piece samples its own 2 steps + 1 nodes, the junction once per side
     pot = _Recording(_const_potential(0.8 * E1 + 0.3 * E2))
@@ -150,6 +150,18 @@ def test_transport_samples_each_node_once(transport, steps, pieces):
     assert len(ts) == pieces * (2 * steps + 1)
     nodes = np.tile(np.linspace(0.0, 1.0, 2 * steps + 1), pieces)
     assert np.max(np.abs(ts - nodes)) < 1e-15
+
+
+@_TRANSPORTS
+@pytest.mark.parametrize("steps", (100, 257))
+def test_transport_samples_each_node_once(transport, steps):
+    _assert_samples_each_node_once(transport, steps, 1)
+
+
+@_TRANSPORTS
+@pytest.mark.parametrize("steps", (100, 257))
+def test_transport_samples_each_node_of_each_piece_once(transport, steps):
+    _assert_samples_each_node_once(transport, steps, 2)
 
 
 def test_transport_names_the_path_time_of_a_non_finite_node_on_a_later_piece():
