@@ -94,13 +94,29 @@ def stack_matmul(a, b):
 def exp_antihermitian(a):
     """Exponential of a stack (..., m, m) of anti-Hermitian matrices.
 
-    Uses the unitary eigendecomposition of -iA, so the result is unitary
-    to rounding by construction.
+    For m = 2, A = i theta I + i (x s1 + y s2 + z s3) with coordinates read
+    from both triangles, and exp(A) = e^{i theta} (cos r I + i sinc(r)
+    (x s1 + y s2 + z s3)), r = |(x, y, z)|: unitary to rounding even for A
+    anti-Hermitian only to ANTIHERMITIAN_ATOL.  Other ranks diagonalize -iA.
     """
     a = np.asarray(a, dtype=complex)
     require_antihermitian(a, "exponent")
-    w, u = np.linalg.eigh(-1j * a)
-    return stack_matmul(u * np.exp(1j * w)[..., None, :], dagger(u))
+    if a.shape[-1] != 2:
+        w, u = np.linalg.eigh(-1j * a)
+        return stack_matmul(u * np.exp(1j * w)[..., None, :], dagger(u))
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    x = 0.5 * (a01.imag + a10.imag)
+    y = 0.5 * (a01.real - a10.real)
+    z = 0.5 * (a00.imag - a11.imag)
+    r = np.sqrt(x * x + y * y + z * z)
+    phase = np.exp(0.5j * (a00.imag + a11.imag))
+    s = phase * np.sinc(r / np.pi)
+    out = np.empty(a.shape, dtype=complex)
+    c, iz = phase * np.cos(r), 1j * z * s
+    out[..., 0, 0], out[..., 1, 1] = c + iz, c - iz
+    out[..., 0, 1] = s * (y + 1j * x)
+    out[..., 1, 0] = s * (1j * x - y)
+    return out
 
 
 def random_antihermitian(rng, m):

@@ -194,11 +194,17 @@ def constant_form(grid, degree, *matrices):
 
 
 def _ddx(arr, h):
-    return (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) / (2.0 * h)
+    # interior and the two wrapped rows go into one output: no shifted copies
+    out = np.empty_like(arr)
+    np.subtract(arr[2:], arr[:-2], out=out[1:-1])
+    np.subtract(arr[1], arr[-1], out=out[0])
+    np.subtract(arr[0], arr[-2], out=out[-1])
+    out /= 2.0 * h
+    return out
 
 
 def _ddy(arr, h):
-    return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * h)
+    return _ddx(arr.swapaxes(0, 1), h).swapaxes(0, 1)
 
 
 def exterior_d(w):
@@ -210,7 +216,9 @@ def exterior_d(w):
         (f,) = w.comps
         return _form(1, w.grid, (_ddx(f, h), _ddy(f, h)), w.value_class)
     p, q = w.comps
-    return _form(2, w.grid, (_ddx(q, h) - _ddy(p, h),), w.value_class)
+    k = _ddx(q, h)
+    k -= _ddy(p, h)
+    return _form(2, w.grid, (k,), w.value_class)
 
 
 def hodge_star(w):
@@ -313,20 +321,29 @@ def form_to_record(w):
     }
 
 
+def _integer(value, name):
+    """`value` as an int; integral floats such as 2.0 are accepted, bools and strings are not."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not float(value).is_integer()):
+        raise ValueError(f"a {name} must be a finite integer, got {value!r}")
+    return int(value)
+
+
 def form_from_record(rec):
     required = {"degree", "n", "m", "value_class", "components"}
     missing = required - set(rec)
     if missing:
         raise ValueError(f"form record is missing keys: {sorted(missing)}")
-    grid = TorusGrid(int(rec["n"]))
-    n, m = grid.n, int(rec["m"])
+    grid = TorusGrid(_integer(rec["n"], "record key 'n'"))
+    n, m = grid.n, _integer(rec["m"], "record key 'm'")
     comps = []
     for entries in rec["components"]:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
         if flat.size != n * n * m * m:
             raise ValueError("component entry count does not match the declared shape")
         comps.append(flat.reshape(n, n, m, m))
-    return MatrixForm(int(rec["degree"]), grid, tuple(comps), rec["value_class"])
+    degree = _integer(rec["degree"], "record key 'degree'")
+    return MatrixForm(degree, grid, tuple(comps), rec["value_class"])
 
 
 def form_to_json(w):

@@ -16,8 +16,9 @@ import numpy as np
 
 from .algebra import dagger, stack_matmul
 from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
-                    _form, exterior_d, form_from_record, form_to_record,
-                    hodge_star, l2_inner, l2_norm, wedge_compose, zero_form)
+                    _form, _integer, exterior_d, form_from_record,
+                    form_to_record, hodge_star, l2_inner, l2_norm,
+                    wedge_compose, zero_form)
 
 FLAT_TOL = 1e-8  # curvature L2 norm up to which a connection counts as flat
 
@@ -192,6 +193,7 @@ def connection_from_record(rec):
     if missing:
         raise ValueError(f"connection record is missing keys: {sorted(missing)}")
     pot = form_from_record(rec["potential"])
-    if pot.grid.n != int(rec["grid"]) or pot.m != int(rec["m"]):
+    if (pot.grid.n != _integer(rec["grid"], "record key 'grid'")
+            or pot.m != _integer(rec["m"], "record key 'm'")):
         raise ValueError("connection record is inconsistent with its potential")
     return Connection(MatrixForm(pot.degree, pot.grid, pot.comps, ANTIHERMITIAN))

@@ -43,6 +43,7 @@ import numpy as np
 
 from .algebra import (E3, SIGMA3, dagger, exp_antihermitian, require_antihermitian,
                       stack_matmul)
+from .forms import _integer
 
 _POLE_MARGIN = 1e-6
 _CHUNK = 128  # RK4 steps whose nodes one `along` call samples
@@ -72,7 +73,9 @@ def _same_point(p, q, tol):
 
 
 def _pieces(path):
-    """The smooth pieces of `path`, a `ParametricPath` or a tuple of them."""
+    """The smooth pieces of `path`, a `ParametricPath` or a non-empty tuple of them."""
+    if path == ():
+        raise ValueError("a path needs at least one piece")
     return path if isinstance(path, tuple) else (path,)
 
 
@@ -90,13 +93,6 @@ def _constant(value, t):
 def _torus_line(p0, d):
     """Torus path p0 + t d."""
     return ParametricPath(lambda t: p0 + np.multiply.outer(t, d), lambda t: _constant(d, t))
-
-
-def _integer(value, name):
-    """`value` as an int; integral floats such as 2.0 are accepted."""
-    if isinstance(value, (int, np.integer)) or float(value).is_integer():
-        return int(value)
-    raise ValueError(f"a {name} must be a finite integer, got {value!r}")
 
 
 def torus_loop(winding=(1, 0), base=(0.0, 0.0)):
@@ -159,7 +155,7 @@ def concat_paths(*paths):
     for first, second in zip(pieces, pieces[1:]):
         if not _same_point(first.position(1.0), second.position(0.0), 1e-9):
             raise ValueError("paths do not share the concatenation point")
-    return pieces
+    return _pieces(pieces)
 
 
 def _torus_samples(fn, pos):

@@ -72,6 +72,61 @@ def test_exp_antihermitian_batch_matches_expm():
         assert np.max(np.abs(batched[idx] - expm(stack[idx]))) < 1e-12
 
 
+def _stack(rng, scale, shape):
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return scale * 0.5 * (x - dagger(x))
+
+
+def _expm_each(stack):
+    return np.stack([expm(a) for a in stack.reshape((-1,) + stack.shape[-2:])]).reshape(stack.shape)
+
+
+@pytest.mark.parametrize("scale", (1e-9, 0.15, 1.0, 30.0))
+def test_u2_exponential_matches_expm_across_scales(scale):
+    stack = _stack(np.random.default_rng(3), scale, (8, 8, 2, 2))
+    assert np.max(np.abs(exp_antihermitian(stack) - _expm_each(stack))) <= 1e-13
+
+
+def test_u2_exponential_of_the_centre_is_exact():
+    assert np.array_equal(exp_antihermitian(np.zeros((2, 2))), np.eye(2))
+    assert np.array_equal(exp_antihermitian(np.zeros((8, 8, 2, 2))),
+                          np.broadcast_to(np.eye(2), (8, 8, 2, 2)))
+    for phi in (0.3, -1.7, np.pi, 25.0):
+        assert np.array_equal(exp_antihermitian(1j * phi * np.eye(2)), np.exp(1j * phi) * np.eye(2))
+
+
+def test_u2_exponential_is_unitary_inside_the_antihermitian_tolerance():
+    # a real diagonal of 4e-13 passes the anti-Hermitian check; only the
+    # anti-Hermitian part enters the exponential
+    stack = _stack(np.random.default_rng(4), 1.0, (16, 2, 2))
+    stack[:, 0, 0] += 4e-13
+    stack[:, 1, 1] += 4e-13
+    g = exp_antihermitian(stack)
+    assert np.isfinite(g).all()
+    assert np.max(np.abs(stack_matmul(g, dagger(g)) - np.eye(2))) <= 1e-15
+
+
+def test_u2_exponential_single_matrix_and_grid_stack():
+    rng = np.random.default_rng(5)
+    single = random_antihermitian(rng, 2)
+    assert exp_antihermitian(single).shape == (2, 2)
+    assert np.max(np.abs(exp_antihermitian(single) - expm(single))) <= 1e-13
+    stack = _stack(rng, 1.0, (16, 16, 2, 2))
+    g = exp_antihermitian(stack)
+    assert g.shape == stack.shape
+    assert np.max(np.abs(g - _expm_each(stack))) <= 1e-13
+    assert np.max(np.abs(g[3, 5] - exp_antihermitian(stack[3, 5]))) <= 1e-15
+
+
+@pytest.mark.parametrize("m", (3, 4))
+def test_exponential_above_rank_two_diagonalizes(m):
+    stack = _stack(np.random.default_rng(6), 1.0, (4, 4, m, m))
+    w, u = np.linalg.eigh(-1j * stack)
+    assert np.array_equal(exp_antihermitian(stack),
+                          stack_matmul(u * np.exp(1j * w)[..., None, :], dagger(u)))
+    assert np.max(np.abs(exp_antihermitian(stack) - _expm_each(stack))) <= 1e-12
+
+
 def _node_norms(x):
     return np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)))
 

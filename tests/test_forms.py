@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaugecalc.algebra import E1, E2, E3, stack_matmul
-from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid,
-                             VectorField, constant_form, exterior_d,
+from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MIN_GRID, MatrixForm, TorusGrid,
+                             VectorField, _ddx, _ddy, constant_form, exterior_d,
                              form_from_json, form_from_record, form_to_json,
                              form_to_record, hodge_star, interior, l2_inner,
                              scalar_form, sharp, tensor_form, wedge_compose,
@@ -111,6 +112,44 @@ def test_exterior_d_second_order_convergence():
         errs.append(float(np.max(np.abs(got - 2.0 * np.pi * np.cos(2.0 * np.pi * x)))))
     assert 3.6 <= errs[0] / errs[1] <= 4.4
     assert 3.6 <= errs[1] / errs[2] <= 4.4
+
+
+def _roll_ddx(arr, h):
+    return (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) / (2.0 * h)
+
+
+def _roll_ddy(arr, h):
+    return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("n", (MIN_GRID, 64))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_differences_match_the_rolled_formula_bit_for_bit(n, m):
+    rng = np.random.default_rng(n + m)
+    arr = rng.standard_normal((n, n, m, m)) + 1j * rng.standard_normal((n, n, m, m))
+    arr[:3, :3] = 0.0
+    arr[2, :3] = arr[:3, 2] = complex(-0.0, -0.0)  # -0.0 - 0.0 keeps its sign
+    kept = arr.copy()
+    h = 1.0 / n
+    for fast, slow in ((_ddx, _roll_ddx), (_ddy, _roll_ddy)):
+        got = fast(arr, h)
+        assert np.array_equal(got, slow(arr, h))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(slow(arr, h).view(float)))
+        assert np.array_equal(arr, kept)
+
+
+def test_exterior_d_matches_the_rolled_formula_bit_for_bit():
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(14)
+    h = grid.h
+    f = random_form(rng, grid, 0, 2)
+    (f0,) = f.comps
+    dx, dy = exterior_d(f).comps
+    assert np.array_equal(dx, _roll_ddx(f0, h)) and np.array_equal(dy, _roll_ddy(f0, h))
+    w = random_form(rng, grid, 1, 2)
+    p, q = w.comps
+    (d1,) = exterior_d(w).comps
+    assert np.array_equal(d1, _roll_ddx(q, h) - _roll_ddy(p, h))
 
 
 def test_d_compose_is_zero():
@@ -289,6 +328,35 @@ def test_serialization_roundtrip_bit_exact():
         back2 = form_from_json(form_to_json(w))
         for a, b in zip(w.comps, back2.comps):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("key, bad", (("n", 8.9), ("n", True), ("n", "8"), ("m", 2.5),
+                                      ("m", False), ("degree", 1.7), ("degree", "1"),
+                                      ("degree", None), ("n", float("nan"))))
+def test_form_record_refuses_non_integer_sizes(key, bad):
+    rec = form_to_record(zero_form(TorusGrid(8), 1, 2))
+    rec[key] = bad
+    with pytest.raises(ValueError, match=f"record key '{key}' must be a finite integer"):
+        form_from_record(rec)
+
+
+def test_form_record_accepts_integral_sizes():
+    w = zero_form(TorusGrid(8), 1, 2)
+    rec = form_to_record(w)
+    assert type(rec["n"]) is int and type(rec["m"]) is int and type(rec["degree"]) is int
+    back = form_from_record({**rec, "n": 8.0, "m": np.int64(2), "degree": 1.0})
+    assert (back.grid.n, back.m, back.degree) == (8, 2, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(degree=st.sampled_from((0, 1, 2)), n=st.integers(MIN_GRID, 12), m=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_serialization_roundtrip_property(degree, n, m, seed):
+    w = random_form(np.random.default_rng(seed), TorusGrid(n), degree, m)
+    back = form_from_json(form_to_json(w))
+    assert (back.degree, back.grid, back.m, back.value_class) == (degree, w.grid, m, w.value_class)
+    for a, b in zip(w.comps, back.comps):
+        assert np.array_equal(a, b)
 
 
 def test_serialization_rejects_missing_keys():

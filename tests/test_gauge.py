@@ -297,6 +297,14 @@ def test_connection_record_roundtrip():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("key, bad", (("grid", 8.5), ("grid", True), ("grid", "8"),
+                                      ("m", 2.5), ("m", True)))
+def test_connection_record_refuses_non_integer_sizes(key, bad):
+    rec = connection_to_record(zero_connection(TorusGrid(8), 2))
+    with pytest.raises(ValueError, match=f"record key '{key}' must be a finite integer"):
+        connection_from_record({**rec, key: bad})
+
+
 def test_connection_record_rejects_hermitian_values():
     grid = TorusGrid(8)
     rec = connection_to_record(zero_connection(grid, 2))

@@ -69,7 +69,7 @@ def test_transport_rejects_too_few_steps():
         parallel_transport(zero_connection(grid, 2), torus_loop((1, 0)), 50)
 
 
-@pytest.mark.parametrize("steps", (1000.9, 150.5, np.nan, np.inf))
+@pytest.mark.parametrize("steps", (1000.9, 150.5, np.nan, np.inf, "1000", True))
 def test_library_step_counts_refuse_non_integers(steps):
     # refused, not truncated, with a message that names the step count
     pot = _const_potential(E1)
@@ -567,6 +567,16 @@ def test_path_constructors():
         concat_paths(segment_path(0j, 1j), segment_path(5j, 6j))
     with pytest.raises(ValueError, match="concatenation point"):
         concat_paths(both, segment_path(5j, 6j))
+
+
+def test_a_path_needs_at_least_one_piece():
+    pot = _const_potential(0.8 * E1)
+    with pytest.raises(ValueError, match="at least one piece"):
+        concat_paths()
+    for use in (lambda path: parallel_transport(pot, path, 100), require_closed,
+                lambda path: wilson_loop(pot, path, 100)):
+        with pytest.raises(ValueError, match="at least one piece"):
+            use(())
 
 
 @pytest.mark.parametrize("build", (
