@@ -86,7 +86,7 @@ def harmonic_projection(w):
     operators are translation invariant, so the node-mean of each component is
     the discrete harmonic representative.
     """
-    means = tuple(np.broadcast_to(c.mean(axis=(0, 1)), c.shape).copy() for c in w.comps)
+    means = tuple(np.full_like(c, c.mean(axis=(0, 1))) for c in w.comps)
     return _form(w.degree, w.grid, means, w.value_class)
 
 

@@ -4,7 +4,10 @@ The underlying surface is the unit square with opposite edges identified and
 the flat metric dx^2 + dy^2; the volume form is w = dx^dy.  Grid functions
 are sampled at the nodes (j/N, l/N).  A degree-k form stores its components
 at the nodes: one array for k = 0, the (dx, dy) pair for k = 1 and the
-dx^dy coefficient for k = 2, each of shape (N, N, m, m).
+dx^dy coefficient for k = 2, each of shape (N, N, m, m) and stored in memory
+order (m, m, N, N): each entry c[..., i, j] is one C-contiguous N x N plane,
+on which `stack_matmul` runs fastest.  The constructor puts components into
+that order (no copy if they have it already), and the operators keep it.
 
 The exterior derivative uses second-order central differences with periodic
 wrap.  The difference operators commute and are skew-adjoint on the periodic
@@ -19,19 +22,22 @@ tagged ANTIHERMITIAN only where the operation preserves it.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_antihermitian, require_antihermitian, stack_matmul
+from .algebra import _plane_major, is_antihermitian, require_antihermitian, stack_matmul
 
 ANTIHERMITIAN = "antihermitian"
 GENERAL = "general"
 MIN_GRID = 8  # fewest nodes per axis a grid may have
 
 _NCOMPS = {0: 1, 1: 2, 2: 1}
+_REAL = (int, float, np.integer, np.floating)  # the number types a record may hold
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,13 @@ class MatrixForm:
             )
         n = self.grid.n
         shape = comps[0].shape
-        if len(shape) != 4 or shape[:2] != (n, n) or shape[2] != shape[3]:
-            raise ValueError(f"component shape {shape} does not match an (N, N, m, m) layout, N={n}")
+        if len(shape) != 4 or shape[:2] != (n, n) or shape[2] != shape[3] or shape[2] < 1:
+            raise ValueError(f"component shape {shape} does not match an (N, N, m, m) layout "
+                             f"with N={n} and rank m >= 1")
         for c in comps[1:]:
             if c.shape != shape:
                 raise ValueError("components have inconsistent shapes")
+        comps = tuple(map(_plane_major, comps))
         if self.value_class not in (ANTIHERMITIAN, GENERAL):
             raise ValueError(f"unknown value class {self.value_class!r}")
         if not all(np.isfinite(c).all() for c in comps):
@@ -154,7 +162,7 @@ class VectorField:
 
 
 def zero_form(grid, degree, m, value_class=ANTIHERMITIAN):
-    comps = tuple(np.zeros((grid.n, grid.n, m, m), dtype=complex)
+    comps = tuple(np.zeros((m, m, grid.n, grid.n), dtype=complex).transpose(2, 3, 0, 1)
                   for _ in range(_NCOMPS[degree]))
     return MatrixForm(degree, grid, comps, value_class)
 
@@ -179,7 +187,8 @@ def tensor_form(scalar, matrix):
     matrix = np.asarray(matrix, dtype=complex)
     scal_real = all(float(np.max(np.abs(c.imag))) <= 1e-14 for c in scalar.comps)
     vc = ANTIHERMITIAN if scal_real and is_antihermitian(matrix) else GENERAL
-    comps = tuple(c[:, :, 0, 0][..., None, None] * matrix for c in scalar.comps)
+    comps = tuple((matrix[..., None, None] * c[:, :, 0, 0]).transpose(2, 3, 0, 1)
+                  for c in scalar.comps)
     return MatrixForm(scalar.degree, scalar.grid, comps, vc)
 
 
@@ -188,7 +197,7 @@ def constant_form(grid, degree, *matrices):
     if len(matrices) != _NCOMPS[degree]:
         raise ValueError(f"degree {degree} needs {_NCOMPS[degree]} coefficient matrices")
     mats = [np.asarray(mm, dtype=complex) for mm in matrices]
-    comps = tuple(np.tile(mm, (grid.n, grid.n, 1, 1)) for mm in mats)
+    comps = tuple(np.broadcast_to(mm, (grid.n, grid.n) + mm.shape) for mm in mats)
     vc = ANTIHERMITIAN if all(is_antihermitian(mm) for mm in mats) else GENERAL
     return MatrixForm(degree, grid, comps, vc)
 
@@ -323,10 +332,21 @@ def form_to_record(w):
 
 def _integer(value, name):
     """`value` as an int; integral floats such as 2.0 are accepted, bools and strings are not."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not float(value).is_integer()):
+    if (isinstance(value, bool) or not isinstance(value, _REAL)
+            or not (isinstance(value, (int, np.integer)) or float(value).is_integer())):
         raise ValueError(f"a {name} must be a finite integer, got {value!r}")
     return int(value)
+
+
+def _entries(entries):
+    """A component's [re, im] pairs as complex numbers; refuses bools and non-numbers."""
+    if isinstance(entries, (list, tuple)) and set(map(type, entries)) <= {list, tuple} \
+            and set(map(len, entries)) <= {2}:
+        flat = list(itertools.chain.from_iterable(entries))
+        if all(issubclass(k, _REAL) and not issubclass(k, bool) for k in set(map(type, flat))):
+            with contextlib.suppress(OverflowError):  # an int beyond the float range
+                return np.array(flat, dtype=float).view(complex)
+    raise ValueError("a record key 'components' entry is not a pair of real numbers [re, im]")
 
 
 def form_from_record(rec):
@@ -336,9 +356,13 @@ def form_from_record(rec):
         raise ValueError(f"form record is missing keys: {sorted(missing)}")
     grid = TorusGrid(_integer(rec["n"], "record key 'n'"))
     n, m = grid.n, _integer(rec["m"], "record key 'm'")
+    if m < 1:
+        raise ValueError(f"a record key 'm' must be at least 1, got {m}")
+    if not isinstance(rec["components"], (list, tuple)):
+        raise ValueError("a record key 'components' must be a list of component entry lists")
     comps = []
     for entries in rec["components"]:
-        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+        flat = _entries(entries)
         if flat.size != n * n * m * m:
             raise ValueError("component entry count does not match the declared shape")
         comps.append(flat.reshape(n, n, m, m))

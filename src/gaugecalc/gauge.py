@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import dagger, stack_matmul
+from .algebra import _plane_major, dagger, stack_matmul
 from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
                     _form, _integer, exterior_d, form_from_record,
                     form_to_record, hodge_star, l2_inner, l2_norm,
@@ -171,6 +171,7 @@ def gauge_transform(conn, g):
     n, m = conn.grid.n, conn.m
     if g.shape != (n, n, m, m):
         raise ValueError(f"gauge field must have shape ({n}, {n}, {m}, {m})")
+    g = _plane_major(g)
     gh = dagger(g)
     unit_defect = float(np.max(np.abs(stack_matmul(g, gh) - np.eye(m))))
     if not unit_defect <= 1e-10:

@@ -7,7 +7,7 @@ from gaugecalc.algebra import (E1, E2, E3, LEVI_CIVITA, SU2_BASIS, bracket,
                                dagger, exp_antihermitian, inner,
                                is_antihermitian, random_antihermitian,
                                require_antihermitian, stack_matmul)
-from gaugecalc.algebra import SIGMA1, SIGMA3
+from gaugecalc.algebra import SIGMA1, SIGMA3, _plane_major
 
 
 def test_su2_basis_is_antihermitian_traceless():
@@ -152,6 +152,43 @@ def test_stack_matmul_matches_matmul(m):
         assert got.shape == want.shape and got.dtype == want.dtype
         bound = 1e-14 * _node_norms(a) * _node_norms(b)
         assert np.all(_node_norms(got - want) <= bound)
+
+
+def _planes_contiguous(a):
+    return all(a[..., i, j].flags.c_contiguous
+               for i in range(a.shape[-2]) for j in range(a.shape[-1]))
+
+
+def test_plane_major_reorders_once_and_then_never_copies():
+    rng = np.random.default_rng(40)
+    node = rng.standard_normal((8, 8, 3, 3)) + 1j * rng.standard_normal((8, 8, 3, 3))
+    planes = _plane_major(node)
+    assert planes.shape == node.shape and planes.dtype == complex
+    assert np.array_equal(planes, node)
+    assert _planes_contiguous(planes) and not _planes_contiguous(node)
+    again = _plane_major(planes)
+    assert np.shares_memory(again, planes) and again.strides == planes.strides
+    real = _plane_major(node.real)  # real input comes back complex, same values
+    assert real.dtype == complex and _planes_contiguous(real)
+    assert np.array_equal(real, node.real)
+
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_stack_matmul_gives_the_same_bits_in_either_layout(m):
+    rng = np.random.default_rng(41 + m)
+    a, b = (rng.standard_normal((16, 16, m, m)) + 1j * rng.standard_normal((16, 16, m, m))
+            for _ in range(2))
+    out = stack_matmul(_plane_major(a), _plane_major(b))
+    assert _planes_contiguous(out)
+    assert np.array_equal(out, stack_matmul(a, b))
+
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_exponential_is_plane_major_and_layout_blind(m):
+    node = np.ascontiguousarray(_stack(np.random.default_rng(43 + m), 1.0, (16, 16, m, m)))
+    g = exp_antihermitian(node)
+    assert _planes_contiguous(g)
+    assert np.array_equal(g, exp_antihermitian(_plane_major(node)))
 
 
 def test_stack_matmul_rejects_mismatched_inner_dimension():

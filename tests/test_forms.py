@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaugecalc.algebra import E1, E2, E3, stack_matmul
+from gaugecalc.algebra import E1, E2, E3, _plane_major, stack_matmul
 from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MIN_GRID, MatrixForm, TorusGrid,
-                             VectorField, _ddx, _ddy, constant_form, exterior_d,
+                             VectorField, _ddx, _ddy, _form, constant_form, exterior_d,
                              form_from_json, form_from_record, form_to_json,
                              form_to_record, hodge_star, interior, l2_inner,
                              scalar_form, sharp, tensor_form, wedge_compose,
@@ -346,6 +346,118 @@ def test_form_record_accepts_integral_sizes():
     assert type(rec["n"]) is int and type(rec["m"]) is int and type(rec["degree"]) is int
     back = form_from_record({**rec, "n": 8.0, "m": np.int64(2), "degree": 1.0})
     assert (back.grid.n, back.m, back.degree) == (8, 2, 1)
+
+
+@pytest.mark.parametrize("m", (0, -1))
+def test_form_record_refuses_a_rank_below_one(m):
+    rec = {"degree": 0, "n": 8, "m": m, "value_class": "general", "components": [[]]}
+    with pytest.raises(ValueError, match=f"record key 'm' must be at least 1, got {m}"):
+        form_from_record(rec)
+
+
+@pytest.mark.parametrize("key", ("n", "m", "degree"))
+def test_form_record_refuses_a_huge_size_with_a_value_error(key):
+    # an int beyond the float range is an integer, so it reaches the shape checks
+    rec = form_to_record(zero_form(TorusGrid(8), 1, 2))
+    with pytest.raises(ValueError):
+        form_from_record({**rec, key: 10 ** 400})
+
+
+def test_form_refuses_a_rank_below_one():
+    with pytest.raises(ValueError, match="rank m >= 1"):
+        MatrixForm(0, TorusGrid(8), (np.zeros((8, 8, 0, 0)),), GENERAL)
+
+
+@pytest.mark.parametrize("bad", (["a", 1], [1, "2"], [1, 2, 3], [1], [], [True, 1],
+                                 [1.0, False], [1, None], [1 + 2j, 0], [[1, 2], 3],
+                                 "ab", 5, None, {"re": 1, "im": 2}, [10 ** 400, 0]))
+def test_form_record_refuses_entries_that_are_not_pairs_of_real_numbers(bad):
+    rec = form_to_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
+    rec["components"][0][5] = bad
+    with pytest.raises(ValueError, match="record key 'components'"):
+        form_from_record(rec)
+
+
+@pytest.mark.parametrize("bad", (5, None, "ab"))
+def test_form_record_refuses_components_that_are_not_entry_lists(bad):
+    rec = form_to_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
+    with pytest.raises(ValueError, match="record key 'components'"):
+        form_from_record({**rec, "components": bad})
+
+
+def test_form_record_reads_integers_and_numpy_reals_as_entries():
+    rec = form_to_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
+    entries = rec["components"][0]
+    entries[0], entries[1], entries[2] = [3, -1], (np.float64(0.5), np.int64(2)), [2 ** 60, 0.25]
+    (c,) = form_from_record(rec).comps
+    assert c.ravel()[:3].tolist() == [3 - 1j, 0.5 + 2j, complex(2 ** 60, 0.25)]
+
+
+def _planes_contiguous(a):
+    return all(a[..., i, j].flags.c_contiguous
+               for i in range(a.shape[-2]) for j in range(a.shape[-1]))
+
+
+def _node_major(w):
+    """The same form with C-ordered (node-major) components, built past the constructor."""
+    return _form(w.degree, w.grid, tuple(np.ascontiguousarray(c) for c in w.comps),
+                 w.value_class)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_builders_store_components_plane_major(m):
+    grid = TorusGrid(8)
+    rng = np.random.default_rng(50 + m)
+    node = rng.standard_normal((8, 8, m, m)) + 1j * rng.standard_normal((8, 8, m, m))
+    x, _ = grid.nodes()
+    mat = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    built = {
+        "MatrixForm": MatrixForm(1, grid, (node, 2.0 * node)),
+        "zero_form": zero_form(grid, 1, m),
+        "constant_form": constant_form(grid, 1, mat, 2.0 * mat),
+        "tensor_form": tensor_form(scalar_form(grid, 1, x, 2.0 * x), mat),
+        "form_from_record": form_from_record(form_to_record(MatrixForm(0, grid, (node,)))),
+    }
+    for name, w in built.items():
+        assert all(_planes_contiguous(c) for c in w.comps), name
+    assert np.array_equal(built["MatrixForm"].comps[0], node)
+    assert np.array_equal(built["form_from_record"].comps[0], node)
+    assert np.array_equal(built["constant_form"].comps[1][5, 6], 2.0 * mat)
+    assert np.array_equal(built["tensor_form"].comps[1][5, 6], 2.0 * x[5, 6] * mat)
+
+
+def test_plane_major_components_are_not_copied():
+    grid = TorusGrid(8)
+    planes = _plane_major(random_form(np.random.default_rng(55), grid, 0, 2).comps[0])
+    w = MatrixForm(0, grid, (planes,), ANTIHERMITIAN)
+    assert np.shares_memory(w.comps[0], planes)
+    # re-validating an operator's result (as Connection builders do) copies nothing
+    d = exterior_d(w)
+    again = MatrixForm(1, grid, d.comps, ANTIHERMITIAN)
+    assert all(np.shares_memory(c, c0) for c, c0 in zip(again.comps, d.comps))
+
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_form_operators_keep_plane_major_and_ignore_the_layout(m):
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(56 + m)
+    f, a, b = (random_form(rng, grid, k, m) for k in (0, 1, 1))
+    s = random_scalar_one_form(rng, grid)
+    ops = {
+        "d0": lambda f, a, b, s: exterior_d(f),
+        "d1": lambda f, a, b, s: exterior_d(a),
+        "wedge11": lambda f, a, b, s: wedge_compose(a, b),
+        "wedge01": lambda f, a, b, s: wedge_compose(f, a),
+        "wedge10": lambda f, a, b, s: wedge_compose(a, f),
+        "wedge_scalar": lambda f, a, b, s: wedge_compose(s, a),
+        "sum": lambda f, a, b, s: a - 2.0 * b,
+    }
+    nodes = [_node_major(w) for w in (f, a, b, s)]
+    for name, op in ops.items():
+        got = op(f, a, b, s)
+        assert all(_planes_contiguous(c) for c in got.comps), name
+        for c, c_node in zip(got.comps, op(*nodes).comps):
+            assert np.array_equal(c, c_node), name
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 import gaugecalc
 from gaugecalc.algebra import (E1, E2, E3, antihermitian_defect, bracket,
                                dagger, exp_antihermitian)
-from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid,
+from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid, _form,
                              constant_form, exterior_d, form_to_record,
                              hodge_star, l2_inner, l2_norm, scalar_form,
                              tensor_form, wedge_compose, zero_form)
@@ -277,6 +277,38 @@ def test_ym_gauge_invariance():
     k1 = curvature(transformed)
     conj = MatrixForm(2, grid, (g @ k0.comps[0] @ dagger(g),), ANTIHERMITIAN)
     assert l2_norm(k1 - conj) / l2_norm(k0) < 5e-3
+
+
+def _planes_contiguous(a):
+    return all(a[..., i, j].flags.c_contiguous
+               for i in range(a.shape[-2]) for j in range(a.shape[-1]))
+
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_gauge_operators_keep_plane_major_and_ignore_the_layout(m):
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(60 + m)
+    e = random_form(rng, grid, 1, m, kmax=1, amp=0.6)
+    g = exp_antihermitian(random_form(rng, grid, 0, m, kmax=1, amp=0.15).comps[0])
+    node_e = _form(1, grid, tuple(np.ascontiguousarray(c) for c in e.comps), ANTIHERMITIAN)
+    node_g = np.ascontiguousarray(g)
+    assert not _planes_contiguous(node_e.comps[0]) and not _planes_contiguous(node_g)
+    ops = {
+        "curvature": lambda e, g: curvature(Connection(e)),
+        "residual": lambda e, g: yang_mills_residual(Connection(e)),
+        "residual_covariant": lambda e, g: yang_mills_residual_covariant(Connection(e)),
+        "gauge_transform": lambda e, g: gauge_transform(Connection(e), g).potential,
+    }
+    for name, op in ops.items():
+        got = op(e, g)
+        assert all(_planes_contiguous(c) for c in got.comps), name
+        for c, c_node in zip(got.comps, op(node_e, node_g).comps):
+            assert np.array_equal(c, c_node), name
+    # a node-major gauge field is reordered once, at the gauge transform
+    moved = gauge_transform(Connection(e), node_g).potential
+    assert all(_planes_contiguous(c) for c in moved.comps)
+    want = gauge_transform(Connection(e), g).potential
+    assert all(np.array_equal(c, c0) for c, c0 in zip(moved.comps, want.comps))
 
 
 def test_residual_report_record():
