@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import E1, E2, E3, SU2_BASIS
-from .curves import _matrix_entries, torus_family_report
-from .forms import MIN_GRID, TorusGrid, constant_form, scalar_form, tensor_form
+from .curves import torus_family_report
+from .forms import MIN_GRID, TorusGrid, _entry_pairs, constant_form, scalar_form, tensor_form
 from .gauge import FLAT_TOL, Connection, residual_report, zero_connection
 from .holonomy import (MAX_STEPS, MIN_STEPS, AnalyticTorusPotential, aharonov_bohm_monodromy,
                        require_closed, torus_circle, torus_loop, wilson_loop, wong_evolve)
@@ -288,7 +288,7 @@ def _emit(record, args, csv_header, csv_rows):
         buf.write(f"# config: {json.dumps(_jsonable(record['config']), sort_keys=True)}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerows(map(_fmt_value, row) for row in csv_rows)
         text = buf.getvalue()
     else:
         text = _render_text(record)
@@ -313,8 +313,7 @@ def _cmd_verify(args):
         "passed": passed,
         "summary": f"{sum(c.passed for c in checks)}/{len(checks)} checks passed",
     })
-    rows = [(c.name, format(c.value, ".12e"), format(c.bound, ".12e"), c.kind,
-             c.passed) for c in checks]
+    rows = [(c.name, c.value, c.bound, c.kind, c.passed) for c in checks]
     _emit(record, args, ("name", "value", "bound", "kind", "passed"), rows)
     return 0 if passed else 2
 
@@ -324,9 +323,7 @@ def _cmd_torus_curve(args):
     ts = [i / (args.samples - 1) for i in range(args.samples)]
     report = torus_family_report(args.lam, ts, n=args.grid, flat_tol=flat_tol, steps=args.steps)
     record = _base_record(args, {"flat_tol": flat_tol}, {"report": report.to_record()})
-    rows = [(format(t, ".12e"), format(c, ".12e"), format(r, ".12e"))
-            for t, c, r in report.csv_rows()]
-    _emit(record, args, ("t", "curvature_l2", "residual_l2"), rows)
+    _emit(record, args, ("t", "curvature_l2", "residual_l2"), report.csv_rows())
     return 0
 
 
@@ -336,9 +333,7 @@ def _cmd_residual(args):
     conn = build_family(grid, args.family)
     rep = residual_report(conn, flat_tol)
     record = _base_record(args, {"flat_tol": flat_tol}, {"report": rep})
-    rows = [(k, format(v, ".12e") if isinstance(v, float) else v)
-            for k, v in rep.items()]
-    _emit(record, args, ("key", "value"), rows)
+    _emit(record, args, ("key", "value"), rep.items())
     return 0
 
 
@@ -360,12 +355,10 @@ def _cmd_holonomy(args):
     loop = build_loop(args.loop)
     g, trace = _transport(args, wilson_loop, conn, loop, args.steps)
     record = _base_record(args, {}, {
-        "matrix": _matrix_entries(g),
+        "matrix": _entry_pairs(g),
         "trace": trace,
     })
-    _emit(record, args, ("key", "value"),
-          [("trace_re", format(trace.real, ".12e")),
-           ("trace_im", format(trace.imag, ".12e"))])
+    _emit(record, args, ("key", "value"), [("trace_re", trace.real), ("trace_im", trace.imag)])
     return 0
 
 
@@ -387,9 +380,8 @@ def _cmd_ab(args):
         "transport_steps": rec.steps,
     })
     _emit(record, args, ("key", "value"),
-          [("monodromy_re", format(rec.monodromy.real, ".12e")),
-           ("monodromy_im", format(rec.monodromy.imag, ".12e")),
-           ("deviation", format(deviation, ".12e"))])
+          [("monodromy_re", rec.monodromy.real), ("monodromy_im", rec.monodromy.imag),
+           ("deviation", deviation)])
     return 0
 
 
@@ -403,13 +395,12 @@ def _cmd_wong(args):
     ts, traj = wong_evolve(pot, path, i0, steps)
     norms = np.einsum("tij,tij->t", traj, traj.conj()).real
     record = _base_record(args, {}, {
-        "initial": _matrix_entries(traj[0]),
-        "final": _matrix_entries(traj[-1]),
+        "initial": _entry_pairs(traj[0]),
+        "final": _entry_pairs(traj[-1]),
         "norm_drift": float(np.max(np.abs(norms - norms[0]))),
         "final_shift": float(np.max(np.abs(traj[-1] - traj[0]))),
     })
-    rows = [(format(t, ".12e"),) + tuple(format(v, ".12e")
-            for entry in _matrix_entries(i) for v in entry)
+    rows = [(t, *sum(_entry_pairs(i), []))
             for t, i in zip(ts[::max(1, steps // 100)], traj[::max(1, steps // 100)])]
     header = ("t",) + tuple(f"I_{j}{l}_{p}" for j in range(2) for l in range(2)
                             for p in ("re", "im"))
@@ -429,8 +420,7 @@ def _cmd_spectrum(args):
     conn = zero_connection(grid, rank)
     dims = {str(k): harmonic_space_dim(conn, k, threshold) for k in degrees}
     record = _base_record(args, {"threshold": threshold}, {"dims": dims})
-    _emit(record, args, ("degree", "dimension"),
-          [(k, v) for k, v in dims.items()])
+    _emit(record, args, ("degree", "dimension"), dims.items())
     return 0
 
 
@@ -468,11 +458,16 @@ def main(argv=None):
         argv = sys.argv[1:]
     parser = build_parser()
     try:
+        if argv and argv[0].startswith("--config="):
+            argv = ["--config", argv[0][len("--config="):], *argv[1:]]
         if argv and argv[0] == "--config":
             if len(argv) < 2:
                 raise CliError("--config needs a file path")
             argv = _load_config(argv[1]) + list(argv[2:])
         args = parser.parse_args(argv)
+        if args.config is not None:  # argparse took an abbreviation of --config
+            raise CliError("--config is read only as the first argument, spelled out in full: "
+                           "--config PATH or --config=PATH")
         if args.command is None:
             raise CliError("no command given (try 'verify')")
         # overflow surfaces as a non-finite report value, which _emit refuses

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SU2_BASIS, exp_antihermitian
-from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _form, exterior_d,
+from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _entry_pairs, _form, exterior_d,
                     hodge_star, interior, l2_norm, scalar_form, sharp,
                     tensor_form, wedge_compose)
 from .gauge import (FLAT_TOL, Connection, codifferential, covariant_d, curvature,
@@ -248,14 +248,10 @@ class ClaimReport:
             "rows": list(self.rows),
             "jet_summary": self.jet_summary,
             "endpoint_holonomies": {
-                key: {gen: _matrix_entries(mat) for gen, mat in val.items()}
+                key: {gen: _entry_pairs(mat) for gen, mat in val.items()}
                 for key, val in self.endpoint_holonomies.items()
             },
         }
-
-
-def _matrix_entries(mat):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(mat).ravel(order="C")]
 
 
 def torus_family_report(lam, ts, n=64, steps=1000, flat_tol=FLAT_TOL):

@@ -26,6 +26,7 @@ import contextlib
 import itertools
 import json
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,11 +324,13 @@ def form_to_record(w):
         "n": w.grid.n,
         "m": w.m,
         "value_class": w.value_class,
-        "components": [
-            [[float(z.real), float(z.imag)] for z in c.ravel(order="C")]
-            for c in w.comps
-        ],
+        "components": [_entry_pairs(c) for c in w.comps],
     }
+
+
+def _entry_pairs(a):
+    """[re, im] float pairs of the entries of `a` in row-major order of its shape."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _integer(value, name):
@@ -336,6 +339,13 @@ def _integer(value, name):
             or not (isinstance(value, (int, np.integer)) or float(value).is_integer())):
         raise ValueError(f"a {name} must be a finite integer, got {value!r}")
     return int(value)
+
+
+def _mapping(value, name):
+    """`value` if it is a mapping, such as a decoded JSON object; refuses it naming `name`."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"a {name} must be a mapping (a JSON object), got {type(value).__name__}")
+    return value
 
 
 def _entries(entries):
@@ -351,7 +361,7 @@ def _entries(entries):
 
 def form_from_record(rec):
     required = {"degree", "n", "m", "value_class", "components"}
-    missing = required - set(rec)
+    missing = required - set(_mapping(rec, "form record"))
     if missing:
         raise ValueError(f"form record is missing keys: {sorted(missing)}")
     grid = TorusGrid(_integer(rec["n"], "record key 'n'"))

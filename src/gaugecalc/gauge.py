@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import _plane_major, dagger, stack_matmul
 from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
-                    _form, _integer, exterior_d, form_from_record,
+                    _form, _integer, _mapping, exterior_d, form_from_record,
                     form_to_record, hodge_star, l2_inner, l2_norm,
                     wedge_compose, zero_form)
 
@@ -190,10 +190,10 @@ def connection_to_record(conn):
 
 def connection_from_record(rec):
     required = {"grid", "m", "potential"}
-    missing = required - set(rec)
+    missing = required - set(_mapping(rec, "connection record"))
     if missing:
         raise ValueError(f"connection record is missing keys: {sorted(missing)}")
-    pot = form_from_record(rec["potential"])
+    pot = form_from_record(_mapping(rec["potential"], "record key 'potential'"))
     if (pot.grid.n != _integer(rec["grid"], "record key 'grid'")
             or pot.m != _integer(rec["m"], "record key 'm'")):
         raise ValueError("connection record is inconsistent with its potential")

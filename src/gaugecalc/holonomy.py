@@ -24,7 +24,7 @@ meromorphic potentials on the punctured plane (a rational dz-coefficient
 with a finite pole list; `MeromorphicPotential.along` refuses any point
 within 1e-6 of a pole, so every sampled node keeps that margin).  The
 user-supplied coefficient callables of these classes are called once per
-point with scalar arguments.
+point with scalar arguments, all through `_samples`.
 
 A path is closed when its endpoints match (torus points mod 1); Wilson loops
 and monodromies require that.
@@ -37,6 +37,7 @@ consistent with I(t) = g(t) I(0) g(t)^{-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Callable
 
 import numpy as np
@@ -158,12 +159,18 @@ def concat_paths(*paths):
     return _pieces(pieces)
 
 
+def _samples(fn, *coords):
+    """fn called once per point, with one Python scalar per coordinate stack of
+    `coords` (all of one shape), and its values stacked like them."""
+    vals = np.array(list(starmap(fn, zip(*(np.ravel(c).tolist() for c in coords)))),
+                    dtype=complex)
+    return vals.reshape(np.shape(coords[0]) + vals.shape[1:])
+
+
 def _torus_samples(fn, pos):
-    """fn(x, y) at every torus point of the stack `pos` (coordinates mod 1),
-    called once per point and stacked like `pos`."""
+    """fn(x, y) at every torus point of the stack `pos`, coordinates taken mod 1."""
     xy = np.asarray(pos, dtype=float) % 1.0
-    vals = np.array([fn(x, y) for x, y in xy.reshape(-1, 2).tolist()], dtype=complex)
-    return vals.reshape(xy.shape[:-1] + vals.shape[1:])
+    return _samples(fn, xy[..., 0], xy[..., 1])
 
 
 def _along_torus(vel, ax, ay):
@@ -224,8 +231,7 @@ class MeromorphicPotential:
             i, k = np.unravel_index(np.argmax(near), near.shape)
             raise ValueError(f"path approaches the pole at {complex(self.poles[k])}: "
                              f"distance {dist[i, k]:.3e} <= {_POLE_MARGIN:.1e}")
-        coef = np.array([self.coefficient(p) for p in z.ravel().tolist()], dtype=complex)
-        return np.asarray(vel)[..., None, None] * coef.reshape(z.shape + coef.shape[1:])
+        return np.asarray(vel)[..., None, None] * _samples(self.coefficient, z)
 
 
 class GaugeConjugatedPotential:

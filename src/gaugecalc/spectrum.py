@@ -117,11 +117,16 @@ def laplacian_matrix(conn, degree):
     if not defect <= FLAT_TOL:
         raise ValueError(f"the one-sided covariant complex does not close: max |d1 d0| "
                          f"{defect:.3e} exceeds {FLAT_TOL:.1e}")
+    return _hodge_laplacian(d0, d1, degree, lambda d: d.T)
+
+
+def _hodge_laplacian(d0, d1, degree, adjoint):
+    """d* d + d d* at `degree` from the differentials d0, d1 and their `adjoint`."""
     if degree == 0:
-        return d0.T @ d0
+        return adjoint(d0) @ d0
     if degree == 1:
-        return d0 @ d0.T + d1.T @ d1
-    return d1 @ d1.T
+        return d0 @ adjoint(d0) + adjoint(d1) @ d1
+    return d1 @ adjoint(d1)
 
 
 def _fourier_laplacian_blocks(conn, degree):
@@ -141,12 +146,7 @@ def _fourier_laplacian_blocks(conn, degree):
     dy = np.broadcast_to(sigma[None, :, None, None] * eye + ad_y, shape).reshape(n * n, nb, nb)
     d0 = np.concatenate([dx, dy], axis=1)
     d1 = np.concatenate([-dy, dx], axis=2)
-    d0h, d1h = d0.conj().swapaxes(1, 2), d1.conj().swapaxes(1, 2)
-    if degree == 0:
-        return d0h @ d0
-    if degree == 1:
-        return d0 @ d0h + d1h @ d1
-    return d1 @ d1h
+    return _hodge_laplacian(d0, d1, degree, lambda d: d.conj().swapaxes(1, 2))
 
 
 def eigenproblem_size(n, m, degree):

@@ -48,44 +48,46 @@ class Check:
         return bool(self.value <= self.bound)
 
 
-def random_fourier_scalar(rng, grid, kmax=2, amp=1.0):
-    """Band-limited random scalar field with max amplitude `amp`.
+def _fourier_fields(rng, grid, shape, kmax=2, amp=1.0):
+    """Band-limited random scalar fields, stacked as shape + (n, n), each of max amplitude `amp`.
 
     f = sum c cos(2 pi (kx x + ky y)) + s sin(...) over the half-plane of
     modes 0 <= kx <= kmax, |ky| <= kmax (kx = 0 only for ky > 0), with (c, s)
-    drawn per mode in order of kx, then ky; summed as Re(X^T W Y), where
-    W = c - i s and X, Y are the 1-D tables exp(2 pi i k x).
+    drawn per mode in order of kx, then ky, field after field in row-major
+    order; summed as Re(X^T W Y), where W = c - i s and X, Y are the 1-D
+    tables exp(2 pi i k x).
     """
     kx = np.arange(kmax + 1)
     ky = np.arange(-kmax, kmax + 1)
     live = (kx[:, None] > 0) | (ky[None, :] > 0)
-    cs = rng.standard_normal((int(live.sum()), 2))
-    w = np.zeros(live.shape, dtype=complex)
-    w[live] = cs[:, 0] - 1j * cs[:, 1]
+    cs = rng.standard_normal(shape + (int(live.sum()), 2))
+    w = np.zeros(shape + live.shape, dtype=complex)
+    w[..., live] = cs[..., 0] - 1j * cs[..., 1]
     ax = np.arange(grid.n) / grid.n
     f = (np.exp(2j * np.pi * np.outer(kx, ax)).T @ w
          @ np.exp(2j * np.pi * np.outer(ky, ax))).real
-    peak = float(np.max(np.abs(f)))
-    if peak > 0.0:
-        f *= amp / peak
+    peak = np.max(np.abs(f), axis=(-2, -1), keepdims=True)
+    f *= amp / np.where(peak > 0.0, peak, 1.0)  # a zero field stays zero
     return f
 
 
+def random_fourier_scalar(rng, grid, kmax=2, amp=1.0):
+    """Band-limited random scalar field with max amplitude `amp` (see `_fourier_fields`)."""
+    return _fourier_fields(rng, grid, (), kmax, amp)
+
+
 def random_form(rng, grid, degree, m, kmax=2, amp=1.0):
-    """Random anti-Hermitian form with band-limited coefficients."""
+    """Random anti-Hermitian form with band-limited coefficients, one field per
+    component and u(m) basis element, stored plane-major."""
     basis = antihermitian_basis(m)
-    ncomp = 2 if degree == 1 else 1
-    comps = []
-    for _ in range(ncomp):
-        arr = np.zeros((grid.n, grid.n, m, m), dtype=complex)
-        for b in basis:
-            arr += random_fourier_scalar(rng, grid, kmax, amp / len(basis))[..., None, None] * b
-        comps.append(arr)
-    return MatrixForm(degree, grid, tuple(comps), ANTIHERMITIAN)
+    fields = _fourier_fields(rng, grid, (2 if degree == 1 else 1, len(basis)), kmax,
+                             amp / len(basis))
+    planes = np.einsum("cbxy,bij->cijxy", fields, basis)
+    return MatrixForm(degree, grid, tuple(c.transpose(2, 3, 0, 1) for c in planes), ANTIHERMITIAN)
 
 
 def random_scalar_one_form(rng, grid):
-    return scalar_form(grid, 1, random_fourier_scalar(rng, grid), random_fourier_scalar(rng, grid))
+    return scalar_form(grid, 1, *_fourier_fields(rng, grid, (2,)))
 
 
 # ---------------------------------------------------------------------------

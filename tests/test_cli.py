@@ -640,6 +640,32 @@ def test_config_file_rejects_malformed_json(tmp_path, capsys):
     assert "line" in err
 
 
+def _spectrum_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "spectrum", "grid": 8, "rank": 2,
+                               "format": "structured-record"}))
+    return str(cfg)
+
+
+def test_config_file_loads_with_an_equals_sign(tmp_path, capsys):
+    code, out, _ = _run(capsys, [f"--config={_spectrum_config(tmp_path)}"])
+    assert code == 0
+    assert json.loads(out)["config"]["grid"] == 8 and json.loads(out)["config"]["rank"] == 2
+
+
+def test_config_file_with_an_equals_sign_takes_no_second_command(tmp_path, capsys):
+    # the file names the command, as it does for --config PATH
+    code, out, err = _run(capsys, [f"--config={_spectrum_config(tmp_path)}", "spectrum"])
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: spectrum" in err
+
+
+def test_abbreviated_config_flag_is_refused_by_name(tmp_path, capsys):
+    code, out, err = _run(capsys, ["--conf", _spectrum_config(tmp_path)])
+    assert code == 1 and out == ""
+    assert "--config" in err
+
+
 def test_selector_parsing():
     name, params = parse_params("const-dx:c=3.14,dir=e1")
     assert name == "const-dx"

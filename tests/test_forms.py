@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugecalc.algebra import E1, E2, E3, _plane_major, stack_matmul
 from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MIN_GRID, MatrixForm, TorusGrid,
-                             VectorField, _ddx, _ddy, _form, constant_form, exterior_d,
-                             form_from_json, form_from_record, form_to_json,
+                             VectorField, _ddx, _ddy, _entry_pairs, _form, constant_form,
+                             exterior_d, form_from_json, form_from_record, form_to_json,
                              form_to_record, hodge_star, interior, l2_inner,
                              scalar_form, sharp, tensor_form, wedge_compose,
                              zero_form)
@@ -477,3 +479,28 @@ def test_serialization_rejects_missing_keys():
     del rec["components"]
     with pytest.raises(ValueError):
         form_from_record(rec)
+
+
+def _per_entry_pairs(a):
+    """The per-entry formula that `_entry_pairs` replaces, kept as its oracle."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(a).ravel(order="C")]
+
+
+def test_entry_pairs_match_the_per_entry_formula():
+    node = np.random.default_rng(8).standard_normal((8, 8, 2, 2, 2)).view(complex)[..., 0]
+    node[1, 2, 0, 1] = complex(-0.0, -0.0)
+    plane = _plane_major(node)
+    assert not plane.flags.c_contiguous
+    for a in (node, plane, np.broadcast_to(E1, (8, 8, 2, 2)), E2, np.float64(-0.0)):
+        pairs = _entry_pairs(a)
+        assert pairs == _per_entry_pairs(a)
+        assert all(type(v) is float for pair in pairs for v in pair)
+    k = np.ravel_multi_index((1, 2, 0, 1), node.shape)
+    assert [np.copysign(1.0, v) for v in _entry_pairs(plane)[k]] == [-1.0, -1.0]
+
+
+@pytest.mark.parametrize("text", ("5", "null", '"abc"',
+                                  json.dumps(["degree", "n", "m", "value_class", "components"])))
+def test_form_json_refuses_a_record_that_is_not_a_mapping(text):
+    with pytest.raises(ValueError, match="form record must be a mapping"):
+        form_from_json(text)

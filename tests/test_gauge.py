@@ -404,3 +404,15 @@ def test_flatness_guards_share_require_flat():
         assert f"{kn:.3e}" in str(info.value) and f"{FLAT_TOL:.1e}" in str(info.value)
     require_flat(conn, "a looser check", flat_tol=2.0 * kn)
     require_flat(zero_connection(grid, 2), "the zero connection")
+
+
+def test_connection_record_refuses_a_record_that_is_not_a_mapping():
+    with pytest.raises(ValueError, match="connection record must be a mapping"):
+        connection_from_record(5)
+
+
+@pytest.mark.parametrize("bad", (None, 7))
+def test_connection_record_refuses_a_potential_that_is_not_a_mapping(bad):
+    rec = connection_to_record(zero_connection(TorusGrid(8), 2))
+    with pytest.raises(ValueError, match="record key 'potential' must be a mapping"):
+        connection_from_record({**rec, "potential": bad})
