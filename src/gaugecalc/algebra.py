@@ -44,9 +44,11 @@ def is_antihermitian(a):
 
 
 def require_antihermitian(a, what="matrix"):
-    defect = antihermitian_defect(a)
-    if not np.isfinite(defect):
+    """Refuse `a` unless it is finite and anti-Hermitian to ANTIHERMITIAN_ATOL."""
+    a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():  # refused before A + A^H computes with them
         raise ValueError(f"{what} has non-finite entries")
+    defect = antihermitian_defect(a)
     if defect > ANTIHERMITIAN_ATOL:
         raise ValueError(
             f"{what} is not anti-Hermitian: defect {defect:.3e} exceeds {ANTIHERMITIAN_ATOL:.1e}"

@@ -460,11 +460,16 @@ def main(argv=None):
     try:
         if argv and argv[0].startswith("--config="):
             argv = ["--config", argv[0][len("--config="):], *argv[1:]]
-        if argv and argv[0] == "--config":
+        from_config = bool(argv) and argv[0] == "--config"
+        if from_config:
             if len(argv) < 2:
                 raise CliError("--config needs a file path")
             argv = _load_config(argv[1]) + list(argv[2:])
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            why = ("; the config file already names its command, and no command may follow it"
+                   if from_config and set(extra) & set(_COMMANDS) else "")
+            raise CliError(f"unrecognized arguments: {' '.join(extra)}{why}")
         if args.config is not None:  # argparse took an abbreviation of --config
             raise CliError("--config is read only as the first argument, spelled out in full: "
                            "--config PATH or --config=PATH")

@@ -50,7 +50,7 @@ class ConnectionCurve:
         return self.sampler(float(t))
 
     def connection(self, t):
-        return Connection(MatrixForm(1, self.grid, self.potential(t).comps, ANTIHERMITIAN))
+        return Connection(self.potential(t))
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,7 @@ def su2_potential(alpha, beta, gamma):
     e = (tensor_form(alpha, SU2_BASIS[0]) + tensor_form(beta, SU2_BASIS[1])
          + tensor_form(gamma, SU2_BASIS[2]))
     h = tuple(exterior_d(f).comps[0][:, :, 0, 0].real for f in forms)
-    return Su2Ansatz(Connection(MatrixForm(1, e.grid, e.comps, ANTIHERMITIAN)),
-                     alpha, beta, gamma, h)
+    return Su2Ansatz(Connection(e), alpha, beta, gamma, h)
 
 
 def su2_ym_conditions(ansatz):

@@ -14,10 +14,15 @@ wrap.  The difference operators commute and are skew-adjoint on the periodic
 grid, so d(d(.)) = 0 and summation by parts hold exactly (to rounding), which
 the operator-adjointness checks in this package rely on.
 
-Values are checked once, where they enter: the MatrixForm constructor (behind
-every public builder and form_from_record) rejects non-finite components and
-a false ANTIHERMITIAN tag.  Operators build results with the unchecked `_form`,
-tagged ANTIHERMITIAN only where the operation preserves it.
+Values are checked once, where they enter.  The entry points are the
+MatrixForm constructor and the builders that take user arrays or arguments
+(`scalar_form`, `tensor_form`, `constant_form`, `zero_form`) and
+`form_from_record`: each refuses a bad degree or layout, non-finite
+components and a false ANTIHERMITIAN tag.  A form whose tag is established
+is never checked again.  Forms the package derives from checked forms (the
+operators here and in `gauge`, the seeded random forms of `suites`) are built
+with the unchecked `_form`, tagged ANTIHERMITIAN only where the operation
+preserves it: d, the star, sums and real multiples, brackets, conjugation.
 """
 
 from __future__ import annotations
@@ -61,6 +66,13 @@ class TorusGrid:
         return np.meshgrid(ax, ax, indexing="ij")
 
 
+def _ncomps(degree):
+    """Component count of a degree-`degree` form; refuses any degree but 0, 1 and 2."""
+    if degree not in _NCOMPS:
+        raise ValueError(f"degree must be 0, 1 or 2, got {degree}")
+    return _NCOMPS[degree]
+
+
 def _combine_class(a, b):
     return ANTIHERMITIAN if a == ANTIHERMITIAN and b == ANTIHERMITIAN else GENERAL
 
@@ -75,13 +87,10 @@ class MatrixForm:
     value_class: str = GENERAL
 
     def __post_init__(self):
-        if self.degree not in _NCOMPS:
-            raise ValueError(f"degree must be 0, 1 or 2, got {self.degree}")
+        ncomps = _ncomps(self.degree)
         comps = tuple(np.asarray(c, dtype=complex) for c in self.comps)
-        if len(comps) != _NCOMPS[self.degree]:
-            raise ValueError(
-                f"degree {self.degree} needs {_NCOMPS[self.degree]} components, got {len(comps)}"
-            )
+        if len(comps) != ncomps:
+            raise ValueError(f"degree {self.degree} needs {ncomps} components, got {len(comps)}")
         n = self.grid.n
         shape = comps[0].shape
         if len(shape) != 4 or shape[:2] != (n, n) or shape[2] != shape[3] or shape[2] < 1:
@@ -93,11 +102,11 @@ class MatrixForm:
         comps = tuple(map(_plane_major, comps))
         if self.value_class not in (ANTIHERMITIAN, GENERAL):
             raise ValueError(f"unknown value class {self.value_class!r}")
-        if not all(np.isfinite(c).all() for c in comps):
-            raise ValueError("form components must be finite")
-        if self.value_class == ANTIHERMITIAN:
-            for c in comps:
+        for c in comps:  # one finiteness pass per component, inside the tag check if tagged
+            if self.value_class == ANTIHERMITIAN:
                 require_antihermitian(c, "form tagged anti-Hermitian")
+            elif not np.isfinite(c).all():
+                raise ValueError("form components must be finite")
         object.__setattr__(self, "comps", comps)
 
     @property
@@ -164,14 +173,15 @@ class VectorField:
 
 def zero_form(grid, degree, m, value_class=ANTIHERMITIAN):
     comps = tuple(np.zeros((m, m, grid.n, grid.n), dtype=complex).transpose(2, 3, 0, 1)
-                  for _ in range(_NCOMPS[degree]))
+                  for _ in range(_ncomps(degree)))
     return MatrixForm(degree, grid, comps, value_class)
 
 
 def scalar_form(grid, degree, *coeffs):
     """Scalar-valued (m = 1) form from real coefficient arrays."""
-    if len(coeffs) != _NCOMPS[degree]:
-        raise ValueError(f"degree {degree} needs {_NCOMPS[degree]} coefficient arrays")
+    ncomps = _ncomps(degree)
+    if len(coeffs) != ncomps:
+        raise ValueError(f"degree {degree} needs {ncomps} coefficient arrays")
     comps = []
     for c in coeffs:
         arr = np.asarray(c, dtype=complex)
@@ -186,6 +196,8 @@ def tensor_form(scalar, matrix):
     if scalar.m != 1:
         raise ValueError("tensor_form expects a scalar-valued form on the left")
     matrix = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(matrix).all():  # refused before the products compute with it
+        raise ValueError("tensor_form matrix must be finite")
     scal_real = all(float(np.max(np.abs(c.imag))) <= 1e-14 for c in scalar.comps)
     vc = ANTIHERMITIAN if scal_real and is_antihermitian(matrix) else GENERAL
     comps = tuple((matrix[..., None, None] * c[:, :, 0, 0]).transpose(2, 3, 0, 1)
@@ -195,9 +207,12 @@ def tensor_form(scalar, matrix):
 
 def constant_form(grid, degree, *matrices):
     """Form with node-independent matrix coefficients."""
-    if len(matrices) != _NCOMPS[degree]:
-        raise ValueError(f"degree {degree} needs {_NCOMPS[degree]} coefficient matrices")
+    ncomps = _ncomps(degree)
+    if len(matrices) != ncomps:
+        raise ValueError(f"degree {degree} needs {ncomps} coefficient matrices")
     mats = [np.asarray(mm, dtype=complex) for mm in matrices]
+    if not all(np.isfinite(mm).all() for mm in mats):  # refused before the tag test
+        raise ValueError("constant_form matrices must be finite")
     comps = tuple(np.broadcast_to(mm, (grid.n, grid.n) + mm.shape) for mm in mats)
     vc = ANTIHERMITIAN if all(is_antihermitian(mm) for mm in mats) else GENERAL
     return MatrixForm(degree, grid, comps, vc)

@@ -17,7 +17,7 @@ from .algebra import (E1, E2, E3, LEVI_CIVITA, SU2_BASIS, bracket, dagger,
 from .curves import (ConnectionCurve, curve_jets, flat_curve_report,
                      gauge_orbit_curve, harmonic_projection, su2_potential,
                      su2_ym_conditions, ym_curve_report)
-from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, constant_form,
+from .forms import (ANTIHERMITIAN, TorusGrid, _form, constant_form,
                     exterior_d, form_from_json, form_to_json, hodge_star,
                     interior, l2_inner, l2_norm, scalar_form, sharp,
                     tensor_form, wedge_compose)
@@ -83,7 +83,7 @@ def random_form(rng, grid, degree, m, kmax=2, amp=1.0):
     fields = _fourier_fields(rng, grid, (2 if degree == 1 else 1, len(basis)), kmax,
                              amp / len(basis))
     planes = np.einsum("cbxy,bij->cijxy", fields, basis)
-    return MatrixForm(degree, grid, tuple(c.transpose(2, 3, 0, 1) for c in planes), ANTIHERMITIAN)
+    return _form(degree, grid, tuple(c.transpose(2, 3, 0, 1) for c in planes), ANTIHERMITIAN)
 
 
 def random_scalar_one_form(rng, grid):

@@ -660,6 +660,20 @@ def test_config_file_with_an_equals_sign_takes_no_second_command(tmp_path, capsy
     assert "unrecognized arguments: spectrum" in err
 
 
+@pytest.mark.parametrize("spell", (lambda path: ["--config", path],
+                                   lambda path: [f"--config={path}"]), ids=("space", "equals"))
+def test_config_file_refuses_a_following_command_by_saying_why(spell, tmp_path, capsys):
+    code, out, err = _run(capsys, [*spell(_spectrum_config(tmp_path)), "spectrum"])
+    assert code == 1 and out == ""
+    assert "config file already names its command" in err and "no command may follow" in err
+
+
+def test_config_file_takes_flags_after_its_path(tmp_path, capsys):
+    code, out, _ = _run(capsys, ["--config", _spectrum_config(tmp_path), "--grid", "16"])
+    assert code == 0
+    assert json.loads(out)["config"]["grid"] == 16 and json.loads(out)["config"]["rank"] == 2
+
+
 def test_abbreviated_config_flag_is_refused_by_name(tmp_path, capsys):
     code, out, err = _run(capsys, ["--conf", _spectrum_config(tmp_path)])
     assert code == 1 and out == ""

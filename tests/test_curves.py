@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from gaugecalc import algebra, curves, forms
 from gaugecalc.algebra import E1, E2, E3
 from gaugecalc.curves import (ConnectionCurve, curve_jets, flat_curve_report,
                               gauge_orbit_curve, harmonic_projection,
                               su2_potential, su2_ym_conditions, torus_family,
                               torus_family_report, ym_curve_report)
-from gaugecalc.forms import (MatrixForm, TorusGrid, constant_form, exterior_d,
-                             l2_norm, scalar_form, tensor_form)
+from gaugecalc.forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, constant_form,
+                             exterior_d, l2_norm, scalar_form, tensor_form)
 from gaugecalc.gauge import FLAT_TOL, Connection, zero_connection
 from gaugecalc.suites import random_form, random_scalar_one_form
 
@@ -37,6 +38,47 @@ def test_su2_potential_rejects_complex_coefficients():
     alpha = scalar_form(GRID, 1, 1j * np.ones((32, 32)), z)
     with pytest.raises(ValueError):
         su2_potential(alpha, _zero_scalar_one_form(GRID), _zero_scalar_one_form(GRID))
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_derived_forms_are_not_checked_again(m, monkeypatch):
+    # random forms are anti-Hermitian by construction, and a curve's potentials carry the tag
+    calls = []
+    defect = algebra.antihermitian_defect
+    monkeypatch.setattr(algebra, "antihermitian_defect", lambda a: calls.append(a) or defect(a))
+    rng = np.random.default_rng(m)
+    made = [random_form(rng, GRID, degree, m) for degree in (0, 1, 2)]
+    curve = ConnectionCurve(lambda t: t * made[1])
+    conn = curve.connection(0.5)
+    assert calls == []
+    assert conn.potential.value_class == ANTIHERMITIAN
+    for w in made:  # the tags given without a check are true
+        assert w.value_class == ANTIHERMITIAN
+        MatrixForm(w.degree, GRID, w.comps, ANTIHERMITIAN)
+
+
+def test_su2_potential_validates_only_in_its_tensor_forms(monkeypatch):
+    rng = np.random.default_rng(44)
+    coeffs = [random_scalar_one_form(rng, GRID) for _ in range(3)]
+    inside, validated = [], []
+    post_init = MatrixForm.__post_init__
+
+    def validate(self):
+        validated.append(bool(inside))
+        post_init(self)
+
+    def traced_tensor_form(*args):
+        inside.append(1)
+        try:
+            return forms.tensor_form(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(MatrixForm, "__post_init__", validate)
+    monkeypatch.setattr(curves, "tensor_form", traced_tensor_form)
+    ansatz = su2_potential(*coeffs)
+    assert validated == [True, True, True]
+    assert ansatz.connection.potential.value_class == ANTIHERMITIAN
 
 
 def test_jets_exact_on_quadratic_families():

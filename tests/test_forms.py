@@ -37,6 +37,16 @@ def test_form_validation():
         MatrixForm(0, grid, (np.ones((8, 8, 2, 2)),), ANTIHERMITIAN)
 
 
+@pytest.mark.parametrize("build", (
+    lambda grid: zero_form(grid, 3, 2),
+    lambda grid: scalar_form(grid, 3, np.zeros((8, 8))),
+    lambda grid: constant_form(grid, 3, E1),
+), ids=("zero_form", "scalar_form", "constant_form"))
+def test_builders_refuse_a_bad_degree_by_value(build):
+    with pytest.raises(ValueError, match="degree must be 0, 1 or 2, got 3"):
+        build(TorusGrid(8))
+
+
 @pytest.mark.parametrize("value_class", (ANTIHERMITIAN, GENERAL))
 @pytest.mark.parametrize("bad", (np.nan, np.inf, complex(0.0, np.nan)))
 def test_form_rejects_non_finite_values(value_class, bad):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaugecalc import suites
-from gaugecalc.forms import MatrixForm, TorusGrid
+from gaugecalc.forms import TorusGrid, _form
 from gaugecalc.spectrum import antihermitian_basis
 from gaugecalc.suites import random_form, random_fourier_scalar, random_scalar_one_form
 
@@ -69,9 +69,9 @@ def test_random_form_is_plane_major_and_not_copied(degree, monkeypatch):
 
     def spy(*args):
         given.append(args[2])
-        return MatrixForm(*args)
+        return _form(*args)
 
-    monkeypatch.setattr(suites, "MatrixForm", spy)
+    monkeypatch.setattr(suites, "_form", spy)
     w = random_form(np.random.default_rng(5), TorusGrid(8), degree, 3)
     (raw,) = given
     for c, stored in zip(raw, w.comps):
