@@ -23,8 +23,11 @@ potentials (closed-form coefficients, full fourth-order accuracy) and
 meromorphic potentials on the punctured plane (a rational dz-coefficient
 with a finite pole list; `MeromorphicPotential.along` refuses any point
 within 1e-6 of a pole, so every sampled node keeps that margin).  The
-user-supplied coefficient callables of these classes are called once per
-point with scalar arguments, all through `_samples`.
+coefficient callables of meromorphic and gauge-conjugated potentials take
+stacks: `coefficient(z)` and `g(x, y)` / `dg(x, y)` get arrays of shape
+(...) and return (..., m, m), so each is called once per chunk.  Only
+`AnalyticTorusPotential` still calls its `ax`/`ay` once per point, with
+scalar arguments, through `_samples`.
 
 A path is closed when its endpoints match (torus points mod 1); Wilson loops
 and monodromies require that.
@@ -161,16 +164,21 @@ def concat_paths(*paths):
 
 def _samples(fn, *coords):
     """fn called once per point, with one Python scalar per coordinate stack of
-    `coords` (all of one shape), and its values stacked like them."""
+    `coords` (all of one shape), and its values stacked like them.
+
+    Only `AnalyticTorusPotential` samples this way: the `transport` benchmark
+    workload builds one from a scalar-only callable, and it moves to stacks
+    together with that callable.
+    """
     vals = np.array(list(starmap(fn, zip(*(np.ravel(c).tolist() for c in coords)))),
                     dtype=complex)
     return vals.reshape(np.shape(coords[0]) + vals.shape[1:])
 
 
-def _torus_samples(fn, pos):
-    """fn(x, y) at every torus point of the stack `pos`, coordinates taken mod 1."""
+def _torus_xy(pos):
+    """The x and y stacks of the torus points `pos`, taken mod 1."""
     xy = np.asarray(pos, dtype=float) % 1.0
-    return _samples(fn, xy[..., 0], xy[..., 1])
+    return xy[..., 0], xy[..., 1]
 
 
 def _along_torus(vel, ax, ay):
@@ -204,7 +212,11 @@ class GridPotential:
 
 
 class AnalyticTorusPotential:
-    """Torus potential with closed-form dx and dy coefficients."""
+    """Torus potential with closed-form dx and dy coefficients.
+
+    `ax(x, y)` and `ay(x, y)` are called once per point with float scalars
+    and return (m, m) matrices (see `_samples`).
+    """
 
     def __init__(self, ax, ay, m):
         self.ax = ax
@@ -212,12 +224,17 @@ class AnalyticTorusPotential:
         self.m = int(m)
 
     def along(self, pos, vel):
-        return _along_torus(vel, _torus_samples(self.ax, pos), _torus_samples(self.ay, pos))
+        x, y = _torus_xy(pos)
+        return _along_torus(vel, _samples(self.ax, x, y), _samples(self.ay, x, y))
 
 
 @dataclass(frozen=True)
 class MeromorphicPotential:
-    """Rational dz-coefficient on the plane minus a finite pole list."""
+    """Rational dz-coefficient on the plane minus a finite pole list.
+
+    `coefficient(z)` takes complex points of any shape (...) and returns
+    (..., m, m).
+    """
 
     coefficient: Callable
     poles: tuple
@@ -231,7 +248,7 @@ class MeromorphicPotential:
             i, k = np.unravel_index(np.argmax(near), near.shape)
             raise ValueError(f"path approaches the pole at {complex(self.poles[k])}: "
                              f"distance {dist[i, k]:.3e} <= {_POLE_MARGIN:.1e}")
-        return np.asarray(vel)[..., None, None] * _samples(self.coefficient, z)
+        return np.asarray(vel)[..., None, None] * self.coefficient(z)
 
 
 class GaugeConjugatedPotential:
@@ -239,7 +256,9 @@ class GaugeConjugatedPotential:
 
     A'(t) = G A G^{-1} - (dG along the path) G^{-1}, with G and its partial
     derivatives given in closed form, so the transported frames are exactly
-    conjugate at the continuum level.
+    conjugate at the continuum level.  `g(x, y)` takes float coordinates of
+    any shape (...) and returns (..., m, m); `dg(x, y)` returns the pair
+    (dG/dx, dG/dy), each broadcastable to (..., m, m).
     """
 
     def __init__(self, base, g, dg):
@@ -250,11 +269,23 @@ class GaugeConjugatedPotential:
 
     def along(self, pos, vel):
         a = self.base.along(pos, vel)
-        gm = _torus_samples(self.g, pos)
-        dg = _torus_samples(self.dg, pos)
-        gdot = _along_torus(vel, dg[..., 0, :, :], dg[..., 1, :, :])
+        x, y = _torus_xy(pos)
+        gm = self.g(x, y)
+        gdot = _along_torus(vel, *self.dg(x, y))
         gi = dagger(gm)
         return stack_matmul(stack_matmul(gm, a), gi) - stack_matmul(gdot, gi)
+
+
+def _pole_potential(poles, residues):
+    """sum_k R_k / (z - p_k) dz: a simple pole with (m, m) residue R_k at each p_k."""
+    p = np.array(poles, dtype=complex)
+    res = np.array(residues, dtype=complex)
+
+    def coefficient(z):
+        d = np.asarray(z)[..., None] - p
+        return (res / d[..., None, None]).sum(axis=-3)
+
+    return MeromorphicPotential(coefficient, tuple(p.tolist()), res.shape[-1])
 
 
 def _as_potential(potential):
@@ -324,6 +355,10 @@ def _rk4(potential, pieces, steps, generator):
             first = 0 if end is None else 2 * i0 + 1
             ts = np.arange(first, 2 * i1 + 1) / (2 * steps)
             a = np.asarray(potential.along(piece.position(ts), piece.velocity(ts)), dtype=complex)
+            shape = ts.shape + (potential.m, potential.m)
+            if a.shape != shape:
+                raise ValueError(f"potential samples must be stacked as (..., m, m) like their "
+                                 f"points, {shape}, got {a.shape}")
             finite = np.isfinite(a).all(axis=(-2, -1))
             if not finite.all():
                 t = (k + ts[np.argmin(finite)]) / len(pieces)
@@ -382,7 +417,7 @@ def aharonov_bohm_monodromy(k, winding=1, steps=None):
     winding = _integer(winding, "winding")
     if steps is None:
         steps = max(MIN_STEPS, 1000 * abs(winding))
-    pot = MeromorphicPotential(lambda z: np.array([[-k / z]], dtype=complex), (0j,), 1)
+    pot = _pole_potential((0j,), ([[-k]],))
     g = parallel_transport(pot, circle_path(0j, 1.0, winding), steps)
     return MonodromyRecord(k, winding, int(steps), complex(g[0, 0]), -2.0 * np.pi * k)
 
@@ -429,7 +464,7 @@ def aharonov_casher_phase(lam, steps=1000):
     """
     lam = float(lam)
     phase = exp_antihermitian(np.pi * lam * E3)
-    pot = MeromorphicPotential(lambda z: (-0.5 * lam / z) * SIGMA3, (0j,), 2)
+    pot = _pole_potential((0j,), (-0.5 * lam * SIGMA3,))
     g = parallel_transport(pot, circle_path(0j, 1.0, 1), steps)
     deviation = float(np.max(np.abs(g - phase)))
     return SpinPhaseRecord(lam, phase, g, deviation)

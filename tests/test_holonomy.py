@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,14 +8,15 @@ import pytest
 
 from scipy.linalg import expm
 
-from gaugecalc.algebra import E1, E2, E3, dagger, inner, random_antihermitian
+from gaugecalc.algebra import (E1, E2, E3, dagger, exp_antihermitian, inner,
+                               random_antihermitian)
 from gaugecalc.forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, constant_form, scalar_form,
                             tensor_form)
 from gaugecalc.gauge import Connection, zero_connection
 from gaugecalc import holonomy
 from gaugecalc.holonomy import (AnalyticTorusPotential, GaugeConjugatedPotential,
                                 GridPotential, MeromorphicPotential, ParametricPath,
-                                aharonov_bohm_monodromy, aharonov_casher_phase,
+                                _pole_potential, aharonov_bohm_monodromy, aharonov_casher_phase,
                                 circle_path, concat_paths,
                                 monodromy_representation, parallel_transport,
                                 require_closed, reverse_path, segment_path,
@@ -164,6 +166,63 @@ def test_transport_samples_each_node_of_each_piece_once(transport, steps):
     _assert_samples_each_node_once(transport, steps, 2)
 
 
+def _counting(fn, calls):
+    """`fn`, appending the shape of its first argument to `calls` at each call."""
+    def counted(*args):
+        calls.append(np.shape(args[0]))
+        return fn(*args)
+    return counted
+
+
+@pytest.fixture
+def no_per_point_samples(monkeypatch):
+    def per_point(*args):
+        raise AssertionError("a coefficient was sampled point by point")
+
+    monkeypatch.setattr(holonomy, "_samples", per_point)
+
+
+@_TRANSPORTS
+@pytest.mark.parametrize("steps", (100, 257))
+def test_stacked_coefficients_are_called_once_per_chunk(no_per_point_samples, transport, steps):
+    # each piece makes ceil(steps / _CHUNK) calls, which see its 2 steps + 1 nodes
+    chunks = math.ceil(steps / holonomy._CHUNK)
+    calls = []
+    poles = _pole_potential((0.5j, -0.5j), (E1, 0.3 * E3))
+    mero = dataclasses.replace(poles, coefficient=_counting(poles.coefficient, calls))
+    transport(mero, _lasso_path(2.0 + 0j, 0.5j, 0.25), steps)
+    assert len(calls) == 3 * chunks
+    assert sum(map(math.prod, calls)) == 3 * (2 * steps + 1)
+
+    def rotation(x, y):
+        return exp_antihermitian(np.multiply.outer(x + y, E2))
+
+    g_calls, dg_calls = [], []
+    base = GridPotential(Connection(constant_form(TorusGrid(8), 1, 0.8 * E1, 0.3 * E2)))
+    conj = GaugeConjugatedPotential(
+        base, _counting(rotation, g_calls),
+        _counting(lambda x, y: (E2 @ rotation(x, y),) * 2, dg_calls))
+    transport(conj, concat_paths(torus_loop((1, 0)), torus_loop((0, 1))), steps)
+    assert len(g_calls) == len(dg_calls) == 2 * chunks
+    assert sum(map(math.prod, g_calls)) == 2 * (2 * steps + 1)
+
+
+def test_aharonov_bohm_and_casher_sample_in_stacks(no_per_point_samples, monkeypatch):
+    calls = []
+
+    def counting_poles(poles, residues):
+        pot = _pole_potential(poles, residues)
+        return dataclasses.replace(pot, coefficient=_counting(pot.coefficient, calls))
+
+    monkeypatch.setattr(holonomy, "_pole_potential", counting_poles)
+    rec = aharonov_bohm_monodromy(0.37, 2, 300)
+    assert abs(rec.monodromy - cmath.exp(2j * cmath.pi * 0.74)) < 1e-6
+    assert len(calls) == math.ceil(300 / holonomy._CHUNK)
+    calls.clear()
+    assert aharonov_casher_phase(0.25, 1000).deviation < 1e-8
+    assert len(calls) == math.ceil(1000 / holonomy._CHUNK)
+
+
 def test_transport_names_the_path_time_of_a_non_finite_node_on_a_later_piece():
     # the second piece runs y = t at x = 1; its first node with y > 0.3 is
     # t = 0.305, path time (1 + 0.305) / 2
@@ -215,8 +274,8 @@ def test_potentials_take_stacks_of_points():
     analytic = AnalyticTorusPotential(lambda x, y: np.sin(2.0 * np.pi * y) * E1,
                                       lambda x, y: np.cos(2.0 * np.pi * x) * E3, 2)
     conj = GaugeConjugatedPotential(
-        analytic, lambda x, y: expm(x * E2),
-        lambda x, y: (E2 @ expm(x * E2), ZERO2))
+        analytic, lambda x, y: exp_antihermitian(np.multiply.outer(x, E2)),
+        lambda x, y: (E2 @ exp_antihermitian(np.multiply.outer(x, E2)), ZERO2))
     pos, vel = rng.uniform(-2.0, 2.0, (4, 3, 2)), rng.standard_normal((4, 3, 2))
     for pot in (grid, analytic, conj):
         stacked = pot.along(pos, vel)
@@ -226,7 +285,13 @@ def test_potentials_take_stacks_of_points():
             assert np.array_equal(stacked, single)
         else:
             assert np.max(np.abs(stacked - single)) < 1e-14
-    mero = MeromorphicPotential(lambda z: np.array([[1.0 / z, z], [0.0, -1.0 / z]]), (0j,), 2)
+
+    def coefficient(z):
+        out = np.zeros(np.shape(z) + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 1] = 1.0 / z, z, -1.0 / z
+        return out
+
+    mero = MeromorphicPotential(coefficient, (0j,), 2)
     z = pos[..., 0] + 1j * pos[..., 1]
     w = vel[..., 0] + 1j * vel[..., 1]
     single = np.array([[mero.along(a, b) for a, b in zip(za, wa)] for za, wa in zip(z, w)])
@@ -305,10 +370,10 @@ def test_wilson_loop_gauge_invariance():
     base = _const_potential(np.pi * E1)
 
     def gmap(x, y):
-        return expm(0.4 * np.sin(2.0 * np.pi * x) * E2)
+        return exp_antihermitian(np.multiply.outer(0.4 * np.sin(2.0 * np.pi * x), E2))
 
     def dgmap(x, y):
-        gx = 0.4 * 2.0 * np.pi * np.cos(2.0 * np.pi * x) * (E2 @ gmap(x, y))
+        gx = 0.4 * 2.0 * np.pi * np.cos(2.0 * np.pi * x)[..., None, None] * (E2 @ gmap(x, y))
         return gx, ZERO2
 
     conj = GaugeConjugatedPotential(base, gmap, dgmap)
@@ -337,7 +402,7 @@ def test_aharonov_bohm_complex_k():
 
 
 def test_meromorphic_pole_guard():
-    pot = MeromorphicPotential(lambda z: np.array([[1.0 / z]]), (0j,), 1)
+    pot = _pole_potential((0j,), ([[1.0]],))
     with pytest.raises(ValueError, match="pole"):
         parallel_transport(pot, circle_path(0j, 1e-7, 1), 1000)
     # a loop that passes through the pole is rejected as well
@@ -345,9 +410,21 @@ def test_meromorphic_pole_guard():
         parallel_transport(pot, circle_path(1.0 + 0j, 1.0, 1), 1000)
 
 
+def test_a_per_point_coefficient_is_refused_by_the_stacked_shape():
+    # called with a stack of points, this coefficient returns (1, 1, S), which
+    # broadcasts against the velocities instead of failing where it is built
+    pot = MeromorphicPotential(lambda z: np.array([[1.0 / z]]), (0j,), 1)
+    for run in (lambda: parallel_transport(pot, circle_path(0j, 1.0, 1), 100),
+                lambda: parallel_transport(pot, circle_path(0j, 1.0, 1), 100, trajectory=True),
+                lambda: wong_evolve(pot, circle_path(0j, 1.0, 1), np.array([[1j]]), 100)):
+        with pytest.raises(ValueError, match=r"\(\.\.\., m, m\) like their points, "
+                                             r"\(201, 1, 1\), got \(201, 1, 201\)"):
+            run()
+
+
 def test_monodromy_representation_composition():
     k = 0.23
-    pot = MeromorphicPotential(lambda z: np.array([[-k / z]], dtype=complex), (0j,), 1)
+    pot = _pole_potential((0j,), ([[-k]],))
     loops = [circle_path(0j, 1.0, 1), circle_path(0j, 1.0, 2)]
     m1, m2 = monodromy_representation(pot, loops, 2000)
     assert abs(m1[0, 0] - cmath.exp(2j * cmath.pi * k)) < 1e-8
@@ -360,18 +437,11 @@ def test_monodromy_representation_composition():
 
 def test_monodromy_diagonal_potential():
     k1, k2 = 0.31, -0.62
-    pot = MeromorphicPotential(
-        lambda z: np.array([[-k1 / z, 0.0], [0.0, -k2 / z]], dtype=complex), (0j,), 2)
+    pot = _pole_potential((0j,), (np.diag([-k1, -k2]),))
     (g,) = monodromy_representation(pot, [circle_path(0j, 1.0, 1)], 1000)
     assert abs(g[0, 0] - cmath.exp(2j * cmath.pi * k1)) < 1e-8
     assert abs(g[1, 1] - cmath.exp(2j * cmath.pi * k2)) < 1e-8
     assert abs(g[0, 1]) < 1e-12 and abs(g[1, 0]) < 1e-12
-
-
-def _poles_potential(residues, poles):
-    """sum_k R_k / (z - p_k) dz, a simple pole with residue R_k at each p_k."""
-    return MeromorphicPotential(
-        lambda z: sum(r / (z - p) for r, p in zip(residues, poles)), tuple(poles), 2)
 
 
 def _lasso_path(base, pole, radius):
@@ -390,7 +460,7 @@ def test_monodromy_around_a_simple_pole_with_commuting_residues():
     r1 = np.diag([0.31 + 0.2j, -0.57])
     r2 = np.diag([1.3, 0.45 - 0.1j])
     p1 = 0.4 + 0.3j
-    pot = _poles_potential((r1, r2), (p1, -0.7 - 0.2j))
+    pot = _pole_potential((p1, -0.7 - 0.2j), (r1, r2))
     expect = np.diag(np.exp(-2j * np.pi * np.diag(r1)))
     assert np.max(np.abs(parallel_transport(pot, circle_path(p1, 0.5, 1), 2000) - expect)) < 1e-8
     assert np.max(np.abs(_lasso(pot, 2.0 + 0j, p1, 0.25, 2000) - expect)) < 1e-8
@@ -401,7 +471,7 @@ def test_lasso_transport_is_fourth_order():
     r1 = np.diag([0.31 + 0.2j, -0.57])
     r2 = np.diag([1.3, 0.45 - 0.1j])
     p1 = 0.4 + 0.3j
-    pot = _poles_potential((r1, r2), (p1, -0.7 - 0.2j))
+    pot = _pole_potential((p1, -0.7 - 0.2j), (r1, r2))
     expect = np.diag(np.exp(-2j * np.pi * np.diag(r1)))
     e1 = np.max(np.abs(_lasso(pot, 2.0 + 0j, p1, 0.25, 1000) - expect))
     e2 = np.max(np.abs(_lasso(pot, 2.0 + 0j, p1, 0.25, 2000) - expect))
@@ -415,7 +485,7 @@ def test_local_monodromies_compose_to_the_enclosing_circle():
     r_up = np.array([[0.2, 0.5 - 0.1j], [0.3j, -0.35]])
     r_down = np.array([[-0.15 + 0.1j, 0.4], [-0.25, 0.3]])
     up, down = 0.5j, -0.5j
-    pot = _poles_potential((r_up, r_down), (up, down))
+    pot = _pole_potential((up, down), (r_up, r_down))
     g_up = _lasso(pot, 2.0 + 0j, up, 0.25, 2000)
     g_down = _lasso(pot, 2.0 + 0j, down, 0.25, 2000)
     g_big = parallel_transport(pot, circle_path(0j, 2.0, 1), 2000)
@@ -427,7 +497,7 @@ def test_local_monodromies_compose_to_the_enclosing_circle():
 def _noncommuting_poles():
     r_up = np.array([[0.2, 0.5 - 0.1j], [0.3j, -0.35]])
     r_down = np.array([[-0.15 + 0.1j, 0.4], [-0.25, 0.3]])
-    return _poles_potential((r_up, r_down), (0.5j, -0.5j))
+    return _pole_potential((0.5j, -0.5j), (r_up, r_down))
 
 
 def test_concatenation_transports_as_the_product_of_its_parts():
