@@ -78,9 +78,15 @@ def inner(a, b):
 
 
 def _plane_major(a):
-    """Complex (..., m, m) stack in memory order (m, m, ...); no copy if `a` has that order."""
-    planes = np.moveaxis(np.asarray(a, dtype=complex), (-2, -1), (0, 1))
-    return np.moveaxis(np.ascontiguousarray(planes), (0, 1), (-2, -1))
+    """Complex (..., m, m) stack in memory order (m, m, ...); no copy if `a` has that order.
+
+    The axes move with `transpose` on explicit axis tuples: the same views as
+    `np.moveaxis`, without its per-call argument handling.
+    """
+    a = np.asarray(a, dtype=complex)
+    lead = tuple(range(a.ndim - 2))
+    planes = np.ascontiguousarray(a.transpose((a.ndim - 2, a.ndim - 1) + lead))
+    return planes.transpose(tuple(i + 2 for i in lead) + (0, 1))
 
 
 def stack_matmul(a, b):
@@ -126,7 +132,7 @@ def exp_antihermitian(a):
     s = phase * np.sinc(r / np.pi)
     c, iz = phase * np.cos(r), 1j * z * s
     out = np.array([[c + iz, s * (y + 1j * x)], [s * (1j * x - y), c - iz]])
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 
 def random_antihermitian(rng, m):

@@ -201,9 +201,14 @@ def _config_echo(args):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _flag(key):
+    """The flag that sets the echoed config key `key`."""
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+
+
 def _flag_echo(args):
     """The numeric and selector flags of the run, as they would be typed."""
-    return " ".join(f"--{'lambda' if key == 'lam' else key} {val}"
+    return " ".join(f"{_flag(key)} {val}"
                     for key, val in _config_echo(args).items()
                     if key not in ("format", "seed") and val is not None)
 
@@ -449,7 +454,8 @@ def _load_config(path):
         raise CliError("config is missing the 'command' field")
     argv = [str(data.pop("command"))]
     for key, val in data.items():
-        argv.extend(["--" + key.replace("_", "-"), str(val)])
+        if val is not None:  # null is a flag left at its default, as a report echoes it
+            argv.extend([_flag(key), str(val)])
     return argv
 
 

@@ -9,6 +9,7 @@ amplitudes below are sized accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +49,20 @@ class Check:
         return bool(self.value <= self.bound)
 
 
+@lru_cache(maxsize=None)
+def _fourier_tables(n, kmax):
+    """Read-only live-mode mask and 1-D tables X^T, Y of `_fourier_fields` at grid size n."""
+    kx = np.arange(kmax + 1)
+    ky = np.arange(-kmax, kmax + 1)
+    live = (kx[:, None] > 0) | (ky[None, :] > 0)
+    ax = np.arange(n) / n
+    x = np.exp(2j * np.pi * np.outer(kx, ax))
+    y = np.exp(2j * np.pi * np.outer(ky, ax))
+    for table in (live, x, y):
+        table.flags.writeable = False
+    return live, int(live.sum()), x.T, y
+
+
 def _fourier_fields(rng, grid, shape, kmax=2, amp=1.0):
     """Band-limited random scalar fields, stacked as shape + (n, n), each of max amplitude `amp`.
 
@@ -55,17 +70,14 @@ def _fourier_fields(rng, grid, shape, kmax=2, amp=1.0):
     modes 0 <= kx <= kmax, |ky| <= kmax (kx = 0 only for ky > 0), with (c, s)
     drawn per mode in order of kx, then ky, field after field in row-major
     order; summed as Re(X^T W Y), where W = c - i s and X, Y are the 1-D
-    tables exp(2 pi i k x).
+    tables exp(2 pi i k x).  The mode mask and X, Y depend only on (n, kmax)
+    and are cached read-only per pair (`_fourier_tables`).
     """
-    kx = np.arange(kmax + 1)
-    ky = np.arange(-kmax, kmax + 1)
-    live = (kx[:, None] > 0) | (ky[None, :] > 0)
-    cs = rng.standard_normal(shape + (int(live.sum()), 2))
+    live, nlive, xt, y = _fourier_tables(grid.n, kmax)
+    cs = rng.standard_normal(shape + (nlive, 2))
     w = np.zeros(shape + live.shape, dtype=complex)
     w[..., live] = cs[..., 0] - 1j * cs[..., 1]
-    ax = np.arange(grid.n) / grid.n
-    f = (np.exp(2j * np.pi * np.outer(kx, ax)).T @ w
-         @ np.exp(2j * np.pi * np.outer(ky, ax))).real
+    f = (xt @ w @ y).real
     peak = np.max(np.abs(f), axis=(-2, -1), keepdims=True)
     f *= amp / np.where(peak > 0.0, peak, 1.0)  # a zero field stays zero
     return f
@@ -76,13 +88,29 @@ def random_fourier_scalar(rng, grid, kmax=2, amp=1.0):
     return _fourier_fields(rng, grid, (), kmax, amp)
 
 
+@lru_cache(maxsize=None)
+def _basis_table(m):
+    """Read-only (m*m, m*m) table T[i*m + j, b] = e_b[i, j] of the u(m) basis e_b."""
+    table = np.ascontiguousarray(antihermitian_basis(m).reshape(m * m, m * m).T)
+    table.flags.writeable = False
+    return table
+
+
 def random_form(rng, grid, degree, m, kmax=2, amp=1.0):
     """Random anti-Hermitian form with band-limited coefficients, one field per
-    component and u(m) basis element, stored plane-major."""
-    basis = antihermitian_basis(m)
-    fields = _fourier_fields(rng, grid, (2 if degree == 1 else 1, len(basis)), kmax,
-                             amp / len(basis))
-    planes = np.einsum("cbxy,bij->cijxy", fields, basis)
+    component and u(m) basis element, stored plane-major.
+
+    The entries are one matmul of the u(m) basis table, cached read-only per
+    m (`_basis_table`), against the fields of each component as (m*m, n*n).
+    """
+    n, nb = grid.n, m * m
+    fields = _fourier_fields(rng, grid, (2 if degree == 1 else 1, nb), kmax, amp / nb)
+    planes = _basis_table(m) @ fields.reshape(-1, nb, n * n)
+    # Each real and imaginary part of an entry has one nonzero basis term, so
+    # the sums are exact; a part with none can sum to -0.0, which + 0.0 turns
+    # into the +0.0 of a per-basis sum.
+    planes += 0.0
+    planes = planes.reshape(-1, m, m, n, n)
     return _form(degree, grid, tuple(c.transpose(2, 3, 0, 1) for c in planes), ANTIHERMITIAN)
 
 

@@ -173,6 +173,32 @@ def test_plane_major_reorders_once_and_then_never_copies():
     assert np.array_equal(real, node.real)
 
 
+def _moveaxis_plane_major(a):
+    """`_plane_major` written with np.moveaxis, the oracle of its values and strides."""
+    planes = np.moveaxis(np.asarray(a, dtype=complex), (-2, -1), (0, 1))
+    return np.moveaxis(np.ascontiguousarray(planes), (0, 1), (-2, -1))
+
+
+def _node_major(rng, ndim, sliced):
+    shape = (5, 4, 3)[:ndim - 2] + (3, 3)
+    if sliced:  # every axis strided and no axis contiguous
+        shape = tuple(2 * k for k in shape)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return a[(slice(None, None, 2),) * ndim] if sliced else a
+
+
+@pytest.mark.parametrize("ndim", (2, 3, 4, 5))
+@pytest.mark.parametrize("sliced", (False, True), ids=("node-major", "sliced"))
+def test_plane_major_matches_the_moveaxis_formulation(ndim, sliced):
+    a = _node_major(np.random.default_rng(45 + ndim), ndim, sliced)
+    got, expect = _plane_major(a), _moveaxis_plane_major(a)
+    assert np.array_equal(got, expect) and got.strides == expect.strides
+    if ndim > 2 or sliced:  # a contiguous (m, m) matrix is already plane-major
+        assert not np.shares_memory(got, a)
+    again = _plane_major(got)  # plane-major input comes back as a view
+    assert np.shares_memory(again, got) and again.strides == got.strides
+
+
 @pytest.mark.parametrize("m", (2, 3))
 def test_stack_matmul_gives_the_same_bits_in_either_layout(m):
     rng = np.random.default_rng(41 + m)

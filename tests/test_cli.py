@@ -674,6 +674,25 @@ def test_config_file_takes_flags_after_its_path(tmp_path, capsys):
     assert json.loads(out)["config"]["grid"] == 16 and json.loads(out)["config"]["rank"] == 2
 
 
+@pytest.mark.parametrize("argv", (
+    ["verify", "--grid", "8"],
+    ["torus-curve", "--grid", "8", "--samples", "2", "--steps", str(MIN_STEPS),
+     "--lambda", "0.5"],
+    ["residual", "--grid", "8"],
+    ["holonomy", "--grid", "8", "--steps", str(MIN_STEPS)],
+    ["ab", "--steps", str(MIN_STEPS)],
+    ["wong", "--steps", str(MIN_STEPS)],
+    ["spectrum", "--grid", "8"],
+), ids=lambda argv: argv[0])
+def test_echoed_config_reruns_to_the_same_report(argv, tmp_path, capsys):
+    code, out, _ = _run(capsys, [*argv, "--format", "structured-record"])
+    assert code in (0, 2)
+    record = json.loads(out)
+    cfg = tmp_path / "echo.json"
+    cfg.write_text(json.dumps({"command": record["command"], **record["config"]}))
+    assert _run(capsys, ["--config", str(cfg)]) == (code, out, "")
+
+
 def test_abbreviated_config_flag_is_refused_by_name(tmp_path, capsys):
     code, out, err = _run(capsys, ["--conf", _spectrum_config(tmp_path)])
     assert code == 1 and out == ""

@@ -53,14 +53,18 @@ def _basis_loop(rng, grid, degree, m, kmax=2, amp=1.0):
 @pytest.mark.parametrize("degree", (0, 1, 2))
 @pytest.mark.parametrize("kmax", (1, 2))
 def test_random_form_matches_basis_loop_bit_for_bit(m, degree, kmax):
-    grid = TorusGrid(11)
-    rng, ref_rng = np.random.default_rng(m + 3 * degree), np.random.default_rng(m + 3 * degree)
-    w = random_form(rng, grid, degree, m, kmax, 0.7)
-    expect = _basis_loop(ref_rng, grid, degree, m, kmax, 0.7)
-    assert len(w.comps) == len(expect)
-    for got, ref in zip(w.comps, expect):
-        assert got.tobytes() == ref.tobytes()  # signed zeros too
-    assert rng.standard_normal() == ref_rng.standard_normal()
+    # BLAS blocks a matmul by its size, so the grid sizes are inputs too; they
+    # run in one case so that each (m, degree, kmax) keeps its case name
+    for n in (11, 32, 64):
+        grid = TorusGrid(n)
+        rng = np.random.default_rng(m + 3 * degree)
+        ref_rng = np.random.default_rng(m + 3 * degree)
+        w = random_form(rng, grid, degree, m, kmax, 0.7)
+        expect = _basis_loop(ref_rng, grid, degree, m, kmax, 0.7)
+        assert len(w.comps) == len(expect)
+        for got, ref in zip(w.comps, expect):
+            assert got.tobytes() == ref.tobytes()  # signed zeros too
+        assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 @pytest.mark.parametrize("degree", (0, 1, 2))
@@ -77,6 +81,13 @@ def test_random_form_is_plane_major_and_not_copied(degree, monkeypatch):
     for c, stored in zip(raw, w.comps):
         assert np.shares_memory(c, stored)
         assert all(stored[..., i, j].flags.c_contiguous for i in range(3) for j in range(3))
+
+
+def test_cached_tables_are_read_only():
+    live, _, xt, y = suites._fourier_tables(8, 2)
+    for table in (live, xt, y, suites._basis_table(2)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
 
 
 def test_random_scalar_one_form_is_two_single_draws():

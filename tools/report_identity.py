@@ -1,0 +1,91 @@
+"""Check that the CLI's reports are byte-identical to those of a git revision.
+
+Usage, from anywhere in a checkout:
+
+    python3 tools/report_identity.py REV
+
+Extracts `src/` of revision REV with `git archive` into a temporary
+directory, then runs each invocation below in every output format on that
+tree and on the checkout's `src/`, each in its own interpreter with BLAS on
+one thread.  Prints one line per invocation and format, then a summary, and
+exits 1 if any exit code or stdout byte differs.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FORMATS = ("report-text", "csv", "structured-record")
+INVOCATIONS = (
+    "verify --seed 3 --grid 16",
+    "verify --seed 7",
+    "verify --seed 7919",
+    "torus-curve",
+    "torus-curve --grid 16 --samples 5",
+    "residual --family sin-dy",
+    "residual --family zero",
+    "residual --family const-mix:c=3.14159,lam=0.5",
+    "holonomy",
+    "holonomy --family const-dx --loop tcircle",
+    "ab",
+    "ab --k 0.37+0.1j --winding 2",
+    "wong --case constant",
+    "wong --case flat-contractible",
+    "spectrum --grid 16 --rank 2",
+    "spectrum --grid 12",
+)
+# imports gaugecalc from the tree given first, and from nowhere else
+_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); import gaugecalc.cli as cli; "
+         "assert cli.__file__.startswith(sys.argv[1]), cli.__file__; "
+         "sys.exit(cli.main(sys.argv[2:]))")
+_ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1"}
+
+
+def run(src, argv):
+    """(exit code, stdout bytes) of the CLI of the tree `src` on `argv`."""
+    proc = subprocess.run([sys.executable, "-c", _MAIN, str(src), *argv],
+                          capture_output=True, env=_ENV, cwd=src)
+    if proc.returncode == 1 and b"Traceback" in proc.stderr:
+        raise SystemExit(f"{' '.join(argv)} crashed on {src}:\n{proc.stderr.decode()}")
+    return proc.returncode, proc.stdout
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        raise SystemExit(__doc__)
+    rev = argv[0]
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"git archive {rev}: {archive.stderr.decode().strip()}")
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        old_src, new_src = (Path(tmp) / "src").resolve(), (ROOT / "src").resolve()
+        for invocation in INVOCATIONS:
+            for fmt in FORMATS:
+                cmd = [*invocation.split(), "--format", fmt]
+                (old_code, old_out), (new_code, new_out) = (run(old_src, cmd),
+                                                            run(new_src, cmd))
+                same = old_code == new_code and old_out == new_out
+                differ += not same
+                print(f"{'identical' if same else 'DIFFERENT'}  {' '.join(cmd)}  "
+                      f"(exit {old_code} -> {new_code}, {len(old_out)} -> {len(new_out)} B)",
+                      flush=True)
+    total = len(INVOCATIONS) * len(FORMATS)
+    print(f"{total - differ} of {total} identical to {rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
