@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SU2_BASIS, exp_antihermitian
-from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _entry_pairs, _form, exterior_d,
-                    hodge_star, interior, l2_norm, scalar_form, sharp,
-                    tensor_form, wedge_compose)
+from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _entry_pairs, _form, _tensor_sum,
+                    exterior_d, hodge_star, interior, l2_norm, scalar_form, sharp,
+                    wedge_compose)
 from .gauge import (FLAT_TOL, Connection, codifferential, covariant_d, curvature,
                     gauge_transform, require_flat, yang_mills_residual, zero_connection)
 from .holonomy import parallel_transport, torus_loop
@@ -170,8 +170,7 @@ def su2_potential(alpha, beta, gamma):
             raise ValueError("ansatz coefficients must be scalar 1-forms")
     if len({f.grid for f in forms}) != 1:
         raise ValueError("ansatz coefficients must share a grid")
-    e = (tensor_form(alpha, SU2_BASIS[0]) + tensor_form(beta, SU2_BASIS[1])
-         + tensor_form(gamma, SU2_BASIS[2]))
+    e = _tensor_sum(forms, SU2_BASIS)
     h = tuple(exterior_d(f).comps[0][:, :, 0, 0].real for f in forms)
     return Su2Ansatz(Connection(e), alpha, beta, gamma, h)
 
@@ -196,9 +195,7 @@ def su2_ym_conditions(ansatz):
     wedges = (wedge_compose(forms[1], forms[2]),
               wedge_compose(forms[2], forms[0]),
               wedge_compose(forms[0], forms[1]))
-    assembled = -(tensor_form(residuals[0], SU2_BASIS[0])
-                  + tensor_form(residuals[1], SU2_BASIS[1])
-                  + tensor_form(residuals[2], SU2_BASIS[2]))
+    assembled = -_tensor_sum(residuals, SU2_BASIS)
     general = yang_mills_residual(ansatz.connection)
     return {
         "stationarity_l2": tuple(l2_norm(r) for r in residuals),

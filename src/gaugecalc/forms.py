@@ -18,11 +18,14 @@ Values are checked once, where they enter.  The entry points are the
 MatrixForm constructor and the builders that take user arrays or arguments
 (`scalar_form`, `tensor_form`, `constant_form`, `zero_form`) and
 `form_from_record`: each refuses a bad degree or layout, non-finite
-components and a false ANTIHERMITIAN tag.  A form whose tag is established
-is never checked again.  Forms the package derives from checked forms (the
-operators here and in `gauge`, the seeded random forms of `suites`) are built
-with the unchecked `_form`, tagged ANTIHERMITIAN only where the operation
-preserves it: d, the star, sums and real multiples, brackets, conjugation.
+components and a false ANTIHERMITIAN tag.  `tensor_form` and the su(2)
+assemblies of `curves` go through `_tensor_sum`, which checks the assembled
+sum once and tags it ANTIHERMITIAN only where its values are.  A form whose
+tag is established is never checked again.  Forms the package derives from
+checked forms (the operators here and in `gauge`, the seeded random forms of
+`suites`) are built with the unchecked `_form`, tagged ANTIHERMITIAN only
+where the operation preserves it: d, the star, sums and real multiples,
+brackets, conjugation.
 """
 
 from __future__ import annotations
@@ -193,16 +196,39 @@ def scalar_form(grid, degree, *coeffs):
 
 def tensor_form(scalar, matrix):
     """Tensor product (scalar form) x (constant matrix)."""
-    if scalar.m != 1:
+    return _tensor_sum((scalar,), (matrix,))
+
+
+def _tensor_sum(scalars, matrices):
+    """Sum of the tensor products scalars[i] x matrices[i], checked once when assembled.
+
+    The terms are added in order, ((t0 + t1) + t2) ..., and the sum is refused
+    if it is not finite.  It is tagged ANTIHERMITIAN when every scalar is real
+    (to 1e-14), every matrix is anti-Hermitian and each assembled component
+    is anti-Hermitian to ANTIHERMITIAN_ATOL; otherwise it is GENERAL.
+    """
+    if any(s.m != 1 for s in scalars):
         raise ValueError("tensor_form expects a scalar-valued form on the left")
-    matrix = np.asarray(matrix, dtype=complex)
-    if not np.isfinite(matrix).all():  # refused before the products compute with it
+    mats = [np.asarray(mm, dtype=complex) for mm in matrices]
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1 \
+            or any(mm.shape != shape for mm in mats):
+        raise ValueError(f"tensor_form needs square matrices of one rank m >= 1, "
+                         f"got shapes {[mm.shape for mm in mats]}")
+    if not all(np.isfinite(mm).all() for mm in mats):  # refused before the products use them
         raise ValueError("tensor_form matrix must be finite")
-    scal_real = all(float(np.max(np.abs(c.imag))) <= 1e-14 for c in scalar.comps)
-    vc = ANTIHERMITIAN if scal_real and is_antihermitian(matrix) else GENERAL
-    comps = tuple((matrix[..., None, None] * c[:, :, 0, 0]).transpose(2, 3, 0, 1)
-                  for c in scalar.comps)
-    return MatrixForm(scalar.degree, scalar.grid, comps, vc)
+    first = scalars[0]
+    comps = []
+    for k in range(len(first.comps)):
+        total = mats[0][..., None, None] * first.comps[k][:, :, 0, 0]
+        for s, mm in zip(scalars[1:], mats[1:]):
+            total += mm[..., None, None] * s.comps[k][:, :, 0, 0]
+        comps.append(total.transpose(2, 3, 0, 1))
+    if not all(np.isfinite(c).all() for c in comps):
+        raise ValueError("form components must be finite")
+    tagged = (all(float(np.max(np.abs(c.imag))) <= 1e-14 for s in scalars for c in s.comps)
+              and all(map(is_antihermitian, mats)) and all(map(is_antihermitian, comps)))
+    return _form(first.degree, first.grid, tuple(comps), ANTIHERMITIAN if tagged else GENERAL)
 
 
 def constant_form(grid, degree, *matrices):
@@ -224,7 +250,10 @@ def _ddx(arr, h):
     np.subtract(arr[2:], arr[:-2], out=out[1:-1])
     np.subtract(arr[1], arr[-1], out=out[0])
     np.subtract(arr[0], arr[-2], out=out[-1])
-    out /= 2.0 * h
+    # numpy divides z by c + 0j as ((re + im*0) / c, (im - re*0) / c) with 1/c
+    # formed first; a multiply by (1/c, -0) forms the same products and signs
+    # of zero, so this is the division `out /= 2h` bit for bit, about 5x faster
+    out *= complex(1.0 / (2.0 * h), -0.0)
     return out
 
 
@@ -254,6 +283,19 @@ def hodge_star(w):
         p, q = w.comps
         return _form(1, w.grid, (-q, p), w.value_class)
     return _form(0, w.grid, w.comps, w.value_class)
+
+
+def _neg_star(w):
+    """-hodge_star(w) by one negation, made in place in w's arrays, which no one else may hold.
+
+    A negation flips only the sign bit, so -*(p dx + q dy) = q dx - p dy
+    exactly, as is the composed -(-q) dx - p dy.
+    """
+    if w.degree == 1:
+        p, q = w.comps
+        return _form(1, w.grid, (q, np.negative(p, out=p)), w.value_class)
+    return _form(2 - w.degree, w.grid, tuple(np.negative(c, out=c) for c in w.comps),
+                 w.value_class)
 
 
 def _coeff_product(a, b):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import _plane_major, dagger, stack_matmul
 from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
-                    _form, _integer, _mapping, exterior_d, form_from_record,
+                    _form, _integer, _mapping, _neg_star, exterior_d, form_from_record,
                     form_to_record, hodge_star, l2_inner, l2_norm,
                     wedge_compose, zero_form)
 
@@ -90,14 +90,14 @@ def codifferential(conn, w):
     """Covariant codifferential -*d_E(*w); exact L2 adjoint of covariant_d."""
     if w.degree == 0:
         raise ValueError("codifferential of a 0-form is not defined")
-    return -hodge_star(covariant_d(conn, hodge_star(w)))
+    return _neg_star(covariant_d(conn, hodge_star(w)))
 
 
 def codifferential_flat(w):
     """Codifferential of the trivial flat base, -*d(*w)."""
     if w.degree == 0:
         raise ValueError("codifferential of a 0-form is not defined")
-    return -hodge_star(exterior_d(hodge_star(w)))
+    return _neg_star(exterior_d(hodge_star(w)))
 
 
 def wedge_action_adjoint(e_form, w):
@@ -149,7 +149,7 @@ def residual_report(conn, flat_tol=FLAT_TOL):
     return {
         "ym_value": l2_inner(k, k),
         "residual_l2": l2_norm(yang_mills_residual(conn)),
-        "residual_covariant_l2": l2_norm(yang_mills_residual_covariant(conn)),
+        "residual_covariant_l2": l2_norm(codifferential(conn, k)),  # the covariant residual
         "curvature_l2": kn,
         "flat": bool(kn <= flat_tol),
         "flat_tol": float(flat_tol),

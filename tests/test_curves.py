@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaugecalc import algebra, curves, forms
+from gaugecalc import algebra
 from gaugecalc.algebra import E1, E2, E3
 from gaugecalc.curves import (ConnectionCurve, curve_jets, flat_curve_report,
                               gauge_orbit_curve, harmonic_projection,
@@ -58,27 +58,26 @@ def test_derived_forms_are_not_checked_again(m, monkeypatch):
 
 
 def test_su2_potential_validates_only_in_its_tensor_forms(monkeypatch):
+    # one check, of the assembled potential: its three terms are not checked on their own
     rng = np.random.default_rng(44)
     coeffs = [random_scalar_one_form(rng, GRID) for _ in range(3)]
-    inside, validated = [], []
+    constructed, node_defects = [], []
     post_init = MatrixForm.__post_init__
+    defect = algebra.antihermitian_defect
 
-    def validate(self):
-        validated.append(bool(inside))
-        post_init(self)
+    def traced_defect(a):
+        if np.ndim(a) == 4:
+            node_defects.append(a)
+        return defect(a)
 
-    def traced_tensor_form(*args):
-        inside.append(1)
-        try:
-            return forms.tensor_form(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(MatrixForm, "__post_init__", validate)
-    monkeypatch.setattr(curves, "tensor_form", traced_tensor_form)
+    monkeypatch.setattr(MatrixForm, "__post_init__",
+                        lambda self: constructed.append(self) or post_init(self))
+    monkeypatch.setattr(algebra, "antihermitian_defect", traced_defect)
     ansatz = su2_potential(*coeffs)
-    assert validated == [True, True, True]
-    assert ansatz.connection.potential.value_class == ANTIHERMITIAN
+    pot = ansatz.connection.potential
+    assert constructed == []
+    assert len(node_defects) == 2 and all(a is c for a, c in zip(node_defects, pot.comps))
+    assert pot.value_class == ANTIHERMITIAN
 
 
 def test_jets_exact_on_quadratic_families():

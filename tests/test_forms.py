@@ -73,6 +73,32 @@ def test_public_builders_reject_non_finite_values():
         form_from_record(rec)
 
 
+def test_tensor_form_tags_its_product_from_the_assembled_values():
+    grid = TorusGrid(8)
+    ones = np.ones((8, 8))
+    exact = tensor_form(scalar_form(grid, 0, 3.0 * ones), E1)
+    assert exact.value_class == ANTIHERMITIAN
+    assert np.array_equal(exact.comps[0][2, 5], 3.0 * E1)
+    # anti-Hermitian to the tolerance, but not once scaled up by the scalar
+    near = E1.copy()
+    near[0, 0] += 1e-13
+    big = tensor_form(scalar_form(grid, 0, 1e6 * ones), near)
+    assert big.value_class == GENERAL
+    assert np.array_equal(big.comps[0][2, 5], 1e6 * near)
+    # a scalar real to 1e-14 whose imaginary part leaves a 2e-12 defect
+    tilted = tensor_form(scalar_form(grid, 0, (1.0 + 1e-14j) * ones), 100.0 * E1)
+    assert tilted.value_class == GENERAL
+    assert np.array_equal(tilted.comps[0][2, 5], (1.0 + 1e-14j) * (100.0 * E1))
+
+
+def test_tensor_form_refuses_non_square_matrices():
+    grid = TorusGrid(8)
+    scalar = scalar_form(grid, 0, np.ones((8, 8)))
+    for bad in (np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            tensor_form(scalar, bad)
+
+
 def test_form_from_record_rejects_hermitian_values():
     grid = TorusGrid(8)
     rec = form_to_record(constant_form(grid, 0, E1))
@@ -134,7 +160,7 @@ def _roll_ddy(arr, h):
     return (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2.0 * h)
 
 
-@pytest.mark.parametrize("n", (MIN_GRID, 64))
+@pytest.mark.parametrize("n", (MIN_GRID, 11, 64))  # 1/(2h) is inexact at n = 11
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_differences_match_the_rolled_formula_bit_for_bit(n, m):
     rng = np.random.default_rng(n + m)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gaugecalc
+from gaugecalc import gauge
 from gaugecalc.algebra import (E1, E2, E3, antihermitian_defect, bracket,
                                dagger, exp_antihermitian)
 from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid, _form,
@@ -9,7 +10,7 @@ from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid, _for
                              hodge_star, l2_inner, l2_norm, scalar_form,
                              tensor_form, wedge_compose, zero_form)
 from gaugecalc.curves import ConnectionCurve, curve_jets, ym_curve_report
-from gaugecalc.gauge import (FLAT_TOL, Connection, codifferential,
+from gaugecalc.gauge import (FLAT_TOL, Connection, codifferential, codifferential_flat,
                              connection_from_record, connection_to_record,
                              covariant_d, curvature, gauge_transform,
                              require_flat, residual_report,
@@ -118,6 +119,62 @@ def test_codifferential_flat_cases():
     assert l2_norm(codifferential(conn, w)) == 0.0
     with pytest.raises(ValueError):
         codifferential(conn, zero_form(grid, 0, 2))
+
+
+def _with_negative_zeros(w):
+    w = _copy(w)
+    for c in w.comps:
+        c[:2, :3] = complex(-0.0, -0.0)
+        c[2, :3] = complex(-0.0, 0.0)
+    return w
+
+
+def _same_bits(a, b):
+    parts = [(part(x), part(y)) for x, y in zip(a.comps, b.comps)
+             for part in (np.real, np.imag)]
+    return (a.degree == b.degree and a.value_class == b.value_class
+            and all(np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+                    for x, y in parts))
+
+
+def _copy(w):
+    return _form(w.degree, w.grid, tuple(c.copy(order="K") for c in w.comps), w.value_class)
+
+
+@pytest.mark.parametrize("degree", (1, 2))
+def test_codifferentials_match_the_composed_star_formula_bit_for_bit(degree):
+    grid = TorusGrid(11)
+    rng = np.random.default_rng(60 + degree)
+    conn = Connection(random_form(rng, grid, 1, 2))
+    w = _with_negative_zeros(random_form(rng, grid, degree, 2))
+    kept_w, kept_e = _copy(w), _copy(conn.potential)
+    assert _same_bits(codifferential(conn, w),
+                      -hodge_star(covariant_d(conn, hodge_star(w))))
+    assert _same_bits(codifferential_flat(w), -hodge_star(exterior_d(hodge_star(w))))
+    # the one negation is made in place in an intermediate, never in an input
+    assert _same_bits(w, kept_w) and _same_bits(conn.potential, kept_e)
+    # d of a 1-form of -0.0 entries: each sign of zero survives -*
+    zero = _with_negative_zeros(zero_form(grid, 1, 2))
+    assert _same_bits(codifferential_flat(exterior_d(zero)),
+                      -hodge_star(exterior_d(hodge_star(exterior_d(zero)))))
+
+
+def test_residual_report_computes_the_curvature_once(monkeypatch):
+    grid = TorusGrid(16)
+    conn = Connection(random_form(np.random.default_rng(33), grid, 1, 2))
+    calls = []
+    monkeypatch.setattr(gauge, "curvature", lambda c: calls.append(c) or curvature(c))
+    rep = residual_report(conn)
+    assert len(calls) == 1
+    k = curvature(conn)
+    assert rep == {
+        "ym_value": l2_inner(k, k),
+        "residual_l2": l2_norm(yang_mills_residual(conn)),
+        "residual_covariant_l2": l2_norm(yang_mills_residual_covariant(conn)),
+        "curvature_l2": l2_norm(k),
+        "flat": False,
+        "flat_tol": FLAT_TOL,
+    }
 
 
 def test_codifferential_is_exact_adjoint():
