@@ -20,12 +20,13 @@ MatrixForm constructor and the builders that take user arrays or arguments
 `form_from_record`: each refuses a bad degree or layout, non-finite
 components and a false ANTIHERMITIAN tag.  `tensor_form` and the su(2)
 assemblies of `curves` go through `_tensor_sum`, which checks the assembled
-sum once and tags it ANTIHERMITIAN only where its values are.  A form whose
-tag is established is never checked again.  Forms the package derives from
-checked forms (the operators here and in `gauge`, the seeded random forms of
-`suites`) are built with the unchecked `_form`, tagged ANTIHERMITIAN only
-where the operation preserves it: d, the star, sums and real multiples,
-brackets, conjugation.
+sum once and tags it ANTIHERMITIAN only where its values are;
+`constant_form` checks its m x m matrices and settles the tag on them, not
+on the broadcast components.  A form whose tag is established is never
+checked again.  Forms the package derives from checked forms (the operators
+here and in `gauge`, the seeded random forms of `suites`) are built with the
+unchecked `_form`, tagged ANTIHERMITIAN only where the operation preserves
+it: d, the star, sums and real multiples, brackets, conjugation.
 """
 
 from __future__ import annotations
@@ -209,14 +210,7 @@ def _tensor_sum(scalars, matrices):
     """
     if any(s.m != 1 for s in scalars):
         raise ValueError("tensor_form expects a scalar-valued form on the left")
-    mats = [np.asarray(mm, dtype=complex) for mm in matrices]
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1 \
-            or any(mm.shape != shape for mm in mats):
-        raise ValueError(f"tensor_form needs square matrices of one rank m >= 1, "
-                         f"got shapes {[mm.shape for mm in mats]}")
-    if not all(np.isfinite(mm).all() for mm in mats):  # refused before the products use them
-        raise ValueError("tensor_form matrix must be finite")
+    mats = _square_matrices(matrices, "tensor_form")
     first = scalars[0]
     comps = []
     for k in range(len(first.comps)):
@@ -231,17 +225,32 @@ def _tensor_sum(scalars, matrices):
     return _form(first.degree, first.grid, tuple(comps), ANTIHERMITIAN if tagged else GENERAL)
 
 
+def _square_matrices(matrices, what):
+    """`matrices` as complex arrays; refuses any that is not square of one rank, or not finite."""
+    mats = [np.asarray(mm, dtype=complex) for mm in matrices]
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1 \
+            or any(mm.shape != shape for mm in mats):
+        raise ValueError(f"{what} needs square matrices of one rank m >= 1, "
+                         f"got shapes {[mm.shape for mm in mats]}")
+    if not all(np.isfinite(mm).all() for mm in mats):  # refused before anything computes with them
+        raise ValueError(f"{what} matrices must be finite")
+    return mats
+
+
 def constant_form(grid, degree, *matrices):
-    """Form with node-independent matrix coefficients."""
+    """Form with node-independent matrix coefficients.
+
+    The m x m matrices are checked, and the tag settled, once; the broadcast
+    components carry the same values and are not checked again.
+    """
     ncomps = _ncomps(degree)
     if len(matrices) != ncomps:
         raise ValueError(f"degree {degree} needs {ncomps} coefficient matrices")
-    mats = [np.asarray(mm, dtype=complex) for mm in matrices]
-    if not all(np.isfinite(mm).all() for mm in mats):  # refused before the tag test
-        raise ValueError("constant_form matrices must be finite")
-    comps = tuple(np.broadcast_to(mm, (grid.n, grid.n) + mm.shape) for mm in mats)
-    vc = ANTIHERMITIAN if all(is_antihermitian(mm) for mm in mats) else GENERAL
-    return MatrixForm(degree, grid, comps, vc)
+    mats = _square_matrices(matrices, "constant_form")
+    vc = ANTIHERMITIAN if all(map(is_antihermitian, mats)) else GENERAL
+    comps = tuple(_plane_major(np.broadcast_to(mm, (grid.n, grid.n) + mm.shape)) for mm in mats)
+    return _form(degree, grid, comps, vc)
 
 
 def _ddx(arr, h):

@@ -6,6 +6,12 @@ potential 1-form E, so the curvature is K = dE + E^E.  The codifferential is
 adjoint of the covariant derivative (the central differences are skew-adjoint
 and the pointwise bracket terms are adjoint through the ad-invariance of
 Re tr(A B^H)).
+
+The pointwise terms are brackets, each one `algebra.stack_bracket`: the
+curvature's E^E = [Ex, Ey] dx^dy; the wedge action [E, f] = ([Ex, f],
+[Ey, f]) on a 0-form f and [Ex, Wy] - [Ey, Wx] on a 1-form W; and its
+adjoint ([Ey, R], [R, Ex]) on a 2-form R dx^dy.  A rank-1 form against a
+rank-m potential takes the wedge products of `forms.wedge_compose`.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _plane_major, dagger, stack_matmul
+from .algebra import _plane_major, dagger, stack_bracket, stack_matmul
 from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
                     _form, _integer, _mapping, _neg_star, exterior_d, form_from_record,
                     form_to_record, hodge_star, l2_inner, l2_norm,
@@ -50,7 +56,7 @@ def zero_connection(grid, m):
 
 def _square(e):
     """E^E = [Ex, Ey] dx^dy, anti-Hermitian for an anti-Hermitian potential."""
-    return _form(2, e.grid, wedge_compose(e, e).comps, ANTIHERMITIAN)
+    return _form(2, e.grid, (stack_bracket(*e.comps),), ANTIHERMITIAN)
 
 
 def curvature(conn):
@@ -71,11 +77,18 @@ def wedge_action(e_form, w):
     """Left/right wedge by a potential 1-form: D -> E^D - (-1)^k D^E."""
     if w.degree >= 2:
         raise ValueError("wedge action is defined on degrees 0 and 1")
-    ew = wedge_compose(e_form, w)
-    we = wedge_compose(w, e_form)
-    out = ew - we if w.degree % 2 == 0 else ew + we
+    if e_form.grid != w.grid or e_form.m != w.m:  # a rank-1 factor, or refused there
+        ew = wedge_compose(e_form, w)
+        we = wedge_compose(w, e_form)
+        comps = (ew - we if w.degree % 2 == 0 else ew + we).comps
+    elif w.degree == 0:
+        (f,) = w.comps
+        comps = tuple(stack_bracket(c, f) for c in e_form.comps)
+    else:
+        (ex, ey), (wx, wy) = e_form.comps, w.comps
+        comps = (stack_bracket(ex, wy) - stack_bracket(ey, wx),)
     # a bracket of two anti-Hermitian forms is anti-Hermitian
-    return _form(out.degree, out.grid, out.comps,
+    return _form(w.degree + 1, w.grid, comps,
                  _combine_class(e_form.value_class, w.value_class))
 
 
@@ -114,8 +127,7 @@ def wedge_action_adjoint(e_form, w):
         raise ValueError("adjoint wedge action needs anti-Hermitian inputs")
     ex, ey = e_form.comps
     (r,) = w.comps
-    return _form(1, w.grid, (stack_matmul(ey, r) - stack_matmul(r, ey),
-                             stack_matmul(r, ex) - stack_matmul(ex, r)), ANTIHERMITIAN)
+    return _form(1, w.grid, (stack_bracket(ey, r), stack_bracket(r, ex)), ANTIHERMITIAN)
 
 
 def yang_mills_functional(conn):

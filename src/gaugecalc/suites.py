@@ -77,7 +77,8 @@ def _fourier_fields(rng, grid, shape, kmax=2, amp=1.0):
     cs = rng.standard_normal(shape + (nlive, 2))
     w = np.zeros(shape + live.shape, dtype=complex)
     w[..., live] = cs[..., 0] - 1j * cs[..., 1]
-    f = (xt @ w @ y).real
+    # the second product as one 2-D matmul over the stacked rows of X^T W
+    f = ((xt @ w).reshape(-1, y.shape[0]) @ y).real.reshape(shape + (grid.n, grid.n))
     peak = np.max(np.abs(f), axis=(-2, -1), keepdims=True)
     f *= amp / np.where(peak > 0.0, peak, 1.0)  # a zero field stays zero
     return f

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 from gaugecalc.algebra import (E1, E2, E3, LEVI_CIVITA, SU2_BASIS, bracket,
                                dagger, exp_antihermitian, inner,
                                is_antihermitian, random_antihermitian,
-                               require_antihermitian, stack_matmul)
+                               require_antihermitian, stack_bracket, stack_matmul)
 from gaugecalc.algebra import SIGMA1, SIGMA3, _plane_major
 
 
@@ -118,13 +118,76 @@ def test_u2_exponential_single_matrix_and_grid_stack():
     assert np.max(np.abs(g[3, 5] - exp_antihermitian(stack[3, 5]))) <= 1e-15
 
 
-@pytest.mark.parametrize("m", (3, 4))
+@pytest.mark.parametrize("m", (4,))
 def test_exponential_above_rank_two_diagonalizes(m):
     stack = _stack(np.random.default_rng(6), 1.0, (4, 4, m, m))
     w, u = np.linalg.eigh(-1j * stack)
     assert np.array_equal(exp_antihermitian(stack),
                           stack_matmul(u * np.exp(1j * w)[..., None, :], dagger(u)))
     assert np.max(np.abs(exp_antihermitian(stack) - _expm_each(stack))) <= 1e-12
+
+
+def test_u3_exponential_is_closed_form(monkeypatch):
+    # the stack the rank-3 eigh pin used; m = 3 no longer diagonalizes
+    stack = _stack(np.random.default_rng(6), 1.0, (4, 4, 3, 3))
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    assert np.max(np.abs(exp_antihermitian(stack) - _expm_each(stack))) <= 1e-12
+
+
+def _unit_norm_stack(rng, count):
+    a = _stack(rng, 1.0, (count, 3, 3))
+    return a / np.linalg.norm(a, 2, axis=(-2, -1))[:, None, None]
+
+
+def _with_spectrum(rng, eigenvalues):
+    """i U diag(eigenvalues) U^H for a random unitary U, exactly anti-Hermitian."""
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    a = 1j * (u * np.asarray(eigenvalues, dtype=float)) @ dagger(u)
+    return 0.5 * (a - dagger(a))
+
+
+@pytest.mark.parametrize("norm", (0.0, 1e-160, 1e-17, 1e-12, 1e-8, 1e-4, 1.0, 10.0, 50.0))
+def test_u3_exponential_matches_expm_across_norms(norm):
+    # below 1e-16 the series stands in; at 1e-160 the closed form's 1/(9u^2 - w^2) would overflow
+    base = _unit_norm_stack(np.random.default_rng(7), 64)  # random spectra of 2-norm 1
+    q = -1j * base - np.trace(-1j * base, axis1=-2, axis2=-1)[:, None, None] / 3 * np.eye(3)
+    det = np.linalg.det(q).real  # the sign of det Q, which scaling by `norm` keeps
+    assert (det > 0).any() and (det < 0).any()
+    stack = norm * base
+    assert np.max(np.abs(exp_antihermitian(stack) - _expm_each(stack))) <= 1e-15 * max(1.0, norm)
+
+
+@pytest.mark.parametrize("eigenvalues", ((1.0, 1.0, -2.0), (-1.0, -1.0, 2.0), (0.3, 0.3, 0.3),
+                                         (1e-9, 1e-9, -2e-9), (2.5, 2.5, 0.0), (1.0, 0.0, -1.0)))
+def test_u3_exponential_of_repeated_and_symmetric_spectra(eigenvalues):
+    # det Q < 0, > 0 and 0 (the last), and degenerate pairs where arccos is steepest
+    a = _with_spectrum(np.random.default_rng(8), eigenvalues)
+    assert np.max(np.abs(exp_antihermitian(a) - expm(a))) <= 1e-15
+
+
+def test_u3_exponential_of_the_centre_and_of_a_stack():
+    assert np.array_equal(exp_antihermitian(np.zeros((3, 3))), np.eye(3))
+    assert np.array_equal(exp_antihermitian(np.zeros((8, 8, 3, 3))),
+                          np.broadcast_to(np.eye(3), (8, 8, 3, 3)))
+    rng = np.random.default_rng(9)
+    stack = _stack(rng, 1.0, (16, 16, 3, 3))
+    g = exp_antihermitian(stack)
+    assert g.shape == stack.shape
+    for idx in ((0, 0), (3, 5), (15, 9)):
+        single = exp_antihermitian(stack[idx])
+        assert single.shape == (3, 3)
+        assert np.max(np.abs(g[idx] - single)) <= 1e-15
+
+
+def test_u3_exponential_is_unitary_inside_the_antihermitian_tolerance():
+    # as for u(2): a real diagonal of 4e-13 passes the anti-Hermitian check and
+    # only the anti-Hermitian part enters the exponential
+    stack = _stack(np.random.default_rng(4), 1.0, (16, 3, 3))
+    for k in range(3):
+        stack[:, k, k] += 4e-13
+    g = exp_antihermitian(stack)
+    assert np.isfinite(g).all()
+    assert np.max(np.abs(stack_matmul(g, dagger(g)) - np.eye(3))) <= 4e-15
 
 
 def _node_norms(x):
@@ -215,6 +278,48 @@ def test_exponential_is_plane_major_and_layout_blind(m):
     g = exp_antihermitian(node)
     assert _planes_contiguous(g)
     assert np.array_equal(g, exp_antihermitian(_plane_major(node)))
+
+
+def _bracket_cases(rng, m):
+    def draw(*shape):
+        return rng.standard_normal(shape + (m, m)) + 1j * rng.standard_normal(shape + (m, m))
+
+    gen = draw(257)
+    return [(draw(16, 16), draw(16, 16)),       # an (N, N, m, m) field
+            (_plane_major(draw(16, 16)), _plane_major(draw(16, 16))),
+            (gen[1::2], gen[:-1:2]),            # strided views
+            (draw(16, 16), draw()),             # a stack against one matrix
+            (draw(8).real, draw(8))]            # real against complex
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_stack_bracket_matches_the_two_product_form(m):
+    for a, b in _bracket_cases(np.random.default_rng(50 + m), m):
+        got = stack_bracket(a, b)
+        want = a @ b - b @ a
+        assert got.shape == want.shape and got.dtype == want.dtype
+        bound = 1e-14 * _node_norms(a) * _node_norms(b)
+        assert np.all(_node_norms(got - want) <= bound)
+
+
+@pytest.mark.parametrize("m", (1, 3, 4))
+def test_stack_bracket_above_and_below_rank_two_is_the_matmul_difference(m):
+    for a, b in _bracket_cases(np.random.default_rng(60 + m), m):
+        assert stack_bracket(a, b).tobytes() == (stack_matmul(a, b) - stack_matmul(b, a)).tobytes()
+
+
+def test_rank_two_bracket_identities():
+    rng = np.random.default_rng(70)
+    a, b = (_stack(rng, 1.0, (32, 32, 2, 2)) for _ in range(2))
+    c = stack_bracket(a, b)
+    assert np.array_equal(c[..., 1, 1], -c[..., 0, 0])
+    assert np.array_equal(c, -dagger(c))  # exactly anti-Hermitian, as its inputs
+    assert _planes_contiguous(c)
+    planes = stack_bracket(_plane_major(a), _plane_major(b))
+    assert planes.tobytes() == c.tobytes()  # the same bits in either input layout
+    general = rng.standard_normal((32, 2, 2)) + 1j * rng.standard_normal((32, 2, 2))
+    cg = stack_bracket(general, a[0])  # any complex entries: c11 = -c00 still holds exactly
+    assert np.array_equal(cg[..., 1, 1], -cg[..., 0, 0])
 
 
 def test_stack_matmul_rejects_mismatched_inner_dimension():

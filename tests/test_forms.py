@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaugecalc.algebra import E1, E2, E3, _plane_major, stack_matmul
+from gaugecalc import algebra
+from gaugecalc.algebra import E1, E2, E3, _plane_major, random_antihermitian, stack_matmul
 from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MIN_GRID, MatrixForm, TorusGrid,
                              VectorField, _ddx, _ddy, _entry_pairs, _form, constant_form,
                              exterior_d, form_from_json, form_from_record, form_to_json,
@@ -89,6 +90,35 @@ def test_tensor_form_tags_its_product_from_the_assembled_values():
     tilted = tensor_form(scalar_form(grid, 0, (1.0 + 1e-14j) * ones), 100.0 * E1)
     assert tilted.value_class == GENERAL
     assert np.array_equal(tilted.comps[0][2, 5], (1.0 + 1e-14j) * (100.0 * E1))
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_constant_form_checks_only_its_matrices(m, monkeypatch):
+    # the tag is settled by the m x m checks; the broadcast components are not scanned again
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(20 + m)
+    mats = [random_antihermitian(rng, m) for _ in range(2)]
+    shapes = []
+    defect = algebra.antihermitian_defect
+    monkeypatch.setattr(algebra, "antihermitian_defect",
+                        lambda a: shapes.append(np.shape(a)) or defect(a))
+    w = constant_form(grid, 1, *mats)
+    assert shapes == [(m, m), (m, m)]
+    assert w.value_class == ANTIHERMITIAN
+    monkeypatch.undo()
+    checked = MatrixForm(1, grid, tuple(np.broadcast_to(mm, (16, 16, m, m)) for mm in mats),
+                         ANTIHERMITIAN)
+    assert all(c.tobytes() == c0.tobytes() and c.strides == c0.strides
+               for c, c0 in zip(w.comps, checked.comps))
+    assert constant_form(grid, 0, mats[0] + np.eye(m)).value_class == GENERAL
+
+
+def test_constant_form_refuses_non_square_matrices():
+    grid = TorusGrid(8)
+    for bad in ((np.zeros((2, 3)),), (np.zeros(2),), (np.zeros((2, 2, 2)),),
+                (np.zeros((2, 2)), np.zeros((3, 3)))):
+        with pytest.raises(ValueError, match="square"):
+            constant_form(grid, len(bad) - 1, *bad)
 
 
 def test_tensor_form_refuses_non_square_matrices():

@@ -224,6 +224,44 @@ def test_wedge_action_adjointness():
         assert abs(lhs - rhs) < 1e-10
 
 
+def _rel_gap(got, want):
+    scale = max(want.max_abs(), 1.0)
+    return max(float(np.max(np.abs(c - w))) for c, w in zip(got.comps, want.comps)) / scale
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_bracket_terms_match_the_wedge_products(m):
+    # the bracket kernels against E^D - (-1)^k D^E written with wedge_compose
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(80 + m)
+    e, f, w, k = (random_form(rng, grid, degree, m) for degree in (1, 0, 1, 2))
+    (ex, ey), (r,) = e.comps, k.comps
+    adjoint = _form(1, grid, (ey @ r - r @ ey, r @ ex - ex @ r), ANTIHERMITIAN)
+    cases = [(wedge_action(e, f), wedge_compose(e, f) - wedge_compose(f, e)),
+             (wedge_action(e, w), wedge_compose(e, w) + wedge_compose(w, e)),
+             (curvature(Connection(e)) - exterior_d(e), wedge_compose(e, e)),
+             (wedge_action_adjoint(e, k), adjoint)]
+    for got, want in cases:
+        assert got.degree == want.degree
+        assert _rel_gap(got, want) <= 1e-14
+        if m == 2:  # the rank-2 kernel keeps brackets of exact anti-Hermitian values exact
+            assert all(np.array_equal(c, -dagger(c)) for c in got.comps)
+
+
+def test_wedge_action_of_a_scalar_form_keeps_the_wedge_products():
+    grid = TorusGrid(16)
+    rng = np.random.default_rng(90)
+    e = random_form(rng, grid, 1, 2)
+    alpha = scalar_form(grid, 1, random_fourier_scalar(rng, grid), random_fourier_scalar(rng, grid))
+    got = wedge_action(e, alpha)
+    want = wedge_compose(e, alpha) + wedge_compose(alpha, e)
+    assert got.m == 2 and all(np.array_equal(c, c0) for c, c0 in zip(got.comps, want.comps))
+    with pytest.raises(ValueError, match="different grids"):
+        wedge_action(e, random_form(rng, TorusGrid(8), 0, 2))
+    with pytest.raises(ValueError, match="incompatible"):
+        wedge_action(e, random_form(rng, grid, 0, 3))
+
+
 def test_wedge_action_adjoint_validation():
     grid = TorusGrid(8)
     with pytest.raises(ValueError):

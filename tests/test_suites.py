@@ -49,6 +49,22 @@ def _basis_loop(rng, grid, degree, m, kmax=2, amp=1.0):
     return comps
 
 
+@pytest.mark.parametrize("shape", ((), (1, 4), (2, 4), (2, 9)))
+def test_stacked_fields_match_the_per_matrix_product_bit_for_bit(shape):
+    # the stacked X^T W Y, one small matrix product at a time, is the oracle
+    for n in (11, 32, 64):
+        grid = TorusGrid(n)
+        live, nlive, xt, y = suites._fourier_tables(n, 2)
+        ref_rng = np.random.default_rng(n)
+        cs = ref_rng.standard_normal(shape + (nlive, 2))
+        w = np.zeros(shape + live.shape, dtype=complex)
+        w[..., live] = cs[..., 0] - 1j * cs[..., 1]
+        expect = (xt @ w @ y).real
+        expect *= 0.7 / np.max(np.abs(expect), axis=(-2, -1), keepdims=True)
+        got = suites._fourier_fields(np.random.default_rng(n), grid, shape, 2, 0.7)
+        assert got.shape == shape + (n, n) and got.tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("m", (1, 2, 3))
 @pytest.mark.parametrize("degree", (0, 1, 2))
 @pytest.mark.parametrize("kmax", (1, 2))

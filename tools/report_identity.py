@@ -8,12 +8,18 @@ Extracts `src/` of revision REV with `git archive` into a temporary
 directory, then runs each invocation below in every output format on that
 tree and on the checkout's `src/`, each in its own interpreter with BLAS on
 one thread.  Prints one line per invocation and format, then a summary, and
-exits 1 if any exit code or stdout byte differs.
+exits 1 if any exit code or stdout byte differs.  Under each DIFFERENT
+structured record it prints every moved leaf as its JSON path, the `name` of
+the nearest enclosing object that has one (a check's name), and the old and
+new JSON values:
+
+    $.checks[4].value (exp-unitarity): 1.3322734129261735e-15 -> 1.2213523874224638e-15
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -58,6 +64,43 @@ def run(src, argv):
     return proc.returncode, proc.stdout
 
 
+_ABSENT = object()
+
+
+def moved_leaves(old, new, path="$", name=None):
+    """(path, name, old, new) of each leaf where two decoded JSON values differ.
+
+    Leaves compare by their JSON text, so 0.0 and -0.0 differ; a key or list
+    item on one side only is a moved leaf against `_ABSENT`.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        if isinstance(old.get("name"), str):
+            name = old["name"]
+        for key in sorted(old.keys() | new.keys()):
+            yield from moved_leaves(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                    f"{path}.{key}", name)
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from moved_leaves(old[i] if i < len(old) else _ABSENT,
+                                    new[i] if i < len(new) else _ABSENT, f"{path}[{i}]", name)
+    elif _text(old) != _text(new):
+        yield path, name, old, new
+
+
+def _text(value):
+    return "(absent)" if value is _ABSENT else json.dumps(value)
+
+
+def moved_lines(old_out, new_out):
+    """One indented line per moved leaf of two structured records."""
+    try:
+        old, new = json.loads(old_out), json.loads(new_out)
+    except ValueError:
+        return ["    (not both JSON)"]
+    return [f"    {path}{f' ({name})' if name else ''}: {_text(a)} -> {_text(b)}"
+            for path, name, a, b in moved_leaves(old, new)]
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -82,6 +125,9 @@ def main(argv=None):
                 print(f"{'identical' if same else 'DIFFERENT'}  {' '.join(cmd)}  "
                       f"(exit {old_code} -> {new_code}, {len(old_out)} -> {len(new_out)} B)",
                       flush=True)
+                if not same and fmt == "structured-record":
+                    for line in moved_lines(old_out, new_out):
+                        print(line, flush=True)
     total = len(INVOCATIONS) * len(FORMATS)
     print(f"{total - differ} of {total} identical to {rev}")
     return 1 if differ else 0
