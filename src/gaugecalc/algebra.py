@@ -43,9 +43,10 @@ def dagger(a):
 
 
 def antihermitian_defect(a):
-    """Largest entrywise magnitude of A + A^H (zero for anti-Hermitian A)."""
+    """Largest entrywise magnitude of A + A^H (zero for anti-Hermitian A, and
+    for an empty stack)."""
     a = np.asarray(a, dtype=complex)
-    return float(np.max(np.abs(a + dagger(a))))
+    return float(np.max(np.abs(a + dagger(a)), initial=0.0))
 
 
 def is_antihermitian(a):

@@ -27,7 +27,9 @@ coefficient callables of meromorphic and gauge-conjugated potentials take
 stacks: `coefficient(z)` and `g(x, y)` / `dg(x, y)` get arrays of shape
 (...) and return (..., m, m), so each is called once per chunk.  Only
 `AnalyticTorusPotential` still calls its `ax`/`ay` once per point, with
-scalar arguments, through `_samples`.
+scalar arguments, through `_samples`.  A torus potential samples only the
+axes a chunk moves along: a coefficient whose velocity component is zero at
+every node of the chunk is not evaluated, so a loop along x never calls `ay`.
 
 A path is closed when its endpoints match (torus points mod 1); Wilson loops
 and monodromies require that.
@@ -181,10 +183,18 @@ def _torus_xy(pos):
     return xy[..., 0], xy[..., 1]
 
 
-def _along_torus(vel, ax, ay):
-    """vel_x ax + vel_y ay for stacked velocities and coefficient matrices."""
-    vel = np.asarray(vel)[..., None, None]
-    return vel[..., 0, :, :] * ax + vel[..., 1, :, :] * ay
+def _along_axes(vel, sample, m):
+    """vel_x sample(0) + vel_y sample(1) over the axes the stacked velocities move along.
+
+    `sample(i)` returns the (..., m, m) coefficients of axis i.  An axis whose
+    velocity is zero at every point is not sampled; with both skipped the
+    result is the zero stack (..., m, m).
+    """
+    vel = np.asarray(vel)
+    terms = [vel[..., i, None, None] * sample(i) for i in (0, 1) if vel[..., i].any()]
+    if not terms:
+        return np.zeros(vel.shape[:-1] + (m, m), dtype=complex)
+    return terms[0] + terms[1] if len(terms) == 2 else terms[0]
 
 
 class GridPotential:
@@ -204,18 +214,22 @@ class GridPotential:
         tx, ty = t[..., 0, :, :], t[..., 1, :, :]
         j0, l0 = lo[..., 0] % n, lo[..., 1] % n
         j1, l1 = (j0 + 1) % n, (l0 + 1) % n
-        corners = self._comps[:, np.stack((j0, j1, j0, j1)), np.stack((l0, l0, l1, l1))]
-        c00, c10, c01, c11 = corners.swapaxes(0, 1)
-        a = ((1 - tx) * (1 - ty) * c00 + tx * (1 - ty) * c10
-             + (1 - tx) * ty * c01 + tx * ty * c11)
-        return _along_torus(vel, a[0], a[1])
+        rows, cols = np.stack((j0, j1, j0, j1)), np.stack((l0, l0, l1, l1))
+        w00, w10, w01, w11 = (1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty
+
+        def sample(i):
+            c00, c10, c01, c11 = self._comps[i][rows, cols]
+            return w00 * c00 + w10 * c10 + w01 * c01 + w11 * c11
+
+        return _along_axes(vel, sample, self.m)
 
 
 class AnalyticTorusPotential:
     """Torus potential with closed-form dx and dy coefficients.
 
     `ax(x, y)` and `ay(x, y)` are called once per point with float scalars
-    and return (m, m) matrices (see `_samples`).
+    and return (m, m) matrices (see `_samples`); the coefficient of an axis
+    the path does not move along is not sampled.
     """
 
     def __init__(self, ax, ay, m):
@@ -225,7 +239,7 @@ class AnalyticTorusPotential:
 
     def along(self, pos, vel):
         x, y = _torus_xy(pos)
-        return _along_torus(vel, _samples(self.ax, x, y), _samples(self.ay, x, y))
+        return _along_axes(vel, lambda i: _samples((self.ax, self.ay)[i], x, y), self.m)
 
 
 @dataclass(frozen=True)
@@ -271,7 +285,7 @@ class GaugeConjugatedPotential:
         a = self.base.along(pos, vel)
         x, y = _torus_xy(pos)
         gm = self.g(x, y)
-        gdot = _along_torus(vel, *self.dg(x, y))
+        gdot = _along_axes(vel, self.dg(x, y).__getitem__, self.m)
         gi = dagger(gm)
         return stack_matmul(stack_matmul(gm, a), gi) - stack_matmul(gdot, gi)
 

@@ -132,6 +132,7 @@ def algebra_suite(rng):
     checks.append(Check("su2-structure-constants", worst, 1e-14))
 
     ad, jac, invd, unit = 0.0, 0.0, 0.0, 0.0
+    draws = {2: [], 3: []}
     for _ in range(25):
         for m in (2, 3):
             a = random_antihermitian(rng, m)
@@ -141,9 +142,11 @@ def algebra_suite(rng):
             jac = max(jac, float(np.max(np.abs(
                 bracket(a, bracket(b, c)) + bracket(b, bracket(c, a))
                 + bracket(c, bracket(a, b))))))
-            g = exp_antihermitian(a)
-            invd = max(invd, float(np.max(np.abs(g @ exp_antihermitian(-a) - np.eye(m)))))
-            unit = max(unit, float(np.max(np.abs(g @ dagger(g) - np.eye(m)))))
+            draws[m].append(a)
+    for m, a in draws.items():  # each rank's draws and their negatives in one stack
+        g, g_inv = np.split(exp_antihermitian(np.concatenate((a, np.negative(a)))), 2)
+        invd = max(invd, float(np.max(np.abs(g @ g_inv - np.eye(m)))))
+        unit = max(unit, float(np.max(np.abs(g @ dagger(g) - np.eye(m)))))
     checks.append(Check("ad-invariance", ad, 1e-10))
     checks.append(Check("jacobi-identity", jac, 1e-10))
     checks.append(Check("exp-inverse", invd, 1e-10))

@@ -352,3 +352,17 @@ def test_antihermitian_check_rejects_non_finite():
     for bad in (np.full((2, 2), np.nan), np.array([[np.inf * 1j, 0.0], [0.0, 0.0]])):
         with pytest.raises(ValueError, match="non-finite"):
             require_antihermitian(bad)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_exponential_of_an_empty_stack_is_empty(m):
+    empty = np.zeros((0, m, m), dtype=complex)
+    assert require_antihermitian(empty) is None
+    assert exp_antihermitian(empty).shape == (0, m, m)
+    assert stack_bracket(empty, empty).shape == (0, m, m)
+    # a stack with a non-finite entry is still refused, whatever its rank
+    for bad in (np.nan, np.inf, -np.inf * 1j):
+        stack = np.zeros((2, m, m), dtype=complex)
+        stack[1, 0, m - 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            exp_antihermitian(stack)

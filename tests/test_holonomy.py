@@ -243,6 +243,92 @@ def test_transport_names_the_first_non_finite_node():
             run()
 
 
+def _counting_potential(ax, ay=lambda x, y: E3):
+    """An analytic potential with coefficients `ax`, `ay`, and a record of the calls of each."""
+    calls = {"ax": [], "ay": []}
+    return AnalyticTorusPotential(_counting(ax, calls["ax"]), _counting(ay, calls["ay"]), 2), calls
+
+
+@_TRANSPORTS
+@pytest.mark.parametrize("steps", (100, 257))
+@pytest.mark.parametrize("axis", (0, 1))
+def test_a_loop_along_one_axis_samples_only_its_coefficient(transport, steps, axis):
+    # the reverse runs at velocity -0.0 on the other axis, which is zero too
+    winding = (1, 0) if axis == 0 else (0, 1)
+    moved, still = ("ax", "ay") if axis == 0 else ("ay", "ax")
+    loop = torus_loop(winding, (0.3, 0.6))
+    back = reverse_path(loop)
+    assert np.signbit(back.velocity(0.5)[1 - axis])
+    for path, pieces in ((loop, 1), (back, 1), (concat_paths(loop, back), 2)):
+        pot, calls = _counting_potential(lambda x, y: E1 * np.cos(x), lambda x, y: E2 * y)
+        transport(pot, path, steps)
+        assert len(calls[moved]) == pieces * (2 * steps + 1)
+        assert calls[still] == []
+
+
+@_TRANSPORTS
+def test_a_circle_samples_both_coefficients(transport):
+    pot, calls = _counting_potential(lambda x, y: E1 * x)
+    transport(pot, torus_circle((0.4, 0.6), 0.25, 1), 100)
+    assert len(calls["ax"]) == len(calls["ay"]) == 201
+
+
+@_TRANSPORTS
+def test_a_zero_length_path_samples_nothing_and_transports_to_identity(transport):
+    pot, calls = _counting_potential(lambda x, y: E1)
+    out = transport(pot, segment_path((0.3, 0.4), (0.3, 0.4)), 100)
+    assert calls == {"ax": [], "ay": []}
+    if isinstance(out, tuple):  # a trajectory: every state is the first
+        out = out[1]
+        assert np.array_equal(out, np.broadcast_to(out[0], out.shape))
+    else:
+        assert np.array_equal(out, np.eye(2))
+
+
+def test_a_non_finite_coefficient_is_refused_only_on_an_axis_the_path_moves_along():
+    nan = np.full((2, 2), np.nan)
+    pot = AnalyticTorusPotential(lambda x, y: nan, lambda x, y: E2, 2)
+    for loop in (torus_loop((1, 0)), reverse_path(torus_loop((1, 0)))):
+        with pytest.raises(ValueError, match="potential sample is not finite at t = 0.0$"):
+            parallel_transport(pot, loop, 100)
+    # along y the x coefficient is never evaluated, so its NaN is not seen
+    g = parallel_transport(pot, torus_loop((0, 1)), 100)
+    assert np.array_equal(g, parallel_transport(_const_potential(ZERO2, E2), torus_loop((0, 1)),
+                                                100))
+
+
+def test_torus_potentials_skip_the_still_axis_bit_for_bit():
+    # with a zero y velocity every potential returns vel_x times its x
+    # coefficient alone, and a NaN y coefficient is never read
+    rng = np.random.default_rng(11)
+    comps = tuple(random_antihermitian(rng, 2) * rng.standard_normal((8, 8, 1, 1))
+                  for _ in range(2))
+    grid = GridPotential(Connection(MatrixForm(1, TorusGrid(8), comps, ANTIHERMITIAN)))
+    pos = rng.uniform(-2.0, 2.0, (5, 2))
+    vel = np.stack([rng.standard_normal(5), np.zeros(5)], axis=-1)
+    full = grid.along(pos, np.stack([vel[:, 0], np.ones(5)], axis=-1))
+    only_y = grid.along(pos, np.stack([np.zeros(5), np.ones(5)], axis=-1))
+    x_part = grid.along(pos, vel)
+    assert np.array_equal(x_part, vel[:, 0, None, None] * grid.along(pos, np.array([1.0, 0.0])))
+    assert np.array_equal(x_part + only_y, full)
+    grid._comps = np.stack((comps[0], np.full_like(comps[1], np.nan)))
+    assert np.array_equal(grid.along(pos, vel), x_part)
+
+    def gmap(x, y):
+        return exp_antihermitian(np.multiply.outer(x, E2))
+
+    def dgmap(x, y):
+        return E2 @ gmap(x, y), np.full((2, 2), np.nan)
+
+    conj = GaugeConjugatedPotential(_const_potential(E1, E3), gmap, dgmap)
+    still = GaugeConjugatedPotential(_const_potential(E1, E3), gmap,
+                                     lambda x, y: (dgmap(x, y)[0], ZERO2))
+    assert np.isfinite(conj.along(pos, vel)).all()
+    assert np.array_equal(conj.along(pos, vel), still.along(pos, vel))
+    resting = conj.along(pos, np.zeros((5, 2)))
+    assert resting.shape == (5, 2, 2) and not resting.any()
+
+
 _PATHS = {
     "torus_loop": torus_loop((2, -1), (0.25, 0.5)),
     "torus_circle": torus_circle((0.4, 0.6), 0.25, -2),
@@ -670,3 +756,17 @@ def test_library_windings_accept_integral_floats():
     rec = aharonov_bohm_monodromy(0.5, 2.0, 200)
     assert rec.winding == 2 and isinstance(rec.winding, int)
     assert rec == aharonov_bohm_monodromy(0.5, 2, 200)
+
+
+@pytest.mark.parametrize("kind", ("analytic", "grid"))
+def test_an_l_path_composes_its_legs_in_path_order(kind):
+    # A = 0.8 e1 on dx along the first leg, B = 0.6 e3 on dy along the second:
+    # transport is exp(-B) exp(-A), which these non-commuting legs tell apart
+    # from the reversed product
+    a, b = 0.8 * E1, 0.6 * E3
+    pot = (_const_potential(a, b) if kind == "analytic"
+           else Connection(constant_form(TorusGrid(8), 1, a, b)))
+    path = concat_paths(segment_path((0, 0), (1, 0)), segment_path((1, 0), (1, 1)))
+    g = parallel_transport(pot, path, 1000)
+    assert np.max(np.abs(g - expm(-b) @ expm(-a))) < 1e-12
+    assert np.max(np.abs(g - expm(-a) @ expm(-b))) > 0.1

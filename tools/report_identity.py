@@ -40,6 +40,8 @@ INVOCATIONS = (
     "residual --family const-mix:c=3.14159,lam=0.5",
     "holonomy",
     "holonomy --family const-dx --loop tcircle",
+    "holonomy --family sin-dy --loop torus:wx=0,wy=1,x0=0.3",
+    "holonomy --family sin-dy --loop torus:wx=1,wy=1",
     "ab",
     "ab --k 0.37+0.1j --winding 2",
     "wong --case constant",
