@@ -8,6 +8,7 @@ amplitudes below are sized accordingly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +27,7 @@ from .gauge import (Connection, codifferential, covariant_d, curvature,
                     gauge_transform, wedge_action, wedge_action_adjoint,
                     yang_mills_functional, yang_mills_residual,
                     yang_mills_residual_covariant, zero_connection)
-from .holonomy import (AnalyticTorusPotential, GaugeConjugatedPotential,
+from .holonomy import (MIN_STEPS, AnalyticTorusPotential, GaugeConjugatedPotential,
                        _pole_potential, aharonov_bohm_monodromy,
                        aharonov_casher_phase, circle_path, concat_paths,
                        monodromy_representation, parallel_transport,
@@ -306,12 +307,32 @@ def gauge_suite(rng, n):
     ym1 = yang_mills_functional(gauge_transform(conn, g))
     checks.append(Check("ym-gauge-invariance-relative", abs(ym1 - ym0) / ym0, 5e-4))
 
+    # the zero connection, and two twisted fields against the dimension k of the
+    # commutant of their transport holonomies, which H*(T^2, P) gives as (k, 2k, k)
     sgrid = TorusGrid(16)
-    dims1 = tuple(harmonic_space_dim(zero_connection(sgrid, 1), k) for k in (0, 1, 2))
-    dims2 = (harmonic_space_dim(zero_connection(sgrid, 2), 0),)
-    mism = float(sum(d != e for d, e in zip(dims1 + dims2, (1, 2, 1, 4))))
-    checks.append(Check("harmonic-dims", mism, 0.0))
+    got = [harmonic_space_dim(zero_connection(sgrid, 1), k) for k in (0, 1, 2)]
+    got.append(harmonic_space_dim(zero_connection(sgrid, 2), 0))
+    want = [1, 2, 1, 4]
+    for ax, ay in ((np.pi * E1, np.zeros((2, 2))), (0.9 * E1, 1.3 * E1)):
+        conn = Connection(constant_form(sgrid, 1, ax, ay))
+        k = _commutant_dim([parallel_transport(conn, torus_loop(w), MIN_STEPS)
+                            for w in ((1, 0), (0, 1))])
+        got.extend(harmonic_space_dim(conn, d) for d in (0, 1, 2))
+        want.extend((k, 2 * k, k))
+    checks.append(Check("harmonic-dims", float(sum(g != w for g, w in zip(got, want))), 0.0))
     return checks
+
+
+def _commutant_dim(mats):
+    """Real dimension of the commutant of the m x m matrices `mats` in u(m).
+
+    Singular values of X -> ([X, g] for g in mats) below 1e-6 count as zero:
+    far above the error of a transported holonomy, far below order one.
+    """
+    basis = antihermitian_basis(mats[0].shape[-1])
+    comm = np.concatenate([basis @ g - g @ basis for g in mats], axis=1).reshape(len(basis), -1)
+    sing = np.linalg.svd(np.concatenate([comm.real, comm.imag], axis=1), compute_uv=False)
+    return int(np.count_nonzero(sing < 1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +478,18 @@ SUITES = (
 
 
 def run_verify(seed, grid_n=32):
-    """Run every invariant suite with a fixed seed; returns (checks, all_passed)."""
+    """Run every invariant suite with a fixed seed; returns (checks, all_passed).
+
+    A suite that raises is recorded as the failed check `<suite>-suite`
+    (value 1, bound 0), its exception goes to stderr, and the other suites
+    still run.
+    """
     rng = np.random.default_rng(seed)
     checks = []
-    for _, fn in SUITES:
-        checks.extend(fn(rng, grid_n))
+    for name, fn in SUITES:
+        try:
+            checks.extend(fn(rng, grid_n))
+        except Exception as exc:
+            print(f"gaugecalc: suite {name} raised {type(exc).__name__}: {exc}", file=sys.stderr)
+            checks.append(Check(f"{name}-suite", 1.0, 0.0))
     return checks, all(c.passed for c in checks)

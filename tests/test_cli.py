@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaugecalc import cli, gauge, spectrum
+from gaugecalc import cli, gauge, spectrum, suites
 from gaugecalc.algebra import inner
 from gaugecalc.cli import CliError, build_family, build_loop, main, parse_params
 from gaugecalc.forms import TorusGrid
@@ -46,6 +46,25 @@ def test_verify_structured_record(tmp_path, capsys):
     # the tolerance table is exactly the bounds of the checks that ran
     assert record["tolerances"] == {c["name"]: c["bound"] for c in record["checks"]}
     assert record["config"] == {"format": "structured-record", "grid": 16, "seed": 3}
+
+
+def test_verify_reports_a_suite_that_raises_and_runs_the_rest(monkeypatch, capsys):
+    def raising(rng, n):
+        raise ValueError("gauge field is not unitary: defect 2.000e-09")
+
+    monkeypatch.setattr(suites, "SUITES", (
+        ("first", lambda rng, n: [suites.Check("first-check", 0.0, 1.0)]),
+        ("gauge", raising),
+        ("last", lambda rng, n: [suites.Check("last-check", 0.0, 1.0)]),
+    ))
+    code, out, err = _run(capsys, ["verify", "--grid", "8", "--format", "structured-record"])
+    assert code == 2
+    record = json.loads(out)
+    assert [(c["name"], c["value"], c["bound"], c["passed"]) for c in record["checks"]] == [
+        ("first-check", 0.0, 1.0, True), ("gauge-suite", 1.0, 0.0, False),
+        ("last-check", 0.0, 1.0, True)]
+    assert record["passed"] is False and record["summary"] == "2/3 checks passed"
+    assert "suite gauge raised ValueError: gauge field is not unitary: defect 2.000e-09" in err
 
 
 def test_ab_command(capsys):
@@ -366,12 +385,19 @@ def test_torus_curve_rejects_samples_above_the_cap_before_sampling(capsys, monke
 
 
 def test_cli_import_and_spectrum_run_load_no_scipy():
-    # scipy is needed only by the sparse Laplacian of non-constant connections
+    # the package needs numpy only; scipy is a test dependency
     script = ("import os, sys\n"
+              "import numpy as np\n"
+              "import gaugecalc as gc\n"
               "from gaugecalc.cli import main\n"
               "def loaded():\n"
               "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
               "print(loaded())\n"
+              "grid = gc.TorusGrid(8)\n"
+              "x, y = grid.nodes()\n"
+              "prof = gc.scalar_form(grid, 1, 0.7 + 0.4 * np.cos(2 * np.pi * x),\n"
+              "                      -0.5 + 0.3 * np.sin(2 * np.pi * y))\n"
+              "print(gc.harmonic_space_dim(gc.Connection(gc.tensor_form(prof, gc.E1)), 0))\n"
               "main(['spectrum', '--grid', '8', '--rank', '2', '--out', os.devnull])\n"
               "print(loaded())\n")
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -380,7 +406,7 @@ def test_cli_import_and_spectrum_run_load_no_scipy():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n[]\n"
+    assert done.stdout == "[]\n2\n[]\n"
 
 
 def test_reported_tolerances_are_the_library_defaults(capsys):

@@ -1,39 +1,74 @@
 import numpy as np
 import pytest
 
-from gaugecalc.algebra import E1, inner
+from gaugecalc.algebra import E1, dagger, exp_antihermitian, inner, random_antihermitian
 from gaugecalc.forms import TorusGrid, constant_form, exterior_d, tensor_form, scalar_form
 from gaugecalc.gauge import Connection, zero_connection
 from gaugecalc import gauge, spectrum
-from gaugecalc.spectrum import (antihermitian_basis, eigenproblem_size, harmonic_space_dim,
-                                laplacian_matrix)
+from gaugecalc.spectrum import antihermitian_basis, eigenproblem_size, harmonic_space_dim
 
 
-def _reference_laplacian(conn, degree):
-    """Dense Laplacian applied to one unit coefficient vector per column (np.roll stencils)."""
-    n, m, h = conn.grid.n, conn.m, conn.grid.h
-    ex, ey = conn.potential.comps
+def _links(conn):
+    """Links U = exp(h E) of the potential's components."""
+    return tuple(exp_antihermitian(conn.grid.h * c) for c in conn.potential.comps)
 
-    def fwd(a, axis):
-        return (np.roll(a, -1, axis=axis) - a) / h
 
-    def bwd(a, axis):
-        return (a - np.roll(a, 1, axis=axis)) / h
+def _gauged(links, rng):
+    """Links g(j, l) U(j, l) g(next node)^H under a seeded random gauge field g."""
+    n, m = links[0].shape[0], links[0].shape[-1]
+    x = rng.standard_normal((n, n, m, m)) + 1j * rng.standard_normal((n, n, m, m))
+    g = exp_antihermitian(0.5 * (x - dagger(x)))
+    return tuple(g @ u @ dagger(np.roll(g, -1, axis=axis)) for axis, u in enumerate(links))
 
-    def comm(a, b):
-        return a @ b - b @ a
+
+def _link_laplacian(ux, uy, h, degree):
+    """Dense Laplacian of the link complex in `antihermitian_basis` coordinates.
+
+    D_x and D_y are assembled as matrices, one Ad(U) block per node, in the
+    order (node, basis); d0 = [D_x; D_y], d1 = [-D_y, D_x].
+    """
+    n, m = ux.shape[0], ux.shape[-1]
+    basis = antihermitian_basis(m)
+    nb, cells = m * m, n * n
+
+    def derivative(u, axis):
+        moved = u[:, :, None] @ basis @ dagger(u)[:, :, None]
+        ad = np.einsum("xybij,aij->xyab", moved, basis.conj()).real.reshape(cells, nb, nb)
+        nxt = np.roll(np.arange(cells).reshape(n, n), -1, axis=axis).ravel()
+        d = np.zeros((cells, nb, cells, nb))
+        d[np.arange(cells), :, nxt, :] = ad
+        return (d.reshape(cells * nb, cells * nb) - np.eye(cells * nb)) / h
+
+    dx, dy = derivative(ux, 0), derivative(uy, 1)
+    d0, d1 = np.vstack([dx, dy]), np.hstack([-dy, dx])
+    if degree == 0:
+        return d0.T @ d0
+    if degree == 1:
+        return d0 @ d0.T + d1.T @ d1
+    return d1 @ d1.T
+
+
+def _stencil_laplacian(ux, uy, h, degree):
+    """Link Laplacian applied to one unit coefficient vector per column (np.roll stencils)."""
+    n, m = ux.shape[0], ux.shape[-1]
+
+    def fwd(u, f, axis):
+        return (u @ np.roll(f, -1, axis=axis) @ dagger(u) - f) / h
+
+    def bwd(u, f, axis):
+        return (np.roll(dagger(u) @ f @ u, 1, axis=axis) - f) / h
 
     def d0(f):
-        return fwd(f, 0) + comm(ex, f), fwd(f, 1) + comm(ey, f)
+        return fwd(ux, f, 0), fwd(uy, f, 1)
 
     def d1(p, q):
-        return fwd(q, 0) - fwd(p, 1) + comm(ex, q) - comm(ey, p)
+        return fwd(ux, q, 0) - fwd(uy, p, 1)
 
     def delta1(p, q):
-        return -(bwd(p, 0) + bwd(q, 1)) + comm(p, ex) + comm(q, ey)
+        return bwd(ux, p, 0) + bwd(uy, q, 1)
 
     def delta2(r):
-        return bwd(r, 1) + comm(ey, r), -bwd(r, 0) + comm(r, ex)
+        return -bwd(uy, r, 1), bwd(ux, r, 0)
 
     def apply(comps):
         if degree == 0:
@@ -99,18 +134,33 @@ def test_rejects_non_flat_connection():
 
 
 def test_flat_twisted_connection_counts_discrete_kernel():
-    # for a constant closed potential the covariant recursion only closes on
-    # the commutant of the potential, so the discrete count at this resolution
-    # is the ad-kernel dimension (2 for pi dx x e1 inside u(2))
+    # pi dx x e1 has x-holonomy exp(pi e1) = -I, which is central: Ad of it is
+    # the identity, so every entry of u(2) is parallel and the count is the
+    # continuum (4, 8, 4) of the gauge-inequivalent zero connection
     grid = TorusGrid(16)
     conn = Connection(constant_form(grid, 1, np.pi * E1, np.zeros((2, 2))))
-    assert harmonic_space_dim(conn, 0) == 2
+    assert tuple(harmonic_space_dim(conn, k) for k in (0, 1, 2)) == (4, 8, 4)
+
+
+@pytest.mark.parametrize("c", (0.5, 1.3, 2.5))
+def test_twisted_connection_off_the_center_counts_its_commutant(c):
+    # exp(c e1) with 0 < c < pi is not central; its commutant in u(2) is 2-dimensional
+    conn = Connection(constant_form(TorusGrid(16), 1, c * E1, np.zeros((2, 2))))
+    assert tuple(harmonic_space_dim(conn, k) for k in (0, 1, 2)) == (2, 4, 2)
 
 
 def test_rejects_oversized_problem():
     conn = zero_connection(TorusGrid(64), 2)
     with pytest.raises(ValueError, match="exceeds the limit"):
         harmonic_space_dim(conn, 1)
+
+
+@pytest.mark.parametrize("threshold", (float("nan"), float("inf"), -1.0, 0.0))
+def test_rejects_threshold_that_is_not_finite_and_positive(threshold):
+    conn = zero_connection(TorusGrid(8), 1)
+    with pytest.raises(ValueError, match="kernel threshold") as info:
+        harmonic_space_dim(conn, 0, threshold)
+    assert repr(threshold) in str(info.value)
 
 
 def _constant_connection(grid, ax, ay):
@@ -120,6 +170,7 @@ def _constant_connection(grid, ax, ay):
 @pytest.mark.parametrize("degree", (0, 1, 2))
 @pytest.mark.parametrize("potential", ("zero", "twisted-dx", "twisted-dxdy"))
 def test_laplacian_matrix_matches_stencil_reference(potential, degree):
+    # the dense oracle below, on gauged (so node-dependent) links
     grid = TorusGrid(8)
     zero2 = np.zeros((2, 2))
     conn = {
@@ -127,8 +178,9 @@ def test_laplacian_matrix_matches_stencil_reference(potential, degree):
         "twisted-dx": _constant_connection(grid, np.pi * E1, zero2),
         "twisted-dxdy": _constant_connection(grid, 0.9 * E1, 1.3 * E1),
     }[potential]
-    got = laplacian_matrix(conn, degree).toarray()
-    want = _reference_laplacian(conn, degree)
+    ux, uy = _gauged(_links(conn), np.random.default_rng(degree))
+    got = _link_laplacian(ux, uy, grid.h, degree)
+    want = _stencil_laplacian(ux, uy, grid.h, degree)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -148,20 +200,39 @@ def _e1(m):
     return a
 
 
-def _constant_potentials(m):
+def _flat_connections(grid, m):
     zero = np.zeros((m, m), dtype=complex)
-    return {
-        "zero": (zero, zero),
-        "twisted-dx": (np.pi * _e1(m), zero),
-        "twisted-dxdy": (0.9 * _e1(m), 1.3 * _e1(m)),
-        "diagonal-pair": (np.diag(1j * np.linspace(0.3, 1.1, m)),
-                          np.diag(1j * np.linspace(-0.7, 0.5, m))),
-    }
+    diag_x = np.diag(1j * np.linspace(0.3, 1.1, m))
+    diag_y = np.diag(1j * np.linspace(-0.7, 0.5, m))
+    conns = {name: _constant_connection(grid, ax, ay) for name, (ax, ay) in (
+        ("zero", (zero, zero)),
+        ("twisted-dx", (np.pi * _e1(m), zero)),
+        ("twisted-dxdy", (0.9 * _e1(m), 1.3 * _e1(m))),
+        ("diagonal-pair", (diag_x, diag_y)),
+    )}
+    x, y = grid.nodes()
+    flat = np.zeros_like(x)
+    # Ex = f(x) e1, Ey = g(y) e1 has flat links, yet it is not translation invariant
+    fx = 0.7 + 0.4 * np.cos(2.0 * np.pi * x)
+    gy = -0.5 + 0.3 * np.sin(2.0 * np.pi * y)
+    conns["separable-abelian"] = Connection(tensor_form(scalar_form(grid, 1, fx, gy), _e1(m)))
+    if m == 3:
+        # Ex(x) mixes two non-commuting generators, so H_x depends on the order
+        # of its links; Ey(y) is central.  Reversing that order moves the
+        # degree-0 count at threshold 30 from 15 to 13 at n = 8.
+        rng = np.random.default_rng(2)
+        a, b = random_antihermitian(rng, 3), random_antihermitian(rng, 3)
+        ex = (tensor_form(scalar_form(grid, 1, 6.0 * np.cos(2.0 * np.pi * x) + 1.0, flat), a)
+              + tensor_form(scalar_form(grid, 1, 6.0 * np.sin(4.0 * np.pi * x) + 0.5, flat), b))
+        ey = tensor_form(scalar_form(grid, 1, flat, 0.6 * np.cos(2.0 * np.pi * y) + 0.4),
+                         1j * np.eye(3))
+        conns["separable-rank3"] = Connection(ex + ey)
+    return conns
 
 
-# every constant case whose dense reference has at most 2048 unknowns; the
-# thresholds sit between eigenvalues, so equal counts at each one mean the
-# Fourier blocks reproduce the whole spectrum, not only its kernel
+# every case whose dense reference has at most 2048 unknowns; the thresholds
+# sit between eigenvalues, so equal counts at each one mean the closed form
+# reproduces the whole spectrum, not only its kernel
 _ORACLE_CASES = [(n, m, k) for n in (8, 11, 16) for m in (1, 2, 3) for k in (0, 1, 2)
                  if eigenproblem_size(n, m, k) <= 2048]
 _THRESHOLDS = (1e-6, 30.0, 100.0, 1e3)
@@ -169,47 +240,21 @@ _THRESHOLDS = (1e-6, 30.0, 100.0, 1e3)
 
 @pytest.mark.parametrize("n,m,degree", _ORACLE_CASES)
 def test_fourier_counts_match_dense_oracle(n, m, degree):
+    # The dense reference runs on lattice-gauged links: a gauge transform
+    # conjugates the link complex by an orthogonal map, so the count of the
+    # connection and the count of its gauged links must both equal it.
     grid = TorusGrid(n)
-    for name, (ax, ay) in _constant_potentials(m).items():
-        conn = _constant_connection(grid, ax, ay)
-        evals = np.linalg.eigvalsh(laplacian_matrix(conn, degree).toarray())
+    rng = np.random.default_rng(100 * n + 10 * m + degree)
+    mult = 2 if degree == 1 else 1
+    for name, conn in _flat_connections(grid, m).items():
+        ux, uy = _gauged(_links(conn), rng)
+        evals = np.linalg.eigvalsh(_link_laplacian(ux, uy, grid.h, degree))
+        gauged = spectrum._link_eigenvalues(ux, uy, grid.h)
         for t in _THRESHOLDS:
             assert np.min(np.abs(evals - t)) > 1e-6 * t, (name, t)
             want = int(np.count_nonzero(evals < t))
             assert harmonic_space_dim(conn, degree, threshold=t) == want, (name, t)
-
-
-def test_constant_connection_skips_dense_laplacian(monkeypatch):
-    def refuse(conn, degree):
-        raise AssertionError("dense Laplacian built for a constant connection")
-
-    monkeypatch.setattr(spectrum, "laplacian_matrix", refuse)
-    grid = TorusGrid(16)
-    assert tuple(harmonic_space_dim(zero_connection(grid, 2), k) for k in (0, 1, 2)) == (4, 8, 4)
-    twisted = _constant_connection(grid, np.pi * E1, np.zeros((2, 2)))
-    assert harmonic_space_dim(twisted, 0) == 2
-
-
-@pytest.mark.parametrize("degree", (0, 1, 2))
-def test_non_constant_flat_connection_takes_dense_path(monkeypatch, degree):
-    # Ex = f(x) e1, Ey = g(y) e1 has zero discrete curvature, and d1 d0 = 0 on
-    # the one-sided complex, yet it is not translation invariant
-    grid = TorusGrid(8)
-    x, y = grid.nodes()
-    fx = 0.7 + 0.4 * np.cos(2.0 * np.pi * x)
-    gy = -0.5 + 0.3 * np.sin(2.0 * np.pi * y)
-    conn = Connection(tensor_form(scalar_form(grid, 1, fx, gy), E1))
-    calls = []
-
-    def counted(conn, degree):
-        calls.append(degree)
-        return laplacian_matrix(conn, degree)
-
-    monkeypatch.setattr(spectrum, "laplacian_matrix", counted)
-    got = harmonic_space_dim(conn, degree)
-    assert calls == [degree]
-    evals = np.linalg.eigvalsh(laplacian_matrix(conn, degree).toarray())
-    assert got == int(np.count_nonzero(evals < 1e-6))
+            assert mult * int(np.count_nonzero(gauged < t)) == want, (name, "gauged", t)
 
 
 def test_size_is_checked_before_curvature(monkeypatch):
@@ -223,20 +268,19 @@ def test_size_is_checked_before_curvature(monkeypatch):
         harmonic_space_dim(conn, 0)
 
 
-def test_refuses_flat_connection_whose_one_sided_complex_does_not_close():
+def test_refuses_flat_connection_whose_link_complex_does_not_close():
     # E = d(phi) x e1 is pure gauge: its central-difference curvature is zero to
-    # rounding, but the one-sided d1 d0 is not, and the count it used to give,
-    # (2, 4, 2), differed from the (4, 8, 4) of the gauge-equivalent zero connection
+    # rounding, but the links of its node values leave every plaquette open
     grid = TorusGrid(8)
     x, y = grid.nodes()
     phi = scalar_form(grid, 0, 0.3 * np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y))
     conn = Connection(tensor_form(exterior_d(phi), E1))
     gauge.require_flat(conn, "this test")
-    d0, d1 = spectrum._covariant_differentials(conn)
-    defect = np.abs((d1 @ d0).toarray()).max()
-    assert defect > 10.0
+    ux, uy = _links(conn)
+    defect = np.abs(ux @ np.roll(uy, -1, axis=0) - uy @ np.roll(ux, -1, axis=1)).max()
+    assert defect > 0.05
     for degree in (0, 1, 2):
-        with pytest.raises(ValueError, match="does not close") as info:
+        with pytest.raises(ValueError, match="plaquette defect") as info:
             harmonic_space_dim(conn, degree)
         assert f"{defect:.3e}" in str(info.value)
     assert tuple(harmonic_space_dim(zero_connection(grid, 2), k) for k in (0, 1, 2)) == (4, 8, 4)
