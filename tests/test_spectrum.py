@@ -257,6 +257,23 @@ def test_fourier_counts_match_dense_oracle(n, m, degree):
             assert mult * int(np.count_nonzero(gauged < t)) == want, (name, "gauged", t)
 
 
+@pytest.mark.parametrize("degree", (0, 1, 2))
+def test_non_constant_flat_connection_takes_dense_path(degree):
+    # Ex = f(x) e1, Ey = g(y) e1 has flat links, yet it is not translation
+    # invariant; its closed-form count must equal the kernel of the dense
+    # link-complex Laplacian built from its own (ungauged) links
+    grid = TorusGrid(8)
+    x, y = grid.nodes()
+    fx = 0.7 + 0.4 * np.cos(2.0 * np.pi * x)
+    gy = -0.5 + 0.3 * np.sin(2.0 * np.pi * y)
+    conn = Connection(tensor_form(scalar_form(grid, 1, fx, gy), E1))
+    ux, uy = _links(conn)
+    evals = np.linalg.eigvalsh(_link_laplacian(ux, uy, grid.h, degree))
+    want = int(np.count_nonzero(evals < 1e-6))
+    assert want == (2, 4, 2)[degree]
+    assert harmonic_space_dim(conn, degree) == want
+
+
 def test_size_is_checked_before_curvature(monkeypatch):
     def refuse(conn):
         raise AssertionError("curvature computed for an oversized problem")
