@@ -3,8 +3,9 @@
 __version__ = "0.1.0"
 
 from .algebra import (E1, E2, E3, LEVI_CIVITA, SIGMA, SIGMA1, SIGMA2, SIGMA3,
-                      SU2_BASIS, bracket, dagger, exp_antihermitian, inner,
-                      is_antihermitian, random_antihermitian, require_antihermitian)
+                      SU2_BASIS, antihermitian_basis, bracket, dagger,
+                      exp_antihermitian, inner, is_antihermitian,
+                      random_antihermitian, require_antihermitian)
 from .forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid, VectorField,
                     constant_form, exterior_d, form_from_json, form_from_record,
                     form_to_json, form_to_record, hodge_star, interior,
@@ -16,7 +17,7 @@ from .gauge import (FLAT_TOL, Connection, codifferential, codifferential_flat,
                     residual_report, wedge_action, wedge_action_adjoint,
                     yang_mills_functional, yang_mills_residual,
                     yang_mills_residual_covariant, zero_connection)
-from .spectrum import antihermitian_basis, harmonic_space_dim
+from .spectrum import harmonic_space_dim
 from .curves import (ClaimReport, ConnectionCurve, PerturbationJets, Su2Ansatz,
                      curve_jets, flat_curve_report, gauge_orbit_curve,
                      harmonic_projection, su2_potential, su2_ym_conditions,

@@ -87,6 +87,27 @@ def inner(a, b):
     return float(np.trace(a @ dagger(b)).real)
 
 
+def antihermitian_basis(m):
+    """Orthonormal basis of u(m) under Re tr(A B^H), shape (m*m, m, m)."""
+    basis = []
+    for j in range(m):
+        t = np.zeros((m, m), dtype=complex)
+        t[j, j] = 1j
+        basis.append(t)
+    inv = 1.0 / np.sqrt(2.0)
+    for j in range(m):
+        for l in range(j + 1, m):
+            t = np.zeros((m, m), dtype=complex)
+            t[j, l] = inv
+            t[l, j] = -inv
+            basis.append(t)
+            t = np.zeros((m, m), dtype=complex)
+            t[j, l] = 1j * inv
+            t[l, j] = 1j * inv
+            basis.append(t)
+    return np.stack(basis)
+
+
 def _plane_major(a):
     """Complex (..., m, m) stack in memory order (m, m, ...); no copy if `a` has that order.
 

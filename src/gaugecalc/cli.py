@@ -23,12 +23,15 @@ from .forms import MIN_GRID, TorusGrid, _entry_pairs, constant_form, scalar_form
 from .gauge import FLAT_TOL, Connection, residual_report, zero_connection
 from .holonomy import (MAX_STEPS, MIN_STEPS, AnalyticTorusPotential, aharonov_bohm_monodromy,
                        require_closed, torus_circle, torus_loop, wilson_loop, wong_evolve)
-from .spectrum import DOF_LIMIT, KERNEL_THRESHOLD, eigenproblem_size, harmonic_space_dim
+from .spectrum import KERNEL_THRESHOLD, harmonic_space_dim
 from .suites import run_verify
 
 _SU2 = dict(zip(("e1", "e2", "e3"), SU2_BASIS))
 
 _MAX_GRID = 1024  # memory grows as N^2; a rank-2 residual at N = 512 peaks near 250 MB
+# spectrum memory grows as (N * rank)^2: --grid 1024 --rank 2 peaks near 420 MB, and
+# --grid 64 --rank 32 near 490 MB; its time grows as rank^3 (about 60 s at --rank 256)
+_MAX_SPECTRUM = 2 * _MAX_GRID
 _MAX_SAMPLES = 10 ** 4  # torus-curve costs about 0.9 ms per sample at --grid 8: about 9.5 s
 
 
@@ -418,10 +421,9 @@ def _cmd_spectrum(args):
     rank = args.rank
     threshold = args.tol or KERNEL_THRESHOLD  # a given --tol is positive
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
-    dof = max(eigenproblem_size(grid.n, rank, k) for k in degrees)
-    if dof > DOF_LIMIT:
-        raise CliError(f"--rank {rank} at --grid {grid.n} gives eigenproblem size {dof}, "
-                       f"which exceeds the limit {DOF_LIMIT}")
+    if grid.n * rank > _MAX_SPECTRUM:
+        raise CliError(f"--rank {rank} at --grid {grid.n} gives grid * rank {grid.n * rank}, "
+                       f"which exceeds the limit {_MAX_SPECTRUM}")
     conn = zero_connection(grid, rank)
     dims = {str(k): harmonic_space_dim(conn, k, threshold) for k in degrees}
     record = _base_record(args, {"threshold": threshold}, {"dims": dims})

@@ -33,33 +33,11 @@ import numpy as np
 from .algebra import dagger, exp_antihermitian, stack_matmul
 from .gauge import FLAT_TOL, require_flat
 
-DOF_LIMIT = 4608  # largest cochain space counted (n = 24 at rank 2, degree 1)
 KERNEL_THRESHOLD = 1e-6  # Laplacian eigenvalues below this count as harmonic
 
 # weights of the Hermitian parts of H_x, i H_x, H_y and i H_y in the matrix whose
 # eigenvectors are the joint eigenbasis; any weights off a measure-zero set do
 _MIX = (1.0, np.sqrt(2.0), np.sqrt(3.0), np.sqrt(5.0))
-
-
-def antihermitian_basis(m):
-    """Orthonormal basis of u(m) under Re tr(A B^H), shape (m*m, m, m)."""
-    basis = []
-    for j in range(m):
-        t = np.zeros((m, m), dtype=complex)
-        t[j, j] = 1j
-        basis.append(t)
-    inv = 1.0 / np.sqrt(2.0)
-    for j in range(m):
-        for l in range(j + 1, m):
-            t = np.zeros((m, m), dtype=complex)
-            t[j, l] = inv
-            t[l, j] = -inv
-            basis.append(t)
-            t = np.zeros((m, m), dtype=complex)
-            t[j, l] = 1j * inv
-            t[l, j] = 1j * inv
-            basis.append(t)
-    return np.stack(basis)
 
 
 def _link_eigenvalues(ux, uy, h):
@@ -84,29 +62,18 @@ def _link_eigenvalues(ux, uy, h):
     return sx[:, None] + sy
 
 
-def eigenproblem_size(n, m, degree):
-    """Real dimension of the degree-`degree` cochains on an n x n grid at rank m."""
-    return (2 if degree == 1 else 1) * n * n * m * m
-
-
 def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD):
     """Number of Laplacian eigenvalues below `threshold` at the given degree.
 
     Only flat connections are accepted: the covariant complex is a complex
     only when the curvature vanishes, so non-flat input is rejected with the
-    measured curvature norm.  The problem size is checked first, before the
-    curvature is computed.  The count runs on the links of the potential,
+    measured curvature norm.  The count runs on the links of the potential,
     which must be flat too (see `_link_eigenvalues`).
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     if not (np.isfinite(threshold) and threshold > 0):
         raise ValueError(f"kernel threshold must be a finite number > 0, got {threshold!r}")
-    n, m = conn.grid.n, conn.m
-    dof = eigenproblem_size(n, m, degree)
-    if dof > DOF_LIMIT:
-        raise ValueError(f"eigenproblem size {dof} (grid {n}, rank {m}, degree {degree}) "
-                         f"exceeds the limit {DOF_LIMIT}; reduce the grid or the rank")
     require_flat(conn, "harmonic counting")
     h = conn.grid.h
     ux, uy = (exp_antihermitian(h * c) for c in conn.potential.comps)

@@ -14,8 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (E1, E2, E3, LEVI_CIVITA, SU2_BASIS, bracket, dagger,
-                      exp_antihermitian, inner, random_antihermitian)
+from .algebra import (E1, E2, E3, LEVI_CIVITA, SU2_BASIS, antihermitian_basis,
+                      bracket, dagger, exp_antihermitian, inner,
+                      random_antihermitian)
 from .curves import (ConnectionCurve, curve_jets, flat_curve_report,
                      gauge_orbit_curve, harmonic_projection, su2_potential,
                      su2_ym_conditions, ym_curve_report)
@@ -31,9 +32,13 @@ from .holonomy import (MIN_STEPS, AnalyticTorusPotential, GaugeConjugatedPotenti
                        _pole_potential, aharonov_bohm_monodromy,
                        aharonov_casher_phase, circle_path, concat_paths,
                        monodromy_representation, parallel_transport,
-                       reverse_path, torus_circle, torus_loop, wilson_loop,
-                       wong_evolve)
-from .spectrum import antihermitian_basis, harmonic_space_dim
+                       reverse_path, segment_path, torus_circle, torus_loop,
+                       wilson_loop, wong_evolve)
+from .spectrum import harmonic_space_dim
+
+
+# u(2) coefficients a, b of the constant 1-form a dx + b dy of the closed-form checks
+_CONSTANT_COEFFS = (0.7 * E1 - 0.4 * E3 + 0.25j * np.eye(2), 0.5 * E2 + 1.1 * E3)
 
 
 @dataclass(frozen=True)
@@ -217,6 +222,11 @@ def forms_suite(rng, n):
     back = form_from_json(form_to_json(w))
     exact = 0.0 if all(np.array_equal(a, b) for a, b in zip(w.comps, back.comps)) else 1.0
     checks.append(Check("serialization-roundtrip", exact, 0.0))
+
+    # on the unit torus |a dx + b dy|^2 is |a|^2 + |b|^2, Frobenius norms
+    a, b = _CONSTANT_COEFFS
+    w = constant_form(grid, 1, a, b)
+    checks.append(Check("l2-closed-form", abs(l2_inner(w, w) - inner(a, a) - inner(b, b)), 1e-12))
     return checks
 
 
@@ -377,6 +387,11 @@ def curves_suite(rng, n):
     checks.append(Check("gauge-orbit-harmonic-projection", orbit_proj, 1e-6))
     checks.append(Check("gauge-orbit-ce", orbit_ce, 1e-6))
 
+    # a constant-coefficient form is its own harmonic projection
+    w = constant_form(grid, 1, *_CONSTANT_COEFFS)
+    checks.append(Check("harmonic-projection-constant",
+                        (harmonic_projection(w) - w).max_abs(), 1e-12))
+
     base = zero_connection(grid, 2)
     pot = constant_form(grid, 1, 0.9 * E1, -0.4 * E1)
     jets = curve_jets(ConnectionCurve(lambda t: t * pot))
@@ -407,9 +422,10 @@ def holonomy_suite(rng):
 
     # bilinear interpolation of a constant is the constant, so this grid
     # connection keeps the scheme's fourth order
-    const = Connection(constant_form(TorusGrid(8), 1, 0.8 * E1 + 0.3 * E2, np.zeros((2, 2))))
+    c = 0.8 * E1 + 0.3 * E2
+    const = Connection(constant_form(TorusGrid(8), 1, c, np.zeros((2, 2))))
     loop = torus_loop((1, 0))
-    oracle = exp_antihermitian(-(0.8 * E1 + 0.3 * E2))
+    oracle = exp_antihermitian(-c)
     e100 = float(np.max(np.abs(parallel_transport(const, loop, 100) - oracle)))
     e200 = float(np.max(np.abs(parallel_transport(const, loop, 200) - oracle)))
     checks.append(Check("transport-order-ratio", e100 / max(e200, 1e-300), 14.0, kind="min"))
@@ -421,6 +437,14 @@ def holonomy_suite(rng):
     grev = parallel_transport(const, reverse_path(loop), 1000)
     checks.append(Check("transport-reversal",
                         float(np.max(np.abs(grev @ g - np.eye(2)))), 1e-8))
+
+    # an L path along dx, then dy, with non-commuting constant legs A dx + B dy:
+    # its transport is exp(-B) exp(-A), the legs' exponentials in path order
+    a, b = 0.8 * E1, 0.6 * E3
+    ell = concat_paths(segment_path((0.0, 0.0), (1.0, 0.0)), segment_path((1.0, 0.0), (1.0, 1.0)))
+    g_ell = parallel_transport(Connection(constant_form(TorusGrid(8), 1, a, b)), ell, MIN_STEPS)
+    checks.append(Check("transport-path-order", float(np.max(np.abs(
+        g_ell - exp_antihermitian(-b) @ exp_antihermitian(-a)))), 1e-9))
 
     k = 0.23 + 0.11j
     pot = _pole_potential((0j,), ([[-k]],))
@@ -440,13 +464,14 @@ def holonomy_suite(rng):
     ac = max(aharonov_casher_phase(lam).deviation for lam in (0.0, 0.25, 1.0))
     checks.append(Check("ac-agreement", ac, 1e-8))
 
-    ts, traj = wong_evolve(const, torus_circle((0.5, 0.5), 0.2, 1), E1, 1000)
+    circle = torus_circle((0.5, 0.5), 0.2, 1)
+    ts, traj = wong_evolve(const, circle, E1, 1000)
     norms = np.einsum("tij,tij->t", traj, traj.conj()).real
     checks.append(Check("wong-conservation", float(np.max(np.abs(norms - norms[0]))), 1e-9))
-    _, gtraj = parallel_transport(const, torus_circle((0.5, 0.5), 0.2, 1), 1000,
-                                  trajectory=True)
-    ad_dev = max(float(np.max(np.abs(gm @ E1 @ dagger(gm) - im)))
-                 for gm, im in zip(gtraj[::100], traj[::100]))
+    # along C dx the transport is g(t) = exp(-(x(t) - x(0)) C), in closed form
+    shift = circle.position(ts[::100])[:, 0] - circle.position(0.0)[0]
+    gm = exp_antihermitian(-shift[:, None, None] * c)
+    ad_dev = float(np.max(np.abs(gm @ E1 @ dagger(gm) - traj[::100])))
     checks.append(Check("wong-ad-consistency", ad_dev, 1e-7))
 
     base = AnalyticTorusPotential(lambda x, y: np.pi * E1,

@@ -295,7 +295,7 @@ def test_rejects_sin_dy_frequency_whose_profile_overflows(capsys, command):
 
 @pytest.mark.parametrize("argv", (
     ["spectrum", "--grid", "16", "--rank", "100000"],
-    ["spectrum", "--grid", "64", "--rank", "8", "--degree", "0"]))
+    ["spectrum", "--grid", "1024", "--rank", "3", "--degree", "0"]))
 def test_spectrum_rejects_oversized_rank_before_allocating(capsys, monkeypatch, argv):
     def refuse(grid, m):
         raise AssertionError("zero_connection built for an oversized problem")
@@ -304,6 +304,13 @@ def test_spectrum_rejects_oversized_rank_before_allocating(capsys, monkeypatch, 
     code, out, err = _run(capsys, argv)
     assert code == 1 and out == ""
     assert "--rank" in err and "exceeds the limit" in err
+
+
+def test_spectrum_counts_rank_2_at_grid_32(capsys):
+    code, out, _ = _run(capsys, ["spectrum", "--grid", "32", "--rank", "2",
+                                 "--format", "structured-record"])
+    assert code == 0
+    assert json.loads(out)["dims"] == {"0": 4, "1": 8, "2": 4}
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -649,6 +650,12 @@ def test_wong_norm_conservation_and_ad_consistency():
     _, gtraj = parallel_transport(pot, path, 1000, trajectory=True)
     for g, i_t in zip(gtraj[::100], traj[::100]):
         assert np.max(np.abs(g @ E1 @ dagger(g) - i_t)) < 1e-7
+    # without the dy term the transport is g(t) = exp(-(x(t) - x(0)) C) in closed form
+    c = 0.8 * E1 + 0.3 * E2
+    ts, traj = wong_evolve(_const_potential(c), path, E1, 1000)
+    for t, i_t in zip(ts[::100], traj[::100]):
+        g = expm(-(path.position(t)[0] - path.position(0.0)[0]) * c)
+        assert np.max(np.abs(g @ E1 @ dagger(g) - i_t)) < 1e-12
 
 
 def test_wong_flat_contractible_loop_trivial_shift():
@@ -671,6 +678,15 @@ def test_wong_trajectory_peak_memory_is_the_trajectory():
         tracemalloc.stop()
     assert traj.shape == (steps + 1, 2, 2)
     assert peak < 2 * traj.nbytes
+
+
+@pytest.mark.parametrize("spin", (np.array([[1j]]), 1j * np.eye(3), E1[0]),
+                         ids=("1x1", "3x3", "1-d"))
+def test_wong_refuses_a_spin_of_another_shape_before_sampling(spin):
+    # _Refusing is rank 2 and fails if sampled
+    got = re.escape(str(spin.shape))
+    with pytest.raises(ValueError, match=rf"shape \(2, 2\).*got shape {got}"):
+        wong_evolve(_Refusing(), torus_loop((1, 0)), spin, 100)
 
 
 def test_wong_rejects_hermitian_spin():

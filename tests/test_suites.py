@@ -3,7 +3,7 @@ import pytest
 
 from gaugecalc import suites
 from gaugecalc.forms import TorusGrid, _form
-from gaugecalc.spectrum import antihermitian_basis
+from gaugecalc.algebra import antihermitian_basis
 from gaugecalc.suites import random_form, random_fourier_scalar, random_scalar_one_form
 
 

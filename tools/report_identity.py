@@ -11,9 +11,11 @@ one thread.  Prints one line per invocation and format, then a summary, and
 exits 1 if any exit code or stdout byte differs.  Under each DIFFERENT
 structured record it prints every moved leaf as its JSON path, the `name` of
 the nearest enclosing object that has one (a check's name), and the old and
-new JSON values:
+new JSON values.  Lists of objects with distinct names (the checks) pair their
+items by name, so an added check is one moved leaf and not a shift of every
+later one:
 
-    $.checks[4].value (exp-unitarity): 1.3322734129261735e-15 -> 1.2213523874224638e-15
+    $.checks[exp-unitarity].value (exp-unitarity): 1.3322734129261735e-15 -> 1.2213523874224638e-15
 """
 
 from __future__ import annotations
@@ -46,8 +48,10 @@ INVOCATIONS = (
     "ab --k 0.37+0.1j --winding 2",
     "wong --case constant",
     "wong --case flat-contractible",
+    "wong --case flat-contractible --i0 e3",
     "spectrum --grid 16 --rank 2",
     "spectrum --grid 12",
+    "spectrum --grid 32 --rank 2",
 )
 # imports gaugecalc from the tree given first, and from nowhere else
 _MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); import gaugecalc.cli as cli; "
@@ -73,7 +77,8 @@ def moved_leaves(old, new, path="$", name=None):
     """(path, name, old, new) of each leaf where two decoded JSON values differ.
 
     Leaves compare by their JSON text, so 0.0 and -0.0 differ; a key or list
-    item on one side only is a moved leaf against `_ABSENT`.
+    item on one side only is a moved leaf against `_ABSENT`.  Two lists of
+    objects with distinct names pair their items by name (`_by_name`).
     """
     if isinstance(old, dict) and isinstance(new, dict):
         if isinstance(old.get("name"), str):
@@ -81,12 +86,27 @@ def moved_leaves(old, new, path="$", name=None):
         for key in sorted(old.keys() | new.keys()):
             yield from moved_leaves(old.get(key, _ABSENT), new.get(key, _ABSENT),
                                     f"{path}.{key}", name)
+    elif _by_name(old) is not None and _by_name(new) is not None:
+        old, new = _by_name(old), _by_name(new)
+        for key in [*new, *(key for key in old if key not in new)]:
+            yield from moved_leaves(old.get(key, _ABSENT), new.get(key, _ABSENT),
+                                    f"{path}[{key}]", name)
     elif isinstance(old, list) and isinstance(new, list):
         for i in range(max(len(old), len(new))):
             yield from moved_leaves(old[i] if i < len(old) else _ABSENT,
                                     new[i] if i < len(new) else _ABSENT, f"{path}[{i}]", name)
     elif _text(old) != _text(new):
         yield path, name, old, new
+
+
+def _by_name(items):
+    """{name: item} of a non-empty list of objects with distinct string names, else None."""
+    if not (isinstance(items, list) and items and all(isinstance(i, dict) for i in items)):
+        return None
+    names = [i.get("name") for i in items]
+    if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
+        return None
+    return dict(zip(names, items))
 
 
 def _text(value):
