@@ -30,8 +30,11 @@ _SU2 = dict(zip(("e1", "e2", "e3"), SU2_BASIS))
 
 _MAX_GRID = 1024  # memory grows as N^2; a rank-2 residual at N = 512 peaks near 250 MB
 # spectrum memory grows as (N * rank)^2: --grid 1024 --rank 2 peaks near 420 MB, and
-# --grid 64 --rank 32 near 490 MB; its time grows as rank^3 (about 60 s at --rank 256)
+# --grid 64 --rank 32 near 490 MB; at a fixed N * rank its time grows as rank
+# (3.6 s at --rank 8, 8.4 s at --rank 32, about 60 s at --rank 256), so the rank cap
+# keeps every allowed pair within about 9 s
 _MAX_SPECTRUM = 2 * _MAX_GRID
+_MAX_RANK = 32
 _MAX_SAMPLES = 10 ** 4  # torus-curve costs about 0.9 ms per sample at --grid 8: about 9.5 s
 
 
@@ -421,6 +424,8 @@ def _cmd_spectrum(args):
     rank = args.rank
     threshold = args.tol or KERNEL_THRESHOLD  # a given --tol is positive
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
+    if rank > _MAX_RANK:
+        raise CliError(f"--rank {rank} exceeds the limit {_MAX_RANK}")
     if grid.n * rank > _MAX_SPECTRUM:
         raise CliError(f"--rank {rank} at --grid {grid.n} gives grid * rank {grid.n * rank}, "
                        f"which exceeds the limit {_MAX_SPECTRUM}")

@@ -35,9 +35,8 @@ A path is closed when its endpoints match (torus points mod 1); Wilson loops
 and monodromies require that.
 
 Spin transport (the Wong equation dI/dt + [A(xdot), I] = 0) is solved by
-I(t) = g(t) I(0) g(t)^{-1}: it runs the same transport and conjugates each
-state of the trajectory by g^H, not g^{-1}, so I stays anti-Hermitian to
-rounding and its norm holds to the unitarity of g.
+I(t) = g(t) I(0) g(t)^{-1} on the same transport trajectory; the inverse, not
+g^H, keeps it exact for gl(m) potentials, whose transport is not unitary.
 """
 
 from __future__ import annotations
@@ -441,8 +440,8 @@ def aharonov_bohm_monodromy(k, winding=1, steps=None):
 def wong_evolve(potential, path, i0, steps=1000):
     """Spin transport dI/dt + [A(xdot), I] = 0; returns times and the trajectory.
 
-    I_n = g_n I0 g_n^H, each state g_n of the transport trajectory conjugated
-    in place; the spin must be anti-Hermitian of shape (m, m) at the rank m.
+    I_n = g_n I0 g_n^{-1} on the transport trajectory, conjugated in place; the
+    spin must be anti-Hermitian of shape (m, m) at the potential's rank m.
     """
     i0 = np.asarray(i0, dtype=complex)
     potential, pieces, steps = _transport_setup(potential, path, steps)
@@ -456,7 +455,7 @@ def wong_evolve(potential, path, i0, steps=1000):
     _apply(_rk4(potential, pieces, steps), traj)
     for b in range(0, len(traj), _WONG_BLOCK):
         g = traj[b:b + _WONG_BLOCK]
-        g[...] = g @ i0 @ dagger(g)
+        g[...] = g @ i0 @ np.linalg.inv(g)
     traj[0] = i0  # g_0 = I, so the first state is the spin as given, signed zeros too
     return np.linspace(0.0, 1.0, len(traj)), traj
 

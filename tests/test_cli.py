@@ -295,7 +295,8 @@ def test_rejects_sin_dy_frequency_whose_profile_overflows(capsys, command):
 
 @pytest.mark.parametrize("argv", (
     ["spectrum", "--grid", "16", "--rank", "100000"],
-    ["spectrum", "--grid", "1024", "--rank", "3", "--degree", "0"]))
+    ["spectrum", "--grid", "1024", "--rank", "3", "--degree", "0"],
+    ["spectrum", "--grid", "8", "--rank", "33", "--degree", "0"]))
 def test_spectrum_rejects_oversized_rank_before_allocating(capsys, monkeypatch, argv):
     def refuse(grid, m):
         raise AssertionError("zero_connection built for an oversized problem")

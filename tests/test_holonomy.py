@@ -616,6 +616,29 @@ def test_multi_piece_trajectories_end_at_the_final_transport():
     assert spins.shape == (2 * steps + 1, 2, 2) and np.array_equal(ts_w, ts)
 
 
+def test_wong_keeps_an_abelian_spin_at_complex_k():
+    # at rank 1 the commutator vanishes, so I(t) = I0 although |g| = exp(-2 pi Im k t)
+    k = 0.23 + 0.11j
+    pot = _pole_potential((0j,), ([[-k]],))
+    _, traj = wong_evolve(pot, circle_path(0j, 1.0, 1), np.array([[1j]]), 1000)
+    assert np.max(np.abs(traj - 1j)) < 1e-14
+
+
+def test_wong_conjugates_by_the_inverse_of_a_non_unitary_transport():
+    pot = _noncommuting_poles()
+    path = circle_path(0j, 1.0, 1)
+    spin = np.array([[0.3j, 0.2 + 0.1j], [-0.2 + 0.1j, -0.3j]])
+    ts, spins = wong_evolve(pot, path, spin, 400)
+    ts_g, gtraj = parallel_transport(pot, path, 400, trajectory=True)
+    assert np.array_equal(ts, ts_g)
+    assert np.max(np.abs(spins - gtraj @ spin @ np.linalg.inv(gtraj))) < 1e-12
+    # a similarity keeps the eigenvalues; conjugating by g^H would not
+    # (the final spin has entries near 100, so its eigenvalues hold to about 1e-12 of that)
+    eig = [sorted(np.linalg.eigvals(i), key=lambda v: v.imag) for i in (spins[-1], spin)]
+    assert np.max(np.abs(np.subtract(*eig))) < 1e-10
+    assert np.max(np.abs(spins[-1] - gtraj[-1] @ spin @ dagger(gtraj[-1]))) > 0.1
+
+
 def test_monodromy_zero_potential():
     pot = MeromorphicPotential(lambda z: np.zeros((2, 2), dtype=complex), (), 2)
     mats = monodromy_representation(pot, [circle_path(0j, 1.0, n) for n in (1, 2)], 200)
