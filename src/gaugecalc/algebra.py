@@ -9,8 +9,9 @@ The stack kernels work on (..., m, m) arrays and have closed forms for the
 ranks the package runs:
 
 - `stack_matmul`: one broadcast outer product per inner index, any m.
-- `stack_bracket`: for m = 2 the six products that survive in AB - BA;
-  other ranks take the difference of two `stack_matmul` products.
+- `stack_bracket`: for m = 2 and 3 only the products that survive in
+  AB - BA, 6 and 30 of them; other ranks take the difference of two
+  `stack_matmul` products.
 - `exp_antihermitian`: for m = 2 the su(2) closed form, for m = 3 the
   Cayley-Hamilton form of Morningstar and Peardon; other ranks diagonalize.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 ANTIHERMITIAN_ATOL = 1e-12
+UNITARY_ATOL = 1e-10  # largest |G G^H - I| up to which G^H stands in for G^-1
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -63,6 +65,19 @@ def require_antihermitian(a, what="matrix"):
         raise ValueError(
             f"{what} is not anti-Hermitian: defect {defect:.3e} exceeds {ANTIHERMITIAN_ATOL:.1e}"
         )
+
+
+def _unitary_inverse(g, what):
+    """G^H of a stack (..., m, m) of unitary matrices, as their inverses.
+
+    Refuses `g` naming `what` and its defect, the largest |G G^H - I|, if
+    that exceeds UNITARY_ATOL.
+    """
+    gh = dagger(g)
+    defect = float(np.max(np.abs(stack_matmul(g, gh) - np.eye(g.shape[-1])), initial=0.0))
+    if not defect <= UNITARY_ATOL:
+        raise ValueError(f"{what} is not unitary: defect {defect:.3e}")
+    return gh
 
 
 def _require_matching(a, b):
@@ -142,27 +157,53 @@ def stack_matmul(a, b):
 def stack_bracket(a, b):
     """Commutator AB - BA of stacks (..., m, m), broadcast over the leading axes.
 
-    For m = 2 the products on the diagonal cancel, leaving six plane products:
-    c00 = a01 b10 - b01 a10, c11 = -c00, and with da = a00 - a11,
-    db = b00 - b11, c01 = da b01 - db a01, c10 = db a10 - da b10.  IEEE
-    products commute and x - y = -(y - x), so an exactly anti-Hermitian pair
-    gives an exactly anti-Hermitian result.  It is plane-major (see
-    `_plane_major`) and has the same bits for either input layout.  Other
-    ranks return `stack_matmul(a, b) - stack_matmul(b, a)`.
+    For m = 2 and 3 only the plane products that survive in AB - BA are
+    formed, 6 and 30 of them in place of the 16 and 54 of two matrix
+    products.  With da = a_ii - a_jj and db = b_ii - b_jj, the entry above the
+    diagonal is c_ij = da b_ij - db a_ij + a_il b_lj - b_il a_lj, l the third
+    index (m = 3 only), and the entry below it c_ji = db a_ji - da b_ji
+    - a_li b_jl + b_li a_jl, each product the index mirror of one of c_ij
+    with its factors in the same order.  On the diagonal
+    c00 = a01 b10 - b01 a10 + a02 b20 - b02 a20, c11 = a12 b21 - b12 a21
+    - (a01 b10 - b01 a10), and the trace vanishes: c11 = -c00 for m = 2,
+    c22 = -c00 - c11 for m = 3.  Conjugation and negation are exact, and
+    each mirrored product keeps its factor order (numpy's complex multiply
+    need not commute bit for bit), so an exactly anti-Hermitian pair gives
+    an exactly anti-Hermitian result.  It is plane-major (see `_plane_major`) and has the same bits for either
+    input layout.  Other ranks return `stack_matmul(a, b) - stack_matmul(b, a)`.
     """
-    if a.shape[-1] != 2 or b.shape[-1] != 2:
+    m = a.shape[-1]
+    if m not in (2, 3) or b.shape[-1] != m:
         return stack_matmul(a, b) - stack_matmul(b, a)
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    out = np.empty((2, 2) + lead, dtype=np.result_type(a, b))
+    out = np.empty((m, m) + lead, dtype=np.result_type(a, b))
     tmp = np.empty(lead, dtype=out.dtype)
-    a01, a10, b01, b10 = a[..., 0, 1], a[..., 1, 0], b[..., 0, 1], b[..., 1, 0]
-    da = a[..., 0, 0] - a[..., 1, 1]
-    db = b[..., 0, 0] - b[..., 1, 1]
-    c00, c01, c10, c11 = out[0, 0, ...], out[0, 1, ...], out[1, 0, ...], out[1, 1, ...]
-    np.subtract(np.multiply(a01, b10, out=c00), np.multiply(b01, a10, out=tmp), out=c00)
-    np.negative(c00, out=c11)
-    np.subtract(np.multiply(da, b01, out=c01), np.multiply(db, a01, out=tmp), out=c01)
-    np.subtract(np.multiply(db, a10, out=c10), np.multiply(da, b10, out=tmp), out=c10)
+    mul = np.multiply
+    for i, j in ((0, 1), (0, 2), (1, 2))[:2 * m - 3]:  # the pairs i < j
+        da, db = a[..., i, i] - a[..., j, j], b[..., i, i] - b[..., j, j]
+        cij, cji = out[i, j], out[j, i]
+        mul(da, b[..., i, j], out=cij)
+        cij -= mul(db, a[..., i, j], out=tmp)
+        mul(db, a[..., j, i], out=cji)
+        cji -= mul(da, b[..., j, i], out=tmp)
+        if m == 3:
+            l = 3 - i - j
+            cij += mul(a[..., i, l], b[..., l, j], out=tmp)
+            cij -= mul(b[..., i, l], a[..., l, j], out=tmp)
+            cji -= mul(a[..., l, i], b[..., j, l], out=tmp)
+            cji += mul(b[..., l, i], a[..., j, l], out=tmp)
+    c00, c11 = out[0, 0], out[1, 1]
+    mul(a[..., 0, 1], b[..., 1, 0], out=c00)
+    c00 -= mul(b[..., 0, 1], a[..., 1, 0], out=tmp)
+    if m == 2:
+        np.negative(c00, out=c11)
+    else:
+        mul(a[..., 1, 2], b[..., 2, 1], out=c11)
+        c11 -= mul(b[..., 1, 2], a[..., 2, 1], out=tmp)
+        c11 -= c00
+        c00 += mul(a[..., 0, 2], b[..., 2, 0], out=tmp)
+        c00 -= mul(b[..., 0, 2], a[..., 2, 0], out=tmp)
+        np.negative(np.add(c00, c11, out=out[2, 2]), out=out[2, 2])
     return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 

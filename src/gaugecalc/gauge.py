@@ -12,15 +12,21 @@ curvature's E^E = [Ex, Ey] dx^dy; the wedge action [E, f] = ([Ex, f],
 [Ey, f]) on a 0-form f and [Ex, Wy] - [Ey, Wx] on a 1-form W; and its
 adjoint ([Ey, R], [R, Ex]) on a 2-form R dx^dy.  A rank-1 form against a
 rank-m potential takes the wedge products of `forms.wedge_compose`.
+
+A `Connection` is frozen, so it has one curvature: `curvature` forms K on the
+first request and keeps it on the connection with read-only arrays, and the
+functional, the covariant residual, the flatness guard and the residual
+report all read that one K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import _plane_major, dagger, stack_bracket, stack_matmul
+from .algebra import _plane_major, _unitary_inverse, dagger, stack_bracket, stack_matmul
 from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
                     _form, _integer, _mapping, _neg_star, exterior_d, form_from_record,
                     form_to_record, hodge_star, l2_inner, l2_norm,
@@ -49,6 +55,16 @@ class Connection:
     def m(self):
         return self.potential.m
 
+    @cached_property
+    def _curvature(self):
+        # formed on the first request and kept: the arrays are made read-only,
+        # so no caller can change the value every later request returns
+        e = self.potential
+        k = exterior_d(e) + _square(e)
+        for c in k.comps:
+            c.flags.writeable = False
+        return k
+
 
 def zero_connection(grid, m):
     return Connection(zero_form(grid, 1, m))
@@ -60,9 +76,11 @@ def _square(e):
 
 
 def curvature(conn):
-    """Curvature 2-form K = dE + E^E of the trivialized connection."""
-    e = conn.potential
-    return exterior_d(e) + _square(e)
+    """Curvature 2-form K = dE + E^E of the trivialized connection.
+
+    It is formed once per `Connection` and kept on it, with read-only arrays.
+    """
+    return conn._curvature
 
 
 def require_flat(conn, what, flat_tol=FLAT_TOL):
@@ -140,11 +158,15 @@ def yang_mills_residual(conn):
     """Stationarity residual delta(dE) + delta(E^E) + adjoint terms.
 
     The flat-base codifferential is used throughout; the residual vanishes
-    exactly at stationary points of the Yang-Mills functional.
+    exactly at stationary points of the Yang-Mills functional.  dE and E^E
+    are formed here, apart from the kept curvature, so that this path and
+    `yang_mills_residual_covariant` share no intermediate; E^E takes the
+    bracket directly, so `_square` runs once per connection, for its
+    curvature.
     """
     e = conn.potential
     de = exterior_d(e)
-    ee = _square(e)
+    ee = _form(2, e.grid, (stack_bracket(*e.comps),), ANTIHERMITIAN)
     return (codifferential_flat(de) + codifferential_flat(ee)
             + wedge_action_adjoint(e, de) + wedge_action_adjoint(e, ee))
 
@@ -184,10 +206,7 @@ def gauge_transform(conn, g):
     if g.shape != (n, n, m, m):
         raise ValueError(f"gauge field must have shape ({n}, {n}, {m}, {m})")
     g = _plane_major(g)
-    gh = dagger(g)
-    unit_defect = float(np.max(np.abs(stack_matmul(g, gh) - np.eye(m))))
-    if not unit_defect <= 1e-10:
-        raise ValueError(f"gauge field is not unitary: defect {unit_defect:.3e}")
+    gh = _unitary_inverse(g, "gauge field")
     h = conn.grid.h
     ex, ey = conn.potential.comps
     new_x = stack_matmul(stack_matmul(g, ex), gh) - _skew(stack_matmul(_ddx(g, h), gh))

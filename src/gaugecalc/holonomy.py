@@ -47,8 +47,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (E3, SIGMA3, dagger, exp_antihermitian, require_antihermitian,
-                      stack_matmul)
+from .algebra import (E3, SIGMA3, _unitary_inverse, exp_antihermitian,
+                      require_antihermitian, stack_matmul)
 from .forms import _integer
 
 _POLE_MARGIN = 1e-6
@@ -273,7 +273,9 @@ class GaugeConjugatedPotential:
     derivatives given in closed form, so the transported frames are exactly
     conjugate at the continuum level.  `g(x, y)` takes float coordinates of
     any shape (...) and returns (..., m, m); `dg(x, y)` returns the pair
-    (dG/dx, dG/dy), each broadcastable to (..., m, m).
+    (dG/dx, dG/dy), each broadcastable to (..., m, m).  G^H stands in for
+    G^-1, so `along` refuses samples of G that are not unitary to
+    `algebra.UNITARY_ATOL`.
     """
 
     def __init__(self, base, g, dg):
@@ -286,8 +288,8 @@ class GaugeConjugatedPotential:
         a = self.base.along(pos, vel)
         x, y = _torus_xy(pos)
         gm = self.g(x, y)
+        gi = _unitary_inverse(gm, "gauge map")
         gdot = _along_axes(vel, self.dg(x, y).__getitem__, self.m)
-        gi = dagger(gm)
         return stack_matmul(stack_matmul(gm, a), gi) - stack_matmul(gdot, gi)
 
 

@@ -302,7 +302,7 @@ def test_stack_bracket_matches_the_two_product_form(m):
         assert np.all(_node_norms(got - want) <= bound)
 
 
-@pytest.mark.parametrize("m", (1, 3, 4))
+@pytest.mark.parametrize("m", (1, 4))
 def test_stack_bracket_above_and_below_rank_two_is_the_matmul_difference(m):
     for a, b in _bracket_cases(np.random.default_rng(60 + m), m):
         assert stack_bracket(a, b).tobytes() == (stack_matmul(a, b) - stack_matmul(b, a)).tobytes()
@@ -320,6 +320,20 @@ def test_rank_two_bracket_identities():
     general = rng.standard_normal((32, 2, 2)) + 1j * rng.standard_normal((32, 2, 2))
     cg = stack_bracket(general, a[0])  # any complex entries: c11 = -c00 still holds exactly
     assert np.array_equal(cg[..., 1, 1], -cg[..., 0, 0])
+
+
+def test_rank_three_bracket_identities():
+    rng = np.random.default_rng(71)
+    a, b = (_stack(rng, 1.0, (32, 32, 3, 3)) for _ in range(2))
+    c = stack_bracket(a, b)
+    assert np.array_equal(c[..., 2, 2], -c[..., 0, 0] - c[..., 1, 1])  # trace zero
+    assert np.array_equal(c, -dagger(c))  # exactly anti-Hermitian, as its inputs
+    assert _planes_contiguous(c)
+    planes = stack_bracket(_plane_major(a), _plane_major(b))
+    assert planes.tobytes() == c.tobytes()  # the same bits in either input layout
+    general = rng.standard_normal((32, 3, 3)) + 1j * rng.standard_normal((32, 3, 3))
+    cg = stack_bracket(general, a[0])  # any complex entries: the trace still vanishes exactly
+    assert np.array_equal(cg[..., 2, 2], -cg[..., 0, 0] - cg[..., 1, 1])
 
 
 def test_stack_matmul_rejects_mismatched_inner_dimension():

@@ -194,16 +194,20 @@ def _roll_ddy(arr, h):
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_differences_match_the_rolled_formula_bit_for_bit(n, m):
     rng = np.random.default_rng(n + m)
-    arr = rng.standard_normal((n, n, m, m)) + 1j * rng.standard_normal((n, n, m, m))
-    arr[:3, :3] = 0.0
-    arr[2, :3] = arr[:3, 2] = complex(-0.0, -0.0)  # -0.0 - 0.0 keeps its sign
-    kept = arr.copy()
+    node = rng.standard_normal((n, n, m, m)) + 1j * rng.standard_normal((n, n, m, m))
+    node[:3, :3] = 0.0
+    node[2, :3] = node[:3, 2] = complex(-0.0, -0.0)  # -0.0 - 0.0 keeps its sign
+    strided = np.empty((n, 2 * n, m, m), dtype=complex)[:, ::2]
+    strided[...] = node
     h = 1.0 / n
-    for fast, slow in ((_ddx, _roll_ddx), (_ddy, _roll_ddy)):
-        got = fast(arr, h)
-        assert np.array_equal(got, slow(arr, h))
-        assert np.array_equal(np.signbit(got.view(float)), np.signbit(slow(arr, h).view(float)))
-        assert np.array_equal(arr, kept)
+    for arr in (node, _plane_major(node), strided):  # node-major, plane-major, strided
+        kept = arr.copy()
+        for fast, slow in ((_ddx, _roll_ddx), (_ddy, _roll_ddy)):
+            got, want = fast(arr, h), slow(node, h)
+            assert np.array_equal(got, want)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+            assert np.array_equal(arr, kept)
 
 
 def test_exterior_d_matches_the_rolled_formula_bit_for_bit():

@@ -177,6 +177,35 @@ def test_residual_report_computes_the_curvature_once(monkeypatch):
     }
 
 
+def test_curvature_is_formed_once_and_kept_read_only():
+    grid = TorusGrid(16)
+    e = random_form(np.random.default_rng(35), grid, 1, 2)
+    conn = Connection(e)
+    k = curvature(conn)
+    assert curvature(conn) is k
+    (kc,) = k.comps
+    with pytest.raises(ValueError, match="read-only"):
+        kc += 1.0
+    (fresh,) = (exterior_d(e) + gauge._square(e)).comps
+    assert kc.tobytes() == fresh.tobytes() and k.value_class == ANTIHERMITIAN
+
+
+def test_one_connection_squares_its_potential_once(monkeypatch):
+    grid = TorusGrid(16)
+    conn = Connection(constant_form(grid, 1, 0.7 * E1, 0.4 * E1))  # flat, with E^E formed
+    calls = []
+    square = gauge._square
+    monkeypatch.setattr(gauge, "_square", lambda e: calls.append(e) or square(e))
+    curvature(conn)
+    yang_mills_functional(conn)
+    yang_mills_residual_covariant(conn)
+    require_flat(conn, "this test")
+    residual_report(conn)
+    counts = [harmonic_space_dim(conn, degree) for degree in (0, 1, 2)]
+    assert len(calls) == 1 and calls[0] is conn.potential
+    assert counts == [2, 4, 2]
+
+
 def test_codifferential_is_exact_adjoint():
     grid = TorusGrid(32)
     rng = np.random.default_rng(24)
@@ -244,7 +273,7 @@ def test_bracket_terms_match_the_wedge_products(m):
     for got, want in cases:
         assert got.degree == want.degree
         assert _rel_gap(got, want) <= 1e-14
-        if m == 2:  # the rank-2 kernel keeps brackets of exact anti-Hermitian values exact
+        if m > 1:  # the rank-2 and 3 kernels keep brackets of exact anti-Hermitian values exact
             assert all(np.array_equal(c, -dagger(c)) for c in got.comps)
 
 

@@ -469,6 +469,21 @@ def test_wilson_loop_gauge_invariance():
     assert abs(tr1 - tr0) < 1e-6
 
 
+def test_gauge_conjugated_potential_refuses_a_non_unitary_frame():
+    # G^H stands in for G^-1: with G = 2I the x-loop trace would read +2, not -2
+    base = _const_potential(np.pi * E1)
+
+    def frame(scale):
+        return lambda x, y: scale * np.broadcast_to(np.eye(2), np.shape(x) + (2, 2))
+
+    conj = GaugeConjugatedPotential(base, frame(2.0), lambda x, y: (ZERO2, ZERO2))
+    with pytest.raises(ValueError, match=r"gauge map is not unitary: defect 3\.000e\+00"):
+        wilson_loop(conj, torus_loop((1, 0)), 1000)
+    near = GaugeConjugatedPotential(base, frame(1.0 + 1e-11), lambda x, y: (ZERO2, ZERO2))
+    _, tr = wilson_loop(near, torus_loop((1, 0)), 1000)  # inside UNITARY_ATOL
+    assert abs(tr + 2.0) < 1e-8
+
+
 def test_aharonov_bohm_values():
     rec = aharonov_bohm_monodromy(0.0, 1)
     assert abs(rec.monodromy - 1.0) < 1e-12

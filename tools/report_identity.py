@@ -40,6 +40,7 @@ INVOCATIONS = (
     "residual --family sin-dy",
     "residual --family zero",
     "residual --family const-mix:c=3.14159,lam=0.5",
+    "residual --family sin-dy --grid 128",
     "holonomy",
     "holonomy --family const-dx --loop tcircle",
     "holonomy --family sin-dy --loop torus:wx=0,wy=1,x0=0.3",
@@ -50,6 +51,7 @@ INVOCATIONS = (
     "wong --case flat-contractible",
     "wong --case flat-contractible --i0 e3",
     "spectrum --grid 16 --rank 2",
+    "spectrum --grid 16 --rank 3",
     "spectrum --grid 12",
     "spectrum --grid 32 --rank 2",
 )
