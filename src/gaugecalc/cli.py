@@ -35,7 +35,11 @@ _MAX_GRID = 1024  # memory grows as N^2; a rank-2 residual at N = 512 peaks near
 # keeps every allowed pair within about 9 s
 _MAX_SPECTRUM = 2 * _MAX_GRID
 _MAX_RANK = 32
-_MAX_SAMPLES = 10 ** 4  # torus-curve costs about 0.9 ms per sample at --grid 8: about 9.5 s
+_MAX_SAMPLES = 10 ** 4  # at --grid 8 a torus-curve sample costs about 0.65 ms
+# a torus-curve sample costs 0.7-1.3 us per node above --grid 64 (46 ms at --grid 256,
+# 1.27 s at --grid 1024), so samples * grid^2 is capped: the slowest allowed corner,
+# --grid 1024 --samples 8, takes about 13 s, and --grid 28 --samples 10^4 about 10 s
+_MAX_CURVE_NODES = 8 * 1024 ** 2
 
 
 class CliError(Exception):
@@ -330,6 +334,10 @@ def _cmd_verify(args):
 
 
 def _cmd_torus_curve(args):
+    nodes = args.samples * args.grid ** 2
+    if nodes > _MAX_CURVE_NODES:
+        raise CliError(f"--samples {args.samples} at --grid {args.grid} gives samples * grid^2 "
+                       f"{nodes}, which exceeds the limit {_MAX_CURVE_NODES}")
     flat_tol = args.tol or FLAT_TOL  # a given --tol is positive
     ts = [i / (args.samples - 1) for i in range(args.samples)]
     report = torus_family_report(args.lam, ts, n=args.grid, flat_tol=flat_tol, steps=args.steps)

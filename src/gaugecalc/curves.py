@@ -80,11 +80,15 @@ def curve_jets(curve, t_small=T_SMALL):
 
 
 def harmonic_projection(w):
-    """Projection onto constant-coefficient forms.
+    """Projection onto constant-coefficient forms: the node mean of each component.
 
-    These span the harmonic space of the trivial flat base: the difference
-    operators are translation invariant, so the node-mean of each component is
-    the discrete harmonic representative.
+    Constant forms are harmonic for the central differences, but on an even
+    grid they are not all of the discrete harmonic space.  The alternating
+    modes (the doublers) are harmonic too: at N = 8, w = (-1)^i dx with i
+    the x-index has |dw| = |delta w| = 0 and L2 norm 1, yet its node mean,
+    and so its projection here, is 0.  The mean is therefore the harmonic
+    part only in the continuum sense and only at the trivial base; ROADMAP
+    item 13 (Hodge decomposition on links) replaces it.
     """
     means = tuple(np.full_like(c, c.mean(axis=(0, 1))) for c in w.comps)
     return _form(w.degree, w.grid, means, w.value_class)

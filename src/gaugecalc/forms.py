@@ -31,6 +31,8 @@ it: d, the star, sums and real multiples, brackets, conjugation.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import contextlib
 import itertools
 import json
@@ -48,6 +50,7 @@ MIN_GRID = 8  # fewest nodes per axis a grid may have
 
 _NCOMPS = {0: 1, 1: 2, 2: 1}
 _REAL = (int, float, np.integer, np.floating)  # the number types a record may hold
+_WIRE = np.dtype("<c16")  # a record's binary entry type: little-endian complex128
 
 
 @dataclass(frozen=True)
@@ -394,14 +397,26 @@ def l2_norm(a):
 
 
 def form_to_record(w):
-    """Structured record with [re, im] entry lists (row-major); round-trips exactly."""
+    """Structured record of `w`; round-trips exactly.
+
+    Each component is one base64 string (RFC 4648, standard alphabet, padded)
+    of its entries as little-endian complex128, in row-major order of the
+    (N, N, m, m) shape: the values and order of the legacy [re, im] lists,
+    which `form_from_record` still reads.
+    """
     return {
         "degree": w.degree,
         "n": w.grid.n,
         "m": w.m,
         "value_class": w.value_class,
-        "components": [_entry_pairs(c) for c in w.comps],
+        "components": [_entry_bytes(c) for c in w.comps],
     }
+
+
+def _entry_bytes(a):
+    """Base64 of the <c16 entries of `a` in row-major order of its shape."""
+    raw = np.asarray(a).astype(_WIRE, copy=False).tobytes(order="C")
+    return base64.b64encode(raw).decode("ascii")
 
 
 def _entry_pairs(a):
@@ -424,18 +439,40 @@ def _mapping(value, name):
     return value
 
 
-def _entries(entries):
-    """A component's [re, im] pairs as complex numbers; refuses bools and non-numbers."""
+def _entries(entries, n, m):
+    """A legacy component's [re, im] pairs as complex numbers; refuses bools and non-numbers."""
     if isinstance(entries, (list, tuple)) and set(map(type, entries)) <= {list, tuple} \
             and set(map(len, entries)) <= {2}:
         flat = list(itertools.chain.from_iterable(entries))
         if all(issubclass(k, _REAL) and not issubclass(k, bool) for k in set(map(type, flat))):
             with contextlib.suppress(OverflowError):  # an int beyond the float range
-                return np.array(flat, dtype=float).view(complex)
+                values = np.array(flat, dtype=float).view(complex)
+                if values.size != n * n * m * m:
+                    raise _count_error(n, m)
+                return values.reshape(n, n, m, m)
     raise ValueError("a record key 'components' entry is not a pair of real numbers [re, im]")
 
 
+def _decoded(text, n, m):
+    """A base64 component as a fresh, writable, native complex array, stored plane-major."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (binascii.Error, ValueError) as exc:  # non-ASCII text raises a bare ValueError
+        raise ValueError(f"a record key 'components' entry is not padded base64: {exc}") from None
+    if len(raw) != _WIRE.itemsize * n * n * m * m:
+        raise _count_error(n, m)
+    planes = np.empty((m, m, n, n), dtype=complex).transpose(2, 3, 0, 1)
+    planes[...] = np.frombuffer(raw, dtype=_WIRE).reshape(n, n, m, m)
+    return planes
+
+
+def _count_error(n, m):
+    return ValueError(f"component entry count does not match the declared shape "
+                      f"(record key 'components', N={n}, m={m})")
+
+
 def form_from_record(rec):
+    """The form of a record; each component is a base64 string or a legacy [re, im] list."""
     required = {"degree", "n", "m", "value_class", "components"}
     missing = required - set(_mapping(rec, "form record"))
     if missing:
@@ -445,15 +482,11 @@ def form_from_record(rec):
     if m < 1:
         raise ValueError(f"a record key 'm' must be at least 1, got {m}")
     if not isinstance(rec["components"], (list, tuple)):
-        raise ValueError("a record key 'components' must be a list of component entry lists")
-    comps = []
-    for entries in rec["components"]:
-        flat = _entries(entries)
-        if flat.size != n * n * m * m:
-            raise ValueError("component entry count does not match the declared shape")
-        comps.append(flat.reshape(n, n, m, m))
+        raise ValueError("a record key 'components' must be a list of component entries")
+    comps = tuple((_decoded if isinstance(c, str) else _entries)(c, n, m)
+                  for c in rec["components"])
     degree = _integer(rec["degree"], "record key 'degree'")
-    return MatrixForm(degree, grid, tuple(comps), rec["value_class"])
+    return MatrixForm(degree, grid, comps, rec["value_class"])
 
 
 def form_to_json(w):

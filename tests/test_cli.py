@@ -557,6 +557,54 @@ def test_residual_argument_vectors_end_in_report_or_error(data, bad, name, direc
         assert set(record["report"]) >= {"ym_value", "residual_l2", "curvature_l2", "flat"}
 
 
+class _Reached(Exception):
+    """Raised by a stubbed report: the command got past its input checks."""
+
+
+def _torus_curve_argv(tmp_path, flags, via_config):
+    if not via_config:
+        return ["torus-curve", *flags]
+    cfg = tmp_path / "curve.json"
+    cfg.write_text(json.dumps({"command": "torus-curve",
+                               **{f[2:]: v for f, v in zip(flags[::2], flags[1::2])}}))
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("via_config", (False, True))
+@pytest.mark.parametrize("grid, samples", ((1024, 9), (1024, 10 ** 4), (512, 33), (29, 10 ** 4),
+                                           (256, 129)))
+def test_torus_curve_refuses_samples_times_grid_squared_above_the_budget(
+        capsys, monkeypatch, tmp_path, grid, samples, via_config):
+    def refuse(*args, **kwargs):
+        raise AssertionError("torus family evaluated beyond the budget")
+
+    monkeypatch.setattr(cli, "torus_family_report", refuse)
+    argv = _torus_curve_argv(tmp_path, ["--grid", str(grid), "--samples", str(samples)],
+                             via_config)
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert f"--samples {samples} at --grid {grid}" in err
+    assert str(samples * grid ** 2) in err and str(cli._MAX_CURVE_NODES) in err
+
+
+@pytest.mark.parametrize("via_config", (False, True))
+@pytest.mark.parametrize("flags", (["--grid", "1024", "--samples", "8"],
+                                   ["--grid", "1024", "--samples", "2"],
+                                   ["--grid", "512", "--samples", "32"],
+                                   ["--grid", "28", "--samples", str(10 ** 4)],
+                                   ["--grid", "8", "--samples", str(10 ** 4)],
+                                   []))
+def test_torus_curve_accepts_the_budget_boundary_and_the_defaults(
+        monkeypatch, tmp_path, flags, via_config):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "torus_family_report", reached)
+    with pytest.raises(_Reached):
+        main(_torus_curve_argv(tmp_path, flags, via_config))
+    assert 8 * 1024 ** 2 == cli._MAX_CURVE_NODES  # 1024 x 8 is the product at the boundary
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(),
        bad=st.sampled_from((None, "--grid", "--tol", "--lambda", "--samples", "--steps")))

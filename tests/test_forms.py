@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -13,6 +14,11 @@ from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MIN_GRID, MatrixForm, Torus
                              scalar_form, sharp, tensor_form, wedge_compose,
                              zero_form)
 from gaugecalc.suites import random_form, random_scalar_one_form
+
+
+def _legacy_record(w):
+    """The record of `w` in the legacy layout: one list of [re, im] pairs per component."""
+    return {**form_to_record(w), "components": [_entry_pairs(c) for c in w.comps]}
 
 
 def _sine_dy_form(grid, matrix):
@@ -68,7 +74,7 @@ def test_public_builders_reject_non_finite_values():
     x, _ = grid.nodes()
     with pytest.raises(ValueError):
         tensor_form(scalar_form(grid, 0, x), np.full((2, 2), np.inf))
-    rec = form_to_record(constant_form(grid, 0, E1))
+    rec = _legacy_record(constant_form(grid, 0, E1))
     rec["components"][0][5] = [float("nan"), 0.0]
     with pytest.raises(ValueError):
         form_from_record(rec)
@@ -444,7 +450,7 @@ def test_form_refuses_a_rank_below_one():
                                  [1.0, False], [1, None], [1 + 2j, 0], [[1, 2], 3],
                                  "ab", 5, None, {"re": 1, "im": 2}, [10 ** 400, 0]))
 def test_form_record_refuses_entries_that_are_not_pairs_of_real_numbers(bad):
-    rec = form_to_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
+    rec = _legacy_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
     rec["components"][0][5] = bad
     with pytest.raises(ValueError, match="record key 'components'"):
         form_from_record(rec)
@@ -458,7 +464,7 @@ def test_form_record_refuses_components_that_are_not_entry_lists(bad):
 
 
 def test_form_record_reads_integers_and_numpy_reals_as_entries():
-    rec = form_to_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
+    rec = _legacy_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
     entries = rec["components"][0]
     entries[0], entries[1], entries[2] = [3, -1], (np.float64(0.5), np.int64(2)), [2 ** 60, 0.25]
     (c,) = form_from_record(rec).comps
@@ -574,3 +580,137 @@ def test_entry_pairs_match_the_per_entry_formula():
 def test_form_json_refuses_a_record_that_is_not_a_mapping(text):
     with pytest.raises(ValueError, match="form record must be a mapping"):
         form_from_json(text)
+
+
+def _bits(a):
+    """The raw 64-bit words of a complex array, in row-major order of its shape."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+_PLANTED = (-0.0, 5e-324, 1.7e308, -1.7e308)  # signed zero, a subnormal, near the float limit
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.sampled_from((0, 1, 2)), n=st.integers(MIN_GRID, 13), m=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_binary_record_round_trips_every_bit(degree, n, m, seed):
+    rng = np.random.default_rng(seed)
+    comps = []
+    for _ in range((1, 2, 1)[degree]):
+        flat = rng.standard_normal(2 * n * n * m * m)
+        flat[rng.choice(flat.size, len(_PLANTED), replace=False)] = _PLANTED
+        comps.append(flat.view(complex).reshape(n, n, m, m))
+    w = MatrixForm(degree, TorusGrid(n), tuple(comps), GENERAL)
+    rec = form_to_record(w)
+    assert all(isinstance(c, str) for c in rec["components"])
+    for back in (form_from_record(rec), form_from_json(form_to_json(w))):
+        assert (back.degree, back.grid.n, back.m, back.value_class) == (degree, n, m, GENERAL)
+        for a, b, c in zip(w.comps, back.comps, comps):
+            assert np.array_equal(_bits(b), _bits(a)) and np.array_equal(_bits(b), _bits(c))
+
+
+def test_binary_record_is_little_endian_complex128_in_row_major_order():
+    grid = TorusGrid(8)
+    node = np.random.default_rng(60).standard_normal((8, 8, 2, 2, 2)).view(complex)[..., 0]
+    w = MatrixForm(0, grid, (node,), GENERAL)
+    assert not w.comps[0].flags.c_contiguous  # stored plane-major, written row-major
+    (text,) = form_to_record(w)["components"]
+    assert base64.b64decode(text) == node.astype("<c16").tobytes()
+    assert text == base64.b64encode(node.astype("<c16").tobytes()).decode("ascii")
+
+
+_LEGACY_TEXT = (
+    '{"degree": 0, "n": 8, "m": 1, "value_class": "general", "components": [['
+    '[-4.0, 0.0], [-0.0, 5e-324], [1.7e+308, -1.7e+308], '
+    '[-3.625, 0.30000000000000004], [-3.5, 0.4], [-3.375, 0.5], '
+    '[-3.25, 0.6000000000000001], [-3.125, 0.7000000000000001], [-3.0, 0.8], '
+    '[-2.875, 0.9], [-2.75, 1.0], [-2.625, 1.1], [-2.5, 1.2000000000000002], '
+    '[-2.375, 1.3], [-2.25, 1.4000000000000001], [-2.125, 1.5], [-2.0, 1.6], '
+    '[-1.875, 1.7000000000000002], [-1.75, 1.8], [-1.625, 1.9000000000000001], '
+    '[-1.5, 2.0], [-1.375, 2.1], [-1.25, 2.2], [-1.125, 2.3000000000000003], '
+    '[-1.0, 2.4000000000000004], [-0.875, 2.5], [-0.75, 2.6], [-0.625, 2.7], '
+    '[-0.5, 2.8000000000000003], [-0.375, 2.9000000000000004], [-0.25, 3.0], '
+    '[-0.125, 3.1], [0.0, 3.2], [0.125, 3.3000000000000003], '
+    '[0.25, 3.4000000000000004], [0.375, 3.5], [0.5, 3.6], [0.625, 3.7], '
+    '[0.75, 3.8000000000000003], [0.875, 3.9000000000000004], [1.0, 4.0], '
+    '[1.125, 4.1000000000000005], [1.25, 4.2], [1.375, 4.3], [1.5, 4.4], '
+    '[1.625, 4.5], [1.75, 4.6000000000000005], [1.875, 4.7], '
+    '[2.0, 4.800000000000001], [2.125, 4.9], [2.25, 5.0], '
+    '[2.375, 5.1000000000000005], [2.5, 5.2], [2.625, 5.300000000000001], '
+    '[2.75, 5.4], [2.875, 5.5], [3.0, 5.6000000000000005], [3.125, 5.7], '
+    '[3.25, 5.800000000000001], [3.375, 5.9], [3.5, 6.0], '
+    '[3.625, 6.1000000000000005], [3.75, 6.2], [3.875, 6.300000000000001]]]}'
+)
+
+
+def test_legacy_json_text_loads_bit_for_bit():
+    k = np.arange(64)
+    expected = np.empty((8, 8, 1, 1), dtype=complex)
+    expected.real.flat, expected.imag.flat = (k - 32) / 8, 0.1 * k
+    expected[0, 1], expected[0, 2] = complex(-0.0, 5e-324), complex(1.7e308, -1.7e308)
+    w = form_from_json(_LEGACY_TEXT)
+    assert (w.degree, w.grid.n, w.m, w.value_class) == (0, 8, 1, GENERAL)
+    assert np.array_equal(_bits(w.comps[0]), _bits(expected))
+    # written again, it is the binary record of the same bits
+    again = form_from_json(form_to_json(w))
+    assert np.array_equal(_bits(again.comps[0]), _bits(expected))
+
+
+def _binary_record():
+    return form_to_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
+
+
+@pytest.mark.parametrize("edit", (
+    lambda text: text[:10] + "!" + text[11:],  # outside the alphabet
+    lambda text: text[:10] + "-" + text[11:],  # the URL-safe alphabet
+    lambda text: text[:10] + "\n" + text[10:],  # whitespace
+    lambda text: text[:10] + "é" + text[11:],  # not ASCII
+    lambda text: text.rstrip("="),  # padding missing
+    lambda text: text + "=",  # padding in excess
+    lambda text: text[:-4] + "A=A=",  # padding inside the last quantum
+    lambda text: text[:4] + "====" + text[8:],  # padding inside the text
+))
+def test_binary_record_refuses_text_that_is_not_padded_base64(edit):
+    rec = _binary_record()
+    assert rec["components"][0].endswith("==")  # 1024 bytes leave one byte in the last quantum
+    rec["components"][0] = edit(rec["components"][0])
+    with pytest.raises(ValueError, match="record key 'components'"):
+        form_from_record(rec)
+
+
+@pytest.mark.parametrize("raw", (b"", b"\0" * 16 * 63, b"\0" * (16 * 64 - 1),
+                                 b"\0" * (16 * 64 + 1), b"\0" * 16 * 65, b"\0" * 16 * 4 * 64))
+def test_binary_record_refuses_a_wrong_byte_count(raw):
+    rec = {**_binary_record(), "components": [base64.b64encode(raw).decode("ascii")]}
+    with pytest.raises(ValueError, match="component entry count .*record key 'components'"):
+        form_from_record(rec)
+
+
+@pytest.mark.parametrize("bad", (5, 1.5, None, True, {"re": 1, "im": 2}, b"AAAA"))
+def test_form_record_refuses_an_entry_that_is_neither_text_nor_a_list(bad):
+    rec = _binary_record()
+    with pytest.raises(ValueError, match="record key 'components'"):
+        form_from_record({**rec, "components": [bad]})
+
+
+def test_binary_record_refuses_non_finite_and_falsely_tagged_values():
+    rec = _binary_record()
+    nan = np.zeros((8, 8, 1, 1), dtype=complex)
+    nan[3, 4] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        form_from_record({**rec, "components": [base64.b64encode(nan.tobytes()).decode()]})
+    ones = base64.b64encode(np.ones((8, 8, 2, 2), dtype=complex).tobytes()).decode()
+    with pytest.raises(ValueError, match="anti-Hermitian"):
+        form_from_record({**rec, "m": 2, "value_class": ANTIHERMITIAN, "components": [ones]})
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_decoded_components_are_writable_and_plane_major(m):
+    grid = TorusGrid(9)
+    w = random_form(np.random.default_rng(70 + m), grid, 1, m)
+    back = form_from_json(form_to_json(w))
+    for c, c0 in zip(back.comps, w.comps):
+        assert c.flags.writeable and c.dtype == np.dtype(complex) and c.dtype.isnative
+        assert _planes_contiguous(c) and not np.shares_memory(c, c0)
+        c[0, 0] += 1.0  # the decoded buffer is its own
+        assert not np.array_equal(c, c0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from gaugecalc import gauge
 from gaugecalc.algebra import (E1, E2, E3, antihermitian_defect, bracket,
                                dagger, exp_antihermitian)
 from gaugecalc.forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid, _form,
-                             constant_form, exterior_d, form_to_record,
+                             _entry_pairs, constant_form, exterior_d, form_to_record,
                              hodge_star, l2_inner, l2_norm, scalar_form,
                              tensor_form, wedge_compose, zero_form)
 from gaugecalc.curves import ConnectionCurve, curve_jets, ym_curve_report
@@ -451,6 +453,21 @@ def test_connection_record_roundtrip():
     back = connection_from_record(connection_to_record(conn))
     for a, b in zip(conn.potential.comps, back.potential.comps):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, m", ((9, 3), (8, 1)))
+def test_connection_record_round_trips_through_json_text_bit_for_bit(n, m):
+    conn = Connection(random_form(np.random.default_rng(34 + m), TorusGrid(n), 1, m))
+    rec = connection_to_record(conn)
+    assert all(isinstance(c, str) for c in rec["potential"]["components"])
+    legacy = {**rec, "potential": {**rec["potential"], "components": [
+        _entry_pairs(c) for c in conn.potential.comps]}}
+    for text in (json.dumps(rec), json.dumps(legacy)):
+        back = connection_from_record(json.loads(text))
+        assert (back.grid, back.m, back.potential.value_class) == (conn.grid, m, ANTIHERMITIAN)
+        for a, b in zip(conn.potential.comps, back.potential.comps):
+            assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  np.ascontiguousarray(b).view(np.uint64))
 
 
 @pytest.mark.parametrize("key, bad", (("grid", 8.5), ("grid", True), ("grid", "8"),

@@ -824,3 +824,14 @@ def test_an_l_path_composes_its_legs_in_path_order(kind):
     g = parallel_transport(pot, path, 1000)
     assert np.max(np.abs(g - expm(-b) @ expm(-a))) < 1e-12
     assert np.max(np.abs(g - expm(-a) @ expm(-b))) > 0.1
+
+
+def test_transport_of_a_non_constant_non_commuting_potential_is_unitary_at_100_steps():
+    # the coefficients vary along the loop and do not commute, so RK4 is not exact here;
+    # a structure-preserving step would bring the defect to rounding level
+    pot = AnalyticTorusPotential(
+        lambda x, y: math.sin(2 * math.pi * y) * E1 + 0.7 * math.cos(2 * math.pi * x) * E2,
+        lambda x, y: 0.9 * math.cos(2 * math.pi * x) * E3 + 0.4 * E1, 2)
+    g = parallel_transport(pot, torus_circle((0.5, 0.5), 0.3, 1), 100)
+    assert np.max(np.abs(g - np.eye(2))) > 0.5  # a holonomy far from the identity
+    assert np.max(np.abs(dagger(g) @ g - np.eye(2))) <= 1e-8
