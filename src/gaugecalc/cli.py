@@ -3,7 +3,7 @@
 One batch run per invocation.  Reports embed the package version, the echoed
 configuration, the seed and the tolerances that ran, and are byte-identical
 for identical configurations.  Exit codes: 0 success, 1 invalid input, 2 a
-verification suite failed.
+verification suite failed.  Size refusals come from one cost table, `_COSTS`.
 """
 
 from __future__ import annotations
@@ -28,18 +28,23 @@ from .suites import run_verify
 
 _SU2 = dict(zip(("e1", "e2", "e3"), SU2_BASIS))
 
-_MAX_GRID = 1024  # memory grows as N^2; a rank-2 residual at N = 512 peaks near 250 MB
-# spectrum memory grows as (N * rank)^2: --grid 1024 --rank 2 peaks near 420 MB, and
-# --grid 64 --rank 32 near 490 MB; at a fixed N * rank its time grows as rank
-# (3.6 s at --rank 8, 8.4 s at --rank 32, about 60 s at --rank 256), so the rank cap
-# keeps every allowed pair within about 9 s
-_MAX_SPECTRUM = 2 * _MAX_GRID
-_MAX_RANK = 32
-_MAX_SAMPLES = 10 ** 4  # at --grid 8 a torus-curve sample costs about 0.65 ms
-# a torus-curve sample costs 0.7-1.3 us per node above --grid 64 (46 ms at --grid 256,
-# 1.27 s at --grid 1024), so samples * grid^2 is capped: the slowest allowed corner,
-# --grid 1024 --samples 8, takes about 13 s, and --grid 28 --samples 10^4 about 10 s
-_MAX_CURVE_NODES = 8 * 1024 ** 2
+# What a run may cost, per command: rows of (the flags the cost reads, the cost in words,
+# the cost of their values, its limit), checked after parsing (also under --config) and
+# before the command runs.  Slowest allowed corners, one process, one BLAS thread, rerun by
+# tools/cost_corners.py: verify --grid 384 9.7 s; torus-curve --grid 20 --samples 10^4 --steps
+# 10^6 13.1 s, --grid 1024 --samples 8 12.6 s (four transports; an RK4 step costs about a
+# node); ab --steps 10^6 0.5 s; spectrum --grid 64 --rank 32 7.1 s, --grid 1024 --rank 2 1.3 s.
+_COSTS = {
+    "verify": (("grid", "grid", lambda grid: grid, 384),),
+    "torus-curve": (("samples", "samples", lambda samples: samples, 10 ** 4),
+                    ("samples grid steps", "samples * grid^2 + 4 * steps",
+                     lambda samples, grid, steps: samples * grid ** 2 + 4 * steps,
+                     8 * 1024 ** 2 + 4 * 1000)),
+    "ab": (("steps winding", "steps * max(1, |winding|)",
+            lambda steps, winding: steps * max(1, abs(winding)), MAX_STEPS),),
+    "spectrum": (("rank", "rank", lambda rank: rank, 32),
+                 ("grid rank", "grid * rank", lambda grid, rank: grid * rank, 2 * 1024)),
+}
 
 
 class CliError(Exception):
@@ -83,7 +88,7 @@ def build_parser():
     def common(p, grid=None, steps=False, tol=False):
         # --grid, --steps and --tol exist only on the commands that read them
         if grid:
-            p.add_argument("--grid", type=_int_flag(MIN_GRID, _MAX_GRID), default=grid)
+            p.add_argument("--grid", type=_int_flag(MIN_GRID, 1024), default=grid)
         if steps:
             p.add_argument("--steps", type=_int_flag(MIN_STEPS, MAX_STEPS), default=1000)
         if tol:
@@ -101,7 +106,7 @@ def build_parser():
     common(p, grid=64, steps=True, tol=True)
     p.add_argument("--lambda", dest="lam", type=_input_type(float, "a finite number"),
                    default=1.0)
-    p.add_argument("--samples", type=_int_flag(2, _MAX_SAMPLES), default=11)
+    p.add_argument("--samples", type=_int_flag(2), default=11)
 
     p = sub.add_parser("residual", description="Yang-Mills residual of a named field")
     common(p, grid=64, tol=True)
@@ -334,10 +339,6 @@ def _cmd_verify(args):
 
 
 def _cmd_torus_curve(args):
-    nodes = args.samples * args.grid ** 2
-    if nodes > _MAX_CURVE_NODES:
-        raise CliError(f"--samples {args.samples} at --grid {args.grid} gives samples * grid^2 "
-                       f"{nodes}, which exceeds the limit {_MAX_CURVE_NODES}")
     flat_tol = args.tol or FLAT_TOL  # a given --tol is positive
     ts = [i / (args.samples - 1) for i in range(args.samples)]
     report = torus_family_report(args.lam, ts, n=args.grid, flat_tol=flat_tol, steps=args.steps)
@@ -384,9 +385,6 @@ def _cmd_holonomy(args):
 def _cmd_ab(args):
     k = complex(args.k)
     total = args.steps * max(1, abs(args.winding))
-    if total > MAX_STEPS:
-        raise CliError(f"--steps {args.steps} times |--winding {args.winding}| gives {total} "
-                       f"transport steps, more than {MAX_STEPS}")
     rec = _transport(args, aharonov_bohm_monodromy, k, args.winding, total)
     closed_form = complex(np.exp(2j * np.pi * k * args.winding))
     # np.abs, unlike abs, returns inf on overflow for the finite-report check to catch
@@ -428,16 +426,9 @@ def _cmd_wong(args):
 
 
 def _cmd_spectrum(args):
-    grid = TorusGrid(args.grid)
-    rank = args.rank
     threshold = args.tol or KERNEL_THRESHOLD  # a given --tol is positive
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
-    if rank > _MAX_RANK:
-        raise CliError(f"--rank {rank} exceeds the limit {_MAX_RANK}")
-    if grid.n * rank > _MAX_SPECTRUM:
-        raise CliError(f"--rank {rank} at --grid {grid.n} gives grid * rank {grid.n * rank}, "
-                       f"which exceeds the limit {_MAX_SPECTRUM}")
-    conn = zero_connection(grid, rank)
+    conn = zero_connection(TorusGrid(args.grid), args.rank)
     dims = {str(k): harmonic_space_dim(conn, k, threshold) for k in degrees}
     record = _base_record(args, {"threshold": threshold}, {"dims": dims})
     _emit(record, args, ("degree", "dimension"), dims.items())
@@ -474,9 +465,16 @@ def _load_config(path):
     return argv
 
 
+def _check_costs(args):
+    for flags, words, cost, limit in _COSTS.get(args.command, ()):
+        vals = {dest: getattr(args, dest) for dest in flags.split()}
+        if cost(**vals) > limit:
+            typed = " ".join(f"{_flag(dest)} {val}" for dest, val in vals.items())
+            raise CliError(f"{typed}: {words} = {cost(**vals)} exceeds the limit {limit}")
+
+
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         if argv and argv[0].startswith("--config="):
@@ -496,6 +494,7 @@ def main(argv=None):
                            "--config PATH or --config=PATH")
         if args.command is None:
             raise CliError("no command given (try 'verify')")
+        _check_costs(args)
         # overflow surfaces as a non-finite report value, which _emit refuses
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -8,13 +9,22 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from gaugecalc import cli, gauge, spectrum, suites
 from gaugecalc.algebra import inner
 from gaugecalc.cli import CliError, build_family, build_loop, main, parse_params
 from gaugecalc.forms import TorusGrid
 from gaugecalc.holonomy import MAX_STEPS, MIN_STEPS, wong_evolve
+
+
+def _limit(command, flags):
+    """The limit of the row of `cli._COSTS` for `command` whose cost reads `flags`."""
+    (limit,) = [row[3] for row in cli._COSTS[command] if row[0] == flags]
+    return limit
+
+
+_SAMPLES_LIMIT = _limit("torus-curve", "samples")
 
 
 def _run(capsys, argv):
@@ -380,7 +390,7 @@ def test_ab_names_its_flags_when_a_potential_sample_overflows(capsys, k):
     assert "not finite at t = 0.0" in err and f"--k {k}" in err
 
 
-@pytest.mark.parametrize("samples", ("1000000000", str(cli._MAX_SAMPLES + 1)))
+@pytest.mark.parametrize("samples", ("1000000000", str(_SAMPLES_LIMIT + 1)))
 def test_torus_curve_rejects_samples_above_the_cap_before_sampling(capsys, monkeypatch,
                                                                    samples):
     def refuse(*args, **kwargs):
@@ -389,7 +399,7 @@ def test_torus_curve_rejects_samples_above_the_cap_before_sampling(capsys, monke
     monkeypatch.setattr(cli, "torus_family_report", refuse)
     code, out, err = _run(capsys, ["torus-curve", "--grid", "8", "--samples", samples])
     assert code == 1 and out == ""
-    assert "--samples" in err and str(cli._MAX_SAMPLES) in err
+    assert f"--samples {samples}: samples = {samples}" in err and str(_SAMPLES_LIMIT) in err
 
 
 def test_cli_import_and_spectrum_run_load_no_scipy():
@@ -561,11 +571,15 @@ class _Reached(Exception):
     """Raised by a stubbed report: the command got past its input checks."""
 
 
-def _torus_curve_argv(tmp_path, flags, via_config):
+_CURVE_LIMIT = _limit("torus-curve", "samples grid steps")
+
+
+def _argv(tmp_path, command, flags, via_config):
+    """`command` with `flags` on the command line, or under --config with the same values."""
     if not via_config:
-        return ["torus-curve", *flags]
-    cfg = tmp_path / "curve.json"
-    cfg.write_text(json.dumps({"command": "torus-curve",
+        return [command, *flags]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": command,
                                **{f[2:]: v for f, v in zip(flags[::2], flags[1::2])}}))
     return ["--config", str(cfg)]
 
@@ -579,12 +593,12 @@ def test_torus_curve_refuses_samples_times_grid_squared_above_the_budget(
         raise AssertionError("torus family evaluated beyond the budget")
 
     monkeypatch.setattr(cli, "torus_family_report", refuse)
-    argv = _torus_curve_argv(tmp_path, ["--grid", str(grid), "--samples", str(samples)],
-                             via_config)
+    argv = _argv(tmp_path, "torus-curve", ["--grid", str(grid), "--samples", str(samples)],
+                 via_config)
     code, out, err = _run(capsys, argv)
     assert code == 1 and out == ""
-    assert f"--samples {samples} at --grid {grid}" in err
-    assert str(samples * grid ** 2) in err and str(cli._MAX_CURVE_NODES) in err
+    assert f"--samples {samples} --grid {grid} --steps 1000: " in err
+    assert f"= {samples * grid ** 2 + 4 * 1000} exceeds the limit {_CURVE_LIMIT}" in err
 
 
 @pytest.mark.parametrize("via_config", (False, True))
@@ -601,8 +615,167 @@ def test_torus_curve_accepts_the_budget_boundary_and_the_defaults(
 
     monkeypatch.setattr(cli, "torus_family_report", reached)
     with pytest.raises(_Reached):
-        main(_torus_curve_argv(tmp_path, flags, via_config))
-    assert 8 * 1024 ** 2 == cli._MAX_CURVE_NODES  # 1024 x 8 is the product at the boundary
+        main(_argv(tmp_path, "torus-curve", flags, via_config))
+    # 1024 x 8 at the default --steps is the cost at the boundary
+    assert 8 * 1024 ** 2 + 4 * 1000 == _CURVE_LIMIT
+
+
+_VERIFY_LIMIT = _limit("verify", "grid")
+
+
+@pytest.mark.parametrize("via_config", (False, True))
+@pytest.mark.parametrize("command, stub, flags, cost, limit", (
+    ("verify", "run_verify", ["--grid", str(_VERIFY_LIMIT + 1)], _VERIFY_LIMIT + 1,
+     _VERIFY_LIMIT),
+    ("verify", "run_verify", ["--grid", "1024"], 1024, _VERIFY_LIMIT),
+    ("torus-curve", "torus_family_report", ["--grid", "1024", "--samples", "8", "--steps",
+                                            "1000000"], 8 * 1024 ** 2 + 4 * 10 ** 6, _CURVE_LIMIT)),
+    ids=("verify-limit+1", "verify-1024", "torus-curve-steps"))
+def test_verify_grid_and_torus_curve_steps_are_refused_before_the_command_runs(
+        capsys, monkeypatch, tmp_path, command, stub, flags, cost, limit, via_config):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{stub} ran beyond its cost limit")
+
+    monkeypatch.setattr(cli, stub, refuse)
+    code, out, err = _run(capsys, _argv(tmp_path, command, flags, via_config))
+    assert code == 1 and out == ""
+    assert all(f"{flag} {val}" in err for flag, val in zip(flags[::2], flags[1::2]))
+    assert f"= {cost} exceeds the limit {limit}" in err
+
+
+@pytest.mark.parametrize("via_config", (False, True))
+@pytest.mark.parametrize("command, stub, flags", (
+    ("verify", "run_verify", ["--grid", str(_VERIFY_LIMIT)]),
+    ("torus-curve", "torus_family_report", ["--grid", "8", "--samples", "2", "--steps",
+                                            "1000000"])),
+    ids=("verify-limit", "torus-curve-steps"))
+def test_verify_grid_and_torus_curve_steps_at_their_limits_reach_the_command(
+        monkeypatch, tmp_path, command, stub, flags, via_config):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, stub, reached)
+    with pytest.raises(_Reached):
+        main(_argv(tmp_path, command, flags, via_config))
+
+
+# each row of cli._COSTS, keyed by its command and the flags its cost reads: the
+# cost, written out apart from the table, and the limit
+_ROWS = {
+    ("verify", "grid"): (lambda v: v["grid"], 384),
+    ("torus-curve", "samples"): (lambda v: v["samples"], 10 ** 4),
+    ("torus-curve", "samples grid steps"):
+        (lambda v: v["samples"] * v["grid"] ** 2 + 4 * v["steps"], 8 * 1024 ** 2 + 4 * 1000),
+    ("ab", "steps winding"): (lambda v: v["steps"] * max(1, abs(v["winding"])), MAX_STEPS),
+    ("spectrum", "rank"): (lambda v: v["rank"], 32),
+    ("spectrum", "grid rank"): (lambda v: v["grid"] * v["rank"], 2048),
+}
+
+
+def test_cost_table_holds_the_documented_rows():
+    table = {(command, flags): limit
+             for command, rows in cli._COSTS.items() for flags, _, _, limit in rows}
+    assert table == {key: limit for key, (_, limit) in _ROWS.items()}
+
+
+def _over(command, vals):
+    """(flags, cost, limit) of the first row of `command` that `vals` exceed, or None."""
+    for flags, _, _, _ in cli._COSTS[command]:
+        cost, limit = _ROWS[command, flags][0](vals), _ROWS[command, flags][1]
+        if cost > limit:
+            return flags, cost, limit
+    return None
+
+
+def _near(data, target, low, high, label):
+    """An integer in [low, high] within 2 of `target` (clipped to it), or anywhere in it."""
+    target = min(max(target, low), high)
+    return data.draw(st.one_of(st.integers(max(low, target - 2), min(high, target + 2)),
+                               st.integers(low, high)), label=label)
+
+
+def _draw_sizes(data, command):
+    """Flag values of `command` in their declared domains, drawn around the table's limits."""
+    if command == "verify":
+        return {"grid": _near(data, 384, 8, 1024, "grid")}
+    if command == "torus-curve":
+        grid = data.draw(st.sampled_from((8, 20, 28, 29, 256, 1023, 1024)) | st.integers(8, 1024),
+                         label="grid")
+        steps = data.draw(st.sampled_from((MIN_STEPS, 1000, MAX_STEPS))
+                          | st.integers(MIN_STEPS, MAX_STEPS), label="steps")
+        fit = (8 * 1024 ** 2 + 4 * 1000 - 4 * steps) // grid ** 2
+        target = data.draw(st.sampled_from((fit, 10 ** 4)), label="target")
+        return {"samples": _near(data, target, 2, 10 ** 5, "samples"), "grid": grid,
+                "steps": steps}
+    if command == "ab":
+        steps = data.draw(st.integers(MIN_STEPS, MAX_STEPS), label="steps")
+        sign = data.draw(st.sampled_from((1, -1)), label="sign")
+        winding = _near(data, MAX_STEPS // steps, 0, 10 ** 4, "|winding|")
+        return {"steps": steps, "winding": sign * winding}
+    grid = data.draw(st.integers(8, 1024), label="grid")
+    target = data.draw(st.sampled_from((32, 2048 // grid)), label="target")
+    return {"grid": grid, "rank": _near(data, target, 1, 64, "rank")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(tuple(cli._COSTS)))
+def test_main_refuses_exactly_the_sizes_a_row_of_the_cost_table_prices_above_its_limit(
+        data, command):
+    vals = _draw_sizes(data, command)
+    argv = [command, *(f"--{key}={val}" for key, val in vals.items())]
+    over = _over(command, vals)
+    event(f"{command}: {over[0] if over else 'within every limit'}")
+
+    def reached(args):
+        raise _Reached
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in cli._COMMANDS:  # no field is allocated and no transport runs
+            mp.setitem(cli._COMMANDS, name, reached)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if over is None:
+                with pytest.raises(_Reached):
+                    main(argv)
+                return
+            code = main(argv)
+    flags, cost, limit = over
+    typed = " ".join(f"--{key} {vals[key]}" for key in flags.split())
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith(f"gaugecalc: error: {typed}: ")
+    assert err.getvalue().endswith(f" = {cost} exceeds the limit {limit}\n")
+
+
+def _cost_corners():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools",
+                        "cost_corners.py")
+    spec = importlib.util.spec_from_file_location("cost_corners", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("corner", _cost_corners().CORNERS)
+def test_cost_table_accepts_every_corner_the_timing_tool_runs(corner):
+    cli._check_costs(cli.build_parser().parse_args(corner.split()))
+
+
+# for each row, sizes whose cost is exactly the row's limit + 1 while every other
+# row of the command stays within its limit
+@pytest.mark.parametrize("command, flags, vals", (
+    ("verify", "grid", {"grid": 385}),
+    ("torus-curve", "samples", {"samples": 10 ** 4 + 1, "grid": 8, "steps": 1000}),
+    ("torus-curve", "samples grid steps", {"samples": 5, "grid": 1023, "steps": 789991}),
+    ("ab", "steps winding", {"steps": 9901, "winding": -101}),
+    ("spectrum", "rank", {"grid": 8, "rank": 33}),
+    ("spectrum", "grid rank", {"grid": 683, "rank": 3})),
+    ids=lambda val: val if isinstance(val, str) else None)
+def test_cost_table_refuses_each_row_at_its_limit_plus_one(command, flags, vals):
+    cost, limit = _ROWS[command, flags][0](vals), _ROWS[command, flags][1]
+    assert cost == limit + 1 and _over(command, vals) == (flags, cost, limit)
+    args = cli.build_parser().parse_args([command, *(f"--{k}={v}" for k, v in vals.items())])
+    with pytest.raises(CliError, match=f" = {cost} exceeds the limit {limit}$"):
+        cli._check_costs(args)
 
 
 @settings(max_examples=30, deadline=None)
@@ -616,7 +789,7 @@ def test_torus_curve_argument_vectors_end_in_report_or_error(data, bad):
     tol = draw("--tol", _GOOD_TOLS, _TOLS)
     lam = draw("--lambda", _SMALL, _WILD)
     samples = draw("--samples", st.integers(2, 5),
-                   st.one_of(st.integers(-10 ** 6, 1), st.integers(cli._MAX_SAMPLES + 1, 10 ** 12)))
+                   st.one_of(st.integers(-10 ** 6, 1), st.integers(_SAMPLES_LIMIT + 1, 10 ** 12)))
     steps = draw("--steps", st.integers(MIN_STEPS, 200), _BAD_STEPS)
     argv = ["torus-curve", "--grid", str(grid), f"--lambda={lam!r}", "--samples", str(samples),
             "--steps", str(steps)]
