@@ -13,7 +13,7 @@ from .forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid, VectorField,
                     wedge_compose, zero_form)
 from .gauge import (FLAT_TOL, Connection, codifferential, codifferential_flat,
                     connection_from_record, connection_to_record, covariant_d,
-                    curvature, gauge_transform, require_flat,
+                    curvature, gauge_transform, generator_holonomies, links, require_flat,
                     residual_report, wedge_action, wedge_action_adjoint,
                     yang_mills_functional, yang_mills_residual,
                     yang_mills_residual_covariant, zero_connection)

@@ -30,16 +30,13 @@ _SU2 = dict(zip(("e1", "e2", "e3"), SU2_BASIS))
 
 # What a run may cost, per command: rows of (the flags the cost reads, the cost in words,
 # the cost of their values, its limit), checked after parsing (also under --config) and
-# before the command runs.  Slowest allowed corners, one process, one BLAS thread, rerun by
-# tools/cost_corners.py: verify --grid 384 9.7 s; torus-curve --grid 20 --samples 10^4 --steps
-# 10^6 13.1 s, --grid 1024 --samples 8 12.6 s (four transports; an RK4 step costs about a
-# node); ab --steps 10^6 0.5 s; spectrum --grid 64 --rank 32 7.1 s, --grid 1024 --rank 2 1.3 s.
+# before the command runs.  README's cost table gives each row's slowest allowed corner and
+# its measured time, which tools/cost_corners.py reruns.
 _COSTS = {
     "verify": (("grid", "grid", lambda grid: grid, 384),),
     "torus-curve": (("samples", "samples", lambda samples: samples, 10 ** 4),
-                    ("samples grid steps", "samples * grid^2 + 4 * steps",
-                     lambda samples, grid, steps: samples * grid ** 2 + 4 * steps,
-                     8 * 1024 ** 2 + 4 * 1000)),
+                    ("samples grid", "samples * grid^2",
+                     lambda samples, grid: samples * grid ** 2, 8 * 1024 ** 2)),
     "ab": (("steps winding", "steps * max(1, |winding|)",
             lambda steps, winding: steps * max(1, abs(winding)), MAX_STEPS),),
     "spectrum": (("rank", "rank", lambda rank: rank, 32),
@@ -103,7 +100,7 @@ def build_parser():
     common(p, grid=32)
 
     p = sub.add_parser("torus-curve", description="claim report for the torus family")
-    common(p, grid=64, steps=True, tol=True)
+    common(p, grid=64, tol=True)
     p.add_argument("--lambda", dest="lam", type=_input_type(float, "a finite number"),
                    default=1.0)
     p.add_argument("--samples", type=_int_flag(2), default=11)
@@ -341,7 +338,7 @@ def _cmd_verify(args):
 def _cmd_torus_curve(args):
     flat_tol = args.tol or FLAT_TOL  # a given --tol is positive
     ts = [i / (args.samples - 1) for i in range(args.samples)]
-    report = torus_family_report(args.lam, ts, n=args.grid, flat_tol=flat_tol, steps=args.steps)
+    report = torus_family_report(args.lam, ts, n=args.grid, flat_tol=flat_tol)
     record = _base_record(args, {"flat_tol": flat_tol}, {"report": report.to_record()})
     _emit(record, args, ("t", "curvature_l2", "residual_l2"), report.csv_rows())
     return 0

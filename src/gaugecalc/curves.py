@@ -15,7 +15,7 @@ constant coefficients.  It is flat and Yang-Mills at every t and joins two
 vacua that no gauge transform relates: E_0 = 0, with trivial holonomy, and
 E_1 = pi dx x e1, whose x-holonomy is exp(-pi e1) = -I.
 `torus_family_report` collects its per-t residuals, its jets at t = 0 and
-the holonomies of its two ends.
+the link-product holonomies of its two ends (`gauge.generator_holonomies`).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _entry_pairs, _form, _
                     exterior_d, hodge_star, interior, l2_norm, scalar_form, sharp,
                     wedge_compose)
 from .gauge import (FLAT_TOL, Connection, codifferential, covariant_d, curvature,
-                    gauge_transform, require_flat, yang_mills_residual, zero_connection)
-from .holonomy import parallel_transport, torus_loop
+                    gauge_transform, generator_holonomies, links, require_flat,
+                    yang_mills_residual, zero_connection)
 
 T_SMALL = 1e-3  # default jet stencil step of curve_jets
 
@@ -226,8 +226,8 @@ def torus_family(grid, lam, t):
 
 @dataclass(frozen=True)
 class ClaimReport:
-    """Per-t residual and flatness data of the torus family, its jets and its
-    endpoint holonomies: measured norms, never asserted.
+    """Per-t residual and flatness data of the torus family, its jets and the
+    generator holonomies of its ends: measured values, never asserted.
     """
 
     lam: float
@@ -254,11 +254,12 @@ class ClaimReport:
         }
 
 
-def torus_family_report(lam, ts, n=64, steps=1000, flat_tol=FLAT_TOL):
+def torus_family_report(lam, ts, n=64, flat_tol=FLAT_TOL):
     """Evaluate the torus family at the sample times and collect every claim.
 
-    The endpoint holonomies transport the family's own grid connections; the
-    bilinear interpolation of constant coefficients is exact.
+    The endpoint holonomies are link products of the family's own grid
+    connections; the links of the constant E_x dx multiply to exp(-E_x) around
+    x and to I around y, up to rounding.
     """
     grid = TorusGrid(n)
     rows = []
@@ -279,11 +280,7 @@ def torus_family_report(lam, ts, n=64, steps=1000, flat_tol=FLAT_TOL):
         })
     curve = ConnectionCurve(lambda t: torus_family(grid, lam, t).connection.potential)
     jet_summary = ym_curve_report(curve_jets(curve), zero_connection(grid, 2))
-    holo = {}
-    for label, t_end in (("t0", 0.0), ("t1", 1.0)):
-        conn = curve.connection(t_end)
-        holo[label] = {
-            "x_generator": parallel_transport(conn, torus_loop((1, 0)), steps),
-            "y_generator": parallel_transport(conn, torus_loop((0, 1)), steps),
-        }
+    holo = {label: dict(zip(("x_generator", "y_generator"),
+                            generator_holonomies(*links(curve.connection(t_end)))))
+            for label, t_end in (("t0", 0.0), ("t1", 1.0))}
     return ClaimReport(float(lam), n, float(flat_tol), tuple(rows), jet_summary, holo)

@@ -13,20 +13,23 @@ curvature's E^E = [Ex, Ey] dx^dy; the wedge action [E, f] = ([Ex, f],
 adjoint ([Ey, R], [R, Ex]) on a 2-form R dx^dy.  A rank-1 form against a
 rank-m potential takes the wedge products of `forms.wedge_compose`.
 
-A `Connection` is frozen, so it has one curvature: `curvature` forms K on the
-first request and keeps it on the connection with read-only arrays, and the
+A `Connection` is frozen, so it has one curvature and one link field:
+`curvature` forms K and `links` the Wilson links U = exp(h E) on the first
+request, and each is kept on the connection with read-only arrays.  The
 functional, the covariant residual, the flatness guard and the residual
-report all read that one K.
+report all read that one K, and the harmonic counts and the generator
+holonomies of the torus family read those links.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .algebra import _plane_major, _unitary_inverse, dagger, stack_bracket, stack_matmul
+from .algebra import (_plane_major, _unitary_inverse, dagger, exp_antihermitian,
+                      stack_bracket, stack_matmul)
 from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
                     _form, _integer, _mapping, _neg_star, exterior_d, form_from_record,
                     form_to_record, hodge_star, l2_inner, l2_norm,
@@ -65,6 +68,13 @@ class Connection:
             c.flags.writeable = False
         return k
 
+    @cached_property
+    def _links(self):
+        links = tuple(exp_antihermitian(self.grid.h * c) for c in self.potential.comps)
+        for u in links:
+            u.flags.writeable = False
+        return links
+
 
 def zero_connection(grid, m):
     return Connection(zero_form(grid, 1, m))
@@ -83,12 +93,28 @@ def curvature(conn):
     return conn._curvature
 
 
-def require_flat(conn, what, flat_tol=FLAT_TOL):
+def require_flat(conn, what):
     """Raise ValueError with the measured curvature norm unless `conn` is flat for `what`."""
     kn = l2_norm(curvature(conn))
-    if not kn <= flat_tol:
+    if not kn <= FLAT_TOL:
         raise ValueError(f"flat connection required for {what}: curvature norm {kn:.3e} "
-                         f"exceeds {flat_tol:.1e}")
+                         f"exceeds {FLAT_TOL:.1e}")
+
+
+def links(conn):
+    """Wilson links (U_x, U_y) = (exp(h E_x), exp(h E_y)), formed once per `Connection` and
+    kept on it with read-only arrays.  U_x(j, l) joins node (j, l) to (j+1, l), U_y(j, l) to
+    (j, l+1) (K. G. Wilson, Phys. Rev. D 10, 2445 (1974)).
+    """
+    return conn._links
+
+
+def generator_holonomies(ux, uy):
+    """Transports (g_x, g_y) of the link field (ux, uy) around the generator loops through
+    node (0, 0), as ordered link products in `parallel_transport`'s convention:
+    g_x = (U_x(0, 0) ... U_x(n-1, 0))^H, and g_y likewise along y.
+    """
+    return tuple(dagger(reduce(np.matmul, u)) for u in (ux[:, 0], uy[0, :]))
 
 
 def wedge_action(e_form, w):

@@ -202,7 +202,6 @@ class GridPotential:
     """Grid connection evaluated along paths by bilinear interpolation."""
 
     def __init__(self, conn):
-        self.conn = conn
         self.m = conn.m
         self._n = conn.grid.n
         self._comps = np.stack(conn.potential.comps)
@@ -315,16 +314,6 @@ def _as_potential(potential):
     raise TypeError("unsupported potential type for transport")
 
 
-def _transport_setup(potential, path, steps):
-    """Checked potential, pieces of `path` and step count per piece."""
-    pieces = _pieces(path)
-    steps = _integer(steps, "step count")
-    if not MIN_STEPS <= steps <= MAX_STEPS // len(pieces):
-        raise ValueError(f"transport needs {MIN_STEPS} to {MAX_STEPS} steps in all and at least "
-                         f"{MIN_STEPS} per piece, got {steps} on each of {len(pieces)} piece(s)")
-    return _as_potential(potential), pieces, steps
-
-
 def _step_maps(gen, h):
     """Deviations D = P - I of the RK4 one-step maps P of y' = M y.
 
@@ -386,26 +375,26 @@ def _rk4(potential, pieces, steps):
             yield _step_maps(-a, h)
 
 
-def _apply(maps, states):
-    """Fill row n + 1 of `states` with (I + D_n) applied to row n."""
-    n = 0
-    for d in maps:
-        for dn in d:
-            states[n + 1] = states[n] + dn @ states[n]
-            n += 1
-    return states
-
-
 def parallel_transport(potential, path, steps=1000, trajectory=False):
-    """Fundamental solution of dv/dt + A(xdot(t)) v = 0 over [0, 1]."""
-    potential, pieces, steps = _transport_setup(potential, path, steps)
+    """Fundamental solution of dv/dt + A(xdot(t)) v = 0 over [0, 1].
+
+    With `trajectory`, the times and the solution after every step, in one array.
+    """
+    pieces = _pieces(path)
+    steps = _integer(steps, "step count")
+    if not MIN_STEPS <= steps <= MAX_STEPS // len(pieces):
+        raise ValueError(f"transport needs {MIN_STEPS} to {MAX_STEPS} steps in all and at least "
+                         f"{MIN_STEPS} per piece, got {steps} on each of {len(pieces)} piece(s)")
+    potential = _as_potential(potential)
     eye = np.eye(potential.m, dtype=complex)
     maps = _rk4(potential, pieces, steps)
-    if trajectory:
-        traj = np.empty((len(pieces) * steps + 1,) + eye.shape, dtype=complex)
-        traj[0] = eye
-        return np.linspace(0.0, 1.0, len(traj)), _apply(maps, traj)
-    return eye + _compose(np.stack([_compose(d) for d in maps]))
+    if not trajectory:
+        return eye + _compose(np.stack([_compose(d) for d in maps]))
+    traj = np.empty((len(pieces) * steps + 1,) + eye.shape, dtype=complex)
+    traj[0] = eye
+    for n, dn in enumerate(d for chunk in maps for d in chunk):
+        traj[n + 1] = traj[n] + dn @ traj[n]
+    return np.linspace(0.0, 1.0, len(traj)), traj
 
 
 def wilson_loop(potential, path, steps=1000):
@@ -446,20 +435,18 @@ def wong_evolve(potential, path, i0, steps=1000):
     spin must be anti-Hermitian of shape (m, m) at the potential's rank m.
     """
     i0 = np.asarray(i0, dtype=complex)
-    potential, pieces, steps = _transport_setup(potential, path, steps)
+    potential = _as_potential(potential)
     m = potential.m
     if i0.shape != (m, m):
         raise ValueError(f"spin variable must have shape {(m, m)} at the potential's rank "
                          f"{m}, got shape {i0.shape}")
     require_antihermitian(i0, "spin variable")
-    traj = np.empty((len(pieces) * steps + 1, m, m), dtype=complex)
-    traj[0] = np.eye(m)
-    _apply(_rk4(potential, pieces, steps), traj)
+    ts, traj = parallel_transport(potential, path, steps, trajectory=True)
     for b in range(0, len(traj), _WONG_BLOCK):
         g = traj[b:b + _WONG_BLOCK]
         g[...] = g @ i0 @ np.linalg.inv(g)
     traj[0] = i0  # g_0 = I, so the first state is the spin as given, signed zeros too
-    return np.linspace(0.0, 1.0, len(traj)), traj
+    return ts, traj
 
 
 @dataclass(frozen=True)
@@ -490,8 +477,4 @@ def monodromy_representation(potential, loops, steps=1000):
     Traversing `first` then `second` composes as g(second) g(first); the
     concatenation check in the verification suite uses that order.
     """
-    mats = []
-    for loop in loops:
-        require_closed(loop)
-        mats.append(parallel_transport(potential, loop, steps))
-    return mats
+    return [wilson_loop(potential, loop, steps)[0] for loop in loops]

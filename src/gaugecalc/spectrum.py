@@ -1,10 +1,9 @@
 """Kernel dimensions of the covariant Hodge Laplacians on the torus grid.
 
-The covariant complex lives on Wilson links (K. G. Wilson, Phys. Rev. D 10,
-2445 (1974)).  The node potential gives the links U_x(j, l) = exp(h E_x(j, l))
-and U_y(j, l) = exp(h E_y(j, l)), and the directional derivatives are the
-transports D_x f(j, l) = (Ad(U_x(j, l)) f(j+1, l) - f(j, l))/h and D_y
-likewise, whose first-order term is d + [E, .].  With d0 = [D_x; D_y],
+The covariant complex lives on the Wilson links U_x(j, l) = exp(h E_x(j, l))
+and U_y likewise, kept on the `Connection` (`gauge.links`).  The directional
+derivatives are the transports D_x f(j, l) = (Ad(U_x(j, l)) f(j+1, l) - f(j, l))/h
+and D_y likewise, whose first-order term is d + [E, .].  With d0 = [D_x; D_y],
 d1 = [-D_y, D_x] and the codifferentials their adjoints under the real
 coefficient product Re tr(A B^H), the Laplacian is L = d^* d + d d^*.
 
@@ -12,30 +11,29 @@ On links the complex is exactly gauge covariant: a lattice gauge field g takes
 U_x(j, l) to g(j, l) U_x(j, l) g(j+1, l)^H (U_y likewise) and acts on cochains
 by the orthogonal map Ad(g), so the spectrum of L depends only on the gauge
 class of the links.  A flat link field, one whose every plaquette has
-U_x(j, l) U_y(j+1, l) = U_y(j, l) U_x(j, l+1), is gauge equivalent to the
-constant links H_x^(1/n), H_y^(1/n), roots of its commuting holonomies
-H_x = U_x(0, 0) ... U_x(n-1, 0) and H_y = U_y(0, 0) ... U_y(0, n-1).  In
-their joint eigenbasis, with eigenphases a_i of H_x and b_i of H_y, the
+U_x(j, l) U_y(j+1, l) = U_y(j, l) U_x(j, l+1), is gauge equivalent to constant
+links, n-th roots of the inverses of its commuting generator holonomies
+g_x = (U_x(0, 0) ... U_x(n-1, 0))^H and g_y (`gauge.generator_holonomies`).  In
+their joint eigenbasis, with eigenphases a_i of g_x and b_i of g_y, the
 complex splits into m^2 scalar twisted complexes, one per entry (i, j), and
 each of them into n^2 Fourier modes (p, q).  There D_x and D_y are the
 numbers s_x = (exp(i(2 pi p + a_i - a_j)/n) - 1)/h and s_y likewise, so L is
 |s_x|^2 + |s_y|^2, once in degrees 0 and 2 and twice in degree 1.  Another
-branch of the root only permutes p.  Counting therefore needs one m x m
-eigensolve for the joint eigenbasis and none over the grid.
+branch of the root, or the sign of the phases, only permutes p.  Counting
+therefore needs one m x m eigensolve for the joint eigenbasis and none over
+the grid.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
-from .algebra import dagger, exp_antihermitian, stack_matmul
-from .gauge import FLAT_TOL, require_flat
+from .algebra import dagger, stack_matmul
+from .gauge import FLAT_TOL, generator_holonomies, links, require_flat
 
 KERNEL_THRESHOLD = 1e-6  # Laplacian eigenvalues below this count as harmonic
 
-# weights of the Hermitian parts of H_x, i H_x, H_y and i H_y in the matrix whose
+# weights of the Hermitian parts of g_x, i g_x, g_y and i g_y in the matrix whose
 # eigenvectors are the joint eigenbasis; any weights off a measure-zero set do
 _MIX = (1.0, np.sqrt(2.0), np.sqrt(3.0), np.sqrt(5.0))
 
@@ -53,10 +51,10 @@ def _link_eigenvalues(ux, uy, h):
     if not defect <= FLAT_TOL:
         raise ValueError(f"the link field is not flat: largest plaquette defect {defect:.3e} "
                          f"exceeds {FLAT_TOL:.1e}")
-    hx, hy = reduce(np.matmul, ux[:, 0]), reduce(np.matmul, uy[0, :])
-    mix = sum(w * (g + dagger(g)) for w, g in zip(_MIX, (hx, 1j * hx, hy, 1j * hy)))
+    gx, gy = generator_holonomies(ux, uy)
+    mix = sum(w * (g + dagger(g)) for w, g in zip(_MIX, (gx, 1j * gx, gy, 1j * gy)))
     _, v = np.linalg.eigh(mix)
-    phases = [np.angle(np.diagonal(dagger(v) @ g @ v)) for g in (hx, hy)]
+    phases = [np.angle(np.diagonal(dagger(v) @ g @ v)) for g in (gx, gy)]
     p = 2.0 * np.pi * np.arange(len(ux))[:, None, None]
     sx, sy = (4.0 * np.sin((p + a[:, None] - a) / (2 * len(p))) ** 2 / h ** 2 for a in phases)
     return sx[:, None] + sy
@@ -67,7 +65,7 @@ def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD):
 
     Only flat connections are accepted: the covariant complex is a complex
     only when the curvature vanishes, so non-flat input is rejected with the
-    measured curvature norm.  The count runs on the links of the potential,
+    measured curvature norm.  The count runs on the connection's kept links,
     which must be flat too (see `_link_eigenvalues`).
     """
     if degree not in (0, 1, 2):
@@ -75,7 +73,5 @@ def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD):
     if not (np.isfinite(threshold) and threshold > 0):
         raise ValueError(f"kernel threshold must be a finite number > 0, got {threshold!r}")
     require_flat(conn, "harmonic counting")
-    h = conn.grid.h
-    ux, uy = (exp_antihermitian(h * c) for c in conn.potential.comps)
-    count = int(np.count_nonzero(_link_eigenvalues(ux, uy, h) < threshold))
+    count = int(np.count_nonzero(_link_eigenvalues(*links(conn), conn.grid.h) < threshold))
     return 2 * count if degree == 1 else count

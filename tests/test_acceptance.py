@@ -192,8 +192,7 @@ def test_criterion_06_perturbation_classes():
 def test_criterion_07_torus_claim_harness(tmp_path, capsys):
     t0 = time.perf_counter()
     out = tmp_path / "torus.json"
-    code = main(["torus-curve", "--lambda", "1.0", "--samples", "11",
-                 "--grid", "64", "--steps", "400",
+    code = main(["torus-curve", "--lambda", "1.0", "--samples", "11", "--grid", "64",
                  "--format", "structured-record", "--out", str(out)])
     capsys.readouterr()
     import json

@@ -103,8 +103,7 @@ def test_ab_transport_steps_follow_steps_flag(capsys):
 
 def test_torus_curve_command(capsys):
     code, out, _ = _run(capsys, ["torus-curve", "--lambda", "1.0", "--samples", "11",
-                                 "--grid", "32", "--steps", "200",
-                                 "--format", "structured-record"])
+                                 "--grid", "32", "--format", "structured-record"])
     assert code == 0
     record = json.loads(out)
     rows = record["report"]["rows"]
@@ -114,9 +113,19 @@ def test_torus_curve_command(capsys):
     assert rows[0]["curvature_l2"] < 1e-10
 
 
+@pytest.mark.parametrize("grid", ("16", "64"))
+def test_torus_curve_reports_the_t1_x_holonomy_as_minus_identity(capsys, grid):
+    # link products give the vacuum pi e1 dx its x-holonomy exp(-pi e1) = -I to rounding
+    code, out, _ = _run(capsys, ["torus-curve", "--grid", grid, "--format", "structured-record"])
+    assert code == 0
+    holo = json.loads(out)["report"]["endpoint_holonomies"]["t1"]["x_generator"]
+    got = np.array([complex(re, im) for re, im in holo])
+    assert np.max(np.abs(got + np.eye(2).ravel())) <= 1e-13
+
+
 def test_torus_curve_csv(capsys):
     code, out, _ = _run(capsys, ["torus-curve", "--samples", "5", "--grid", "32",
-                                 "--steps", "200", "--format", "csv"])
+                                 "--format", "csv"])
     assert code == 0
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert lines[0] == "t,curvature_l2,residual_l2"
@@ -340,10 +349,8 @@ def test_rejects_non_finite_k_and_lambda(capsys, argv, flag):
     (["ab", "--winding", "1000000000", "--steps", "100"], "aharonov_bohm_monodromy", "--winding"),
     (["ab", "--steps", "1000001"], "aharonov_bohm_monodromy", "--steps"),
     (["holonomy", "--grid", "8", "--steps", "1000000000"], "wilson_loop", "--steps"),
-    (["wong", "--steps", "2000000"], "wong_evolve", "--steps"),
-    (["torus-curve", "--grid", "8", "--samples", "2", "--steps", "1000001"],
-     "torus_family_report", "--steps")),
-    ids=("ab-winding", "ab-steps", "holonomy-steps", "wong-steps", "torus-curve-steps"))
+    (["wong", "--steps", "2000000"], "wong_evolve", "--steps")),
+    ids=("ab-winding", "ab-steps", "holonomy-steps", "wong-steps"))
 def test_rejects_transport_steps_above_the_cap_before_transport(capsys, monkeypatch, argv,
                                                                  transport, flag):
     def refuse(*args, **kwargs):
@@ -360,7 +367,7 @@ def test_rejects_transport_steps_above_the_cap_before_transport(capsys, monkeypa
     (["ab", "--k", "1e5"], "monodromy", "--k 1e5"),
     (["holonomy", "--grid", "8", "--family", "const-dx:c=1e300"], "matrix.0.0",
      "--family const-dx:c=1e300"),
-    (["torus-curve", "--grid", "8", "--samples", "2", "--steps", "100", "--lambda", "1e300"],
+    (["torus-curve", "--grid", "8", "--samples", "2", "--lambda", "1e300"],
      "report.jet_summary.harmonic_e1_l2", "--lambda 1e+300")),
     ids=("ab-k-1e300", "ab-k-1e5", "holonomy-c-1e300", "torus-curve-lambda-1e300"))
 @pytest.mark.parametrize("fmt", ("report-text", "csv"))
@@ -429,7 +436,7 @@ def test_cli_import_and_spectrum_run_load_no_scipy():
 
 def test_reported_tolerances_are_the_library_defaults(capsys):
     for argv, want in ((["residual", "--grid", "8"], {"flat_tol": gauge.FLAT_TOL}),
-                       (["torus-curve", "--grid", "8", "--samples", "2", "--steps", "100"],
+                       (["torus-curve", "--grid", "8", "--samples", "2"],
                         {"flat_tol": gauge.FLAT_TOL}),
                        (["spectrum", "--grid", "8"], {"threshold": spectrum.KERNEL_THRESHOLD})):
         code, out, _ = _run(capsys, argv + ["--format", "structured-record"])
@@ -571,7 +578,7 @@ class _Reached(Exception):
     """Raised by a stubbed report: the command got past its input checks."""
 
 
-_CURVE_LIMIT = _limit("torus-curve", "samples grid steps")
+_CURVE_LIMIT = _limit("torus-curve", "samples grid")
 
 
 def _argv(tmp_path, command, flags, via_config):
@@ -597,8 +604,8 @@ def test_torus_curve_refuses_samples_times_grid_squared_above_the_budget(
                  via_config)
     code, out, err = _run(capsys, argv)
     assert code == 1 and out == ""
-    assert f"--samples {samples} --grid {grid} --steps 1000: " in err
-    assert f"= {samples * grid ** 2 + 4 * 1000} exceeds the limit {_CURVE_LIMIT}" in err
+    assert f"--samples {samples} --grid {grid}: " in err
+    assert f"= {samples * grid ** 2} exceeds the limit {_CURVE_LIMIT}" in err
 
 
 @pytest.mark.parametrize("via_config", (False, True))
@@ -616,8 +623,8 @@ def test_torus_curve_accepts_the_budget_boundary_and_the_defaults(
     monkeypatch.setattr(cli, "torus_family_report", reached)
     with pytest.raises(_Reached):
         main(_argv(tmp_path, "torus-curve", flags, via_config))
-    # 1024 x 8 at the default --steps is the cost at the boundary
-    assert 8 * 1024 ** 2 + 4 * 1000 == _CURVE_LIMIT
+    # 1024 x 8 is the cost at the boundary
+    assert 8 * 1024 ** 2 == _CURVE_LIMIT
 
 
 _VERIFY_LIMIT = _limit("verify", "grid")
@@ -628,27 +635,27 @@ _VERIFY_LIMIT = _limit("verify", "grid")
     ("verify", "run_verify", ["--grid", str(_VERIFY_LIMIT + 1)], _VERIFY_LIMIT + 1,
      _VERIFY_LIMIT),
     ("verify", "run_verify", ["--grid", "1024"], 1024, _VERIFY_LIMIT),
-    ("torus-curve", "torus_family_report", ["--grid", "1024", "--samples", "8", "--steps",
-                                            "1000000"], 8 * 1024 ** 2 + 4 * 10 ** 6, _CURVE_LIMIT)),
+    # torus-curve has no --steps: its holonomies are link products, not transports
+    ("torus-curve", "torus_family_report", ["--steps", "1000"], None, None)),
     ids=("verify-limit+1", "verify-1024", "torus-curve-steps"))
 def test_verify_grid_and_torus_curve_steps_are_refused_before_the_command_runs(
         capsys, monkeypatch, tmp_path, command, stub, flags, cost, limit, via_config):
     def refuse(*args, **kwargs):
-        raise AssertionError(f"{stub} ran beyond its cost limit")
+        raise AssertionError(f"{stub} ran on refused flags")
 
     monkeypatch.setattr(cli, stub, refuse)
     code, out, err = _run(capsys, _argv(tmp_path, command, flags, via_config))
     assert code == 1 and out == ""
     assert all(f"{flag} {val}" in err for flag, val in zip(flags[::2], flags[1::2]))
-    assert f"= {cost} exceeds the limit {limit}" in err
+    assert (f"= {cost} exceeds the limit {limit}" if cost else "unrecognized arguments") in err
 
 
+# torus-curve has no --steps left to reach a limit; its budget boundary is
+# test_torus_curve_accepts_the_budget_boundary_and_the_defaults
 @pytest.mark.parametrize("via_config", (False, True))
 @pytest.mark.parametrize("command, stub, flags", (
-    ("verify", "run_verify", ["--grid", str(_VERIFY_LIMIT)]),
-    ("torus-curve", "torus_family_report", ["--grid", "8", "--samples", "2", "--steps",
-                                            "1000000"])),
-    ids=("verify-limit", "torus-curve-steps"))
+    ("verify", "run_verify", ["--grid", str(_VERIFY_LIMIT)]),),
+    ids=("verify-limit",))
 def test_verify_grid_and_torus_curve_steps_at_their_limits_reach_the_command(
         monkeypatch, tmp_path, command, stub, flags, via_config):
     def reached(*args, **kwargs):
@@ -664,8 +671,7 @@ def test_verify_grid_and_torus_curve_steps_at_their_limits_reach_the_command(
 _ROWS = {
     ("verify", "grid"): (lambda v: v["grid"], 384),
     ("torus-curve", "samples"): (lambda v: v["samples"], 10 ** 4),
-    ("torus-curve", "samples grid steps"):
-        (lambda v: v["samples"] * v["grid"] ** 2 + 4 * v["steps"], 8 * 1024 ** 2 + 4 * 1000),
+    ("torus-curve", "samples grid"): (lambda v: v["samples"] * v["grid"] ** 2, 8 * 1024 ** 2),
     ("ab", "steps winding"): (lambda v: v["steps"] * max(1, abs(v["winding"])), MAX_STEPS),
     ("spectrum", "rank"): (lambda v: v["rank"], 32),
     ("spectrum", "grid rank"): (lambda v: v["grid"] * v["rank"], 2048),
@@ -701,12 +707,8 @@ def _draw_sizes(data, command):
     if command == "torus-curve":
         grid = data.draw(st.sampled_from((8, 20, 28, 29, 256, 1023, 1024)) | st.integers(8, 1024),
                          label="grid")
-        steps = data.draw(st.sampled_from((MIN_STEPS, 1000, MAX_STEPS))
-                          | st.integers(MIN_STEPS, MAX_STEPS), label="steps")
-        fit = (8 * 1024 ** 2 + 4 * 1000 - 4 * steps) // grid ** 2
-        target = data.draw(st.sampled_from((fit, 10 ** 4)), label="target")
-        return {"samples": _near(data, target, 2, 10 ** 5, "samples"), "grid": grid,
-                "steps": steps}
+        target = data.draw(st.sampled_from((8 * 1024 ** 2 // grid ** 2, 10 ** 4)), label="target")
+        return {"samples": _near(data, target, 2, 10 ** 5, "samples"), "grid": grid}
     if command == "ab":
         steps = data.draw(st.integers(MIN_STEPS, MAX_STEPS), label="steps")
         sign = data.draw(st.sampled_from((1, -1)), label="sign")
@@ -760,19 +762,24 @@ def test_cost_table_accepts_every_corner_the_timing_tool_runs(corner):
     cli._check_costs(cli.build_parser().parse_args(corner.split()))
 
 
-# for each row, sizes whose cost is exactly the row's limit + 1 while every other
-# row of the command stays within its limit
+# for each row, sizes whose cost is the smallest above the row's limit while every
+# other row of the command stays within its limit: the limit + 1, except for
+# samples * grid^2, which reaches no cost nearer than the limit + 45 (grid 91)
+_EXCESS = {("torus-curve", "samples grid"): 45}
+
+
 @pytest.mark.parametrize("command, flags, vals", (
     ("verify", "grid", {"grid": 385}),
-    ("torus-curve", "samples", {"samples": 10 ** 4 + 1, "grid": 8, "steps": 1000}),
-    ("torus-curve", "samples grid steps", {"samples": 5, "grid": 1023, "steps": 789991}),
+    ("torus-curve", "samples", {"samples": 10 ** 4 + 1, "grid": 8}),
+    ("torus-curve", "samples grid", {"samples": 1013, "grid": 91}),
     ("ab", "steps winding", {"steps": 9901, "winding": -101}),
     ("spectrum", "rank", {"grid": 8, "rank": 33}),
     ("spectrum", "grid rank", {"grid": 683, "rank": 3})),
     ids=lambda val: val if isinstance(val, str) else None)
 def test_cost_table_refuses_each_row_at_its_limit_plus_one(command, flags, vals):
     cost, limit = _ROWS[command, flags][0](vals), _ROWS[command, flags][1]
-    assert cost == limit + 1 and _over(command, vals) == (flags, cost, limit)
+    assert cost == limit + _EXCESS.get((command, flags), 1)
+    assert _over(command, vals) == (flags, cost, limit)
     args = cli.build_parser().parse_args([command, *(f"--{k}={v}" for k, v in vals.items())])
     with pytest.raises(CliError, match=f" = {cost} exceeds the limit {limit}$"):
         cli._check_costs(args)
@@ -780,7 +787,7 @@ def test_cost_table_refuses_each_row_at_its_limit_plus_one(command, flags, vals)
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(),
-       bad=st.sampled_from((None, "--grid", "--tol", "--lambda", "--samples", "--steps")))
+       bad=st.sampled_from((None, "--grid", "--tol", "--lambda", "--samples")))
 def test_torus_curve_argument_vectors_end_in_report_or_error(data, bad):
     def draw(flag, good, wild):
         return data.draw(wild if flag == bad else good, label=flag)
@@ -790,9 +797,7 @@ def test_torus_curve_argument_vectors_end_in_report_or_error(data, bad):
     lam = draw("--lambda", _SMALL, _WILD)
     samples = draw("--samples", st.integers(2, 5),
                    st.one_of(st.integers(-10 ** 6, 1), st.integers(_SAMPLES_LIMIT + 1, 10 ** 12)))
-    steps = draw("--steps", st.integers(MIN_STEPS, 200), _BAD_STEPS)
-    argv = ["torus-curve", "--grid", str(grid), f"--lambda={lam!r}", "--samples", str(samples),
-            "--steps", str(steps)]
+    argv = ["torus-curve", "--grid", str(grid), f"--lambda={lam!r}", "--samples", str(samples)]
     if tol is not None:
         argv.append(f"--tol={tol}")
     record = _contract(argv, bad, (bad,))
@@ -931,8 +936,7 @@ def test_config_file_takes_flags_after_its_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", (
     ["verify", "--grid", "8"],
-    ["torus-curve", "--grid", "8", "--samples", "2", "--steps", str(MIN_STEPS),
-     "--lambda", "0.5"],
+    ["torus-curve", "--grid", "8", "--samples", "2", "--lambda", "0.5"],
     ["residual", "--grid", "8"],
     ["holonomy", "--grid", "8", "--steps", str(MIN_STEPS)],
     ["ab", "--steps", str(MIN_STEPS)],

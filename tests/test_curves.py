@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gaugecalc import algebra
 from gaugecalc.algebra import E1, E2, E3
@@ -9,7 +10,8 @@ from gaugecalc.curves import (ConnectionCurve, curve_jets, flat_curve_report,
                               torus_family_report, ym_curve_report)
 from gaugecalc.forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, constant_form,
                              exterior_d, l2_norm, scalar_form, tensor_form)
-from gaugecalc.gauge import FLAT_TOL, Connection, zero_connection
+from gaugecalc.gauge import FLAT_TOL, Connection, generator_holonomies, links, zero_connection
+from gaugecalc.holonomy import parallel_transport, torus_loop
 from gaugecalc.suites import random_form, random_scalar_one_form
 
 GRID = TorusGrid(32)
@@ -270,11 +272,30 @@ def test_substituted_smooth_family_is_flat_and_stationary():
     assert np.max(np.abs(g + np.eye(2))) < 1e-8
 
 
+@pytest.mark.parametrize("n", (16, 64))
+def test_torus_family_holonomies_are_the_closed_form_and_agree_with_rk4(n):
+    # the x-holonomy of E_t = t pi (e1 + lam (1 - t) e2) dx is exp(-E_t(dx)),
+    # the y-holonomy I; RK4 transport of the same grid connections checks the product
+    lam, grid = 0.7, TorusGrid(n)
+    for t in (0.0, 0.5, 1.0):
+        conn = torus_family(grid, lam, t).connection
+        gx, gy = generator_holonomies(*links(conn))
+        want = expm(-np.pi * t * (E1 + lam * (1.0 - t) * E2))
+        assert np.max(np.abs(gx - want)) <= 1e-13 and np.max(np.abs(gy - np.eye(2))) <= 1e-13
+        for g, loop in ((gx, (1, 0)), (gy, (0, 1))):
+            assert np.max(np.abs(g - parallel_transport(conn, torus_loop(loop), 1000))) <= 1e-10
+    holo = torus_family_report(lam, (0.0, 1.0), n=n).endpoint_holonomies
+    assert np.max(np.abs(holo["t0"]["x_generator"] - np.eye(2))) <= 1e-13
+    assert np.max(np.abs(holo["t1"]["x_generator"] + np.eye(2))) <= 1e-13
+    for end in ("t0", "t1"):
+        assert np.max(np.abs(holo[end]["y_generator"] - np.eye(2))) <= 1e-13
+
+
 def test_torus_family_report_structure():
     # the torus-curve oracle: every sample is flat and Yang-Mills, the t = 0 end
     # has trivial holonomy and the t = 1 end has x-holonomy exp(-pi e1) = -I
     ts = [i / 10 for i in range(11)]
-    rep = torus_family_report(1.0, ts, n=32, steps=200)
+    rep = torus_family_report(1.0, ts, n=32)
     assert [r["t"] for r in rep.rows] == ts
     for row in rep.rows:
         assert row["residual_l2"] <= 1e-10

@@ -9,11 +9,6 @@ from gaugecalc import gauge, spectrum
 from gaugecalc.spectrum import harmonic_space_dim
 
 
-def _links(conn):
-    """Links U = exp(h E) of the potential's components."""
-    return tuple(exp_antihermitian(conn.grid.h * c) for c in conn.potential.comps)
-
-
 def _gauged(links, rng):
     """Links g(j, l) U(j, l) g(next node)^H under a seeded random gauge field g."""
     n, m = links[0].shape[0], links[0].shape[-1]
@@ -173,7 +168,7 @@ def test_laplacian_matrix_matches_stencil_reference(potential, degree):
         "twisted-dx": _constant_connection(grid, np.pi * E1, zero2),
         "twisted-dxdy": _constant_connection(grid, 0.9 * E1, 1.3 * E1),
     }[potential]
-    ux, uy = _gauged(_links(conn), np.random.default_rng(degree))
+    ux, uy = _gauged(gauge.links(conn), np.random.default_rng(degree))
     got = _link_laplacian(ux, uy, grid.h, degree)
     want = _stencil_laplacian(ux, uy, grid.h, degree)
     assert got.shape == want.shape
@@ -242,7 +237,7 @@ def test_fourier_counts_match_dense_oracle(n, m, degree):
     rng = np.random.default_rng(100 * n + 10 * m + degree)
     mult = 2 if degree == 1 else 1
     for name, conn in _flat_connections(grid, m).items():
-        ux, uy = _gauged(_links(conn), rng)
+        ux, uy = _gauged(gauge.links(conn), rng)
         evals = np.linalg.eigvalsh(_link_laplacian(ux, uy, grid.h, degree))
         gauged = spectrum._link_eigenvalues(ux, uy, grid.h)
         for t in _THRESHOLDS:
@@ -262,7 +257,7 @@ def test_non_constant_flat_connection_takes_dense_path(degree):
     fx = 0.7 + 0.4 * np.cos(2.0 * np.pi * x)
     gy = -0.5 + 0.3 * np.sin(2.0 * np.pi * y)
     conn = Connection(tensor_form(scalar_form(grid, 1, fx, gy), E1))
-    ux, uy = _links(conn)
+    ux, uy = gauge.links(conn)
     evals = np.linalg.eigvalsh(_link_laplacian(ux, uy, grid.h, degree))
     want = int(np.count_nonzero(evals < 1e-6))
     assert want == (2, 4, 2)[degree]
@@ -277,7 +272,7 @@ def test_refuses_flat_connection_whose_link_complex_does_not_close():
     phi = scalar_form(grid, 0, 0.3 * np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y))
     conn = Connection(tensor_form(exterior_d(phi), E1))
     gauge.require_flat(conn, "this test")
-    ux, uy = _links(conn)
+    ux, uy = gauge.links(conn)
     defect = np.abs(ux @ np.roll(uy, -1, axis=0) - uy @ np.roll(ux, -1, axis=1)).max()
     assert defect > 0.05
     for degree in (0, 1, 2):

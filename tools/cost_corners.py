@@ -27,10 +27,7 @@ BUDGET_S = 15.0
 CORNERS = (
     "verify --grid 384",
     "torus-curve --grid 28 --samples 10000",
-    "torus-curve --grid 20 --samples 10000 --steps 1000000",
-    "torus-curve --grid 8 --samples 10000 --steps 1000000",
     "torus-curve --grid 1024 --samples 8",
-    "torus-curve --grid 1024 --samples 4 --steps 1000000",
     "ab --steps 1000000",
     "ab --steps 1000 --winding 1000",
     "spectrum --grid 64 --rank 32",
