@@ -1,9 +1,12 @@
 """Command-line front end.
 
 One batch run per invocation.  Reports embed the package version, the echoed
-configuration, the seed and the tolerances that ran, and are byte-identical
-for identical configurations.  Exit codes: 0 success, 1 invalid input, 2 a
-verification suite failed.  Size refusals come from one cost table, `_COSTS`.
+configuration and the tolerances that ran, and are byte-identical for
+identical configurations; `verify`, the one command that draws random
+numbers, also echoes its seed.  Every flag a command takes changes its report:
+the tolerances are the library's constants, which no flag overrides.  Exit
+codes: 0 success, 1 invalid input, 2 a verification suite failed.  Size
+refusals come from one cost table, `_COSTS`.
 """
 
 from __future__ import annotations
@@ -82,31 +85,28 @@ def build_parser():
     parser.add_argument("--config", help="JSON file mirroring the flags", default=None)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, grid=None, steps=False, tol=False):
-        # --grid, --steps and --tol exist only on the commands that read them
+    def common(p, grid=None, steps=False):
+        # --grid and --steps exist only on the commands that read them
         if grid:
             p.add_argument("--grid", type=_int_flag(MIN_GRID, 1024), default=grid)
         if steps:
             p.add_argument("--steps", type=_int_flag(MIN_STEPS, MAX_STEPS), default=1000)
-        if tol:
-            p.add_argument("--tol", type=_input_type(float, "a finite number > 0",
-                                                    lambda val: val > 0), default=None)
-        p.add_argument("--seed", type=_int_flag(0), default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", default="report-text",
                        choices=("report-text", "structured-record", "csv"))
 
     p = sub.add_parser("verify", description="run every invariant suite")
     common(p, grid=32)
+    p.add_argument("--seed", type=_int_flag(0), default=0)
 
     p = sub.add_parser("torus-curve", description="claim report for the torus family")
-    common(p, grid=64, tol=True)
+    common(p, grid=64)
     p.add_argument("--lambda", dest="lam", type=_input_type(float, "a finite number"),
                    default=1.0)
     p.add_argument("--samples", type=_int_flag(2), default=11)
 
     p = sub.add_parser("residual", description="Yang-Mills residual of a named field")
-    common(p, grid=64, tol=True)
+    common(p, grid=64)
     p.add_argument("--family", default="zero")
 
     p = sub.add_parser("holonomy", description="Wilson loop of a named field")
@@ -127,7 +127,7 @@ def build_parser():
     p.add_argument("--i0", default="e1", choices=tuple(_SU2))
 
     p = sub.add_parser("spectrum", description="harmonic space dimensions")
-    common(p, grid=16, tol=True)
+    common(p, grid=16)
     p.add_argument("--rank", type=_int_flag(1), default=1)
     p.add_argument("--degree", default="all", choices=("0", "1", "2", "all"))
     return parser
@@ -222,7 +222,7 @@ def _flag_echo(args):
     """The numeric and selector flags of the run, as they would be typed."""
     return " ".join(f"{_flag(key)} {val}"
                     for key, val in _config_echo(args).items()
-                    if key not in ("format", "seed") and val is not None)
+                    if key != "format" and val is not None)
 
 
 def _base_record(args, tolerances, body):
@@ -230,7 +230,7 @@ def _base_record(args, tolerances, body):
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),
-        "seed": args.seed,
+        **({"seed": args.seed} if "seed" in vars(args) else {}),  # only verify has one
         "tolerances": tolerances,
         **body,
     }
@@ -300,7 +300,7 @@ def _emit(record, args, csv_header, csv_rows):
         text = json.dumps(_jsonable(record), sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
-        for key in ("version", "command", "seed"):
+        for key in filter(record.__contains__, ("version", "command", "seed")):
             buf.write(f"# {key}: {record[key]}\n")
         buf.write(f"# config: {json.dumps(_jsonable(record['config']), sort_keys=True)}\n")
         writer = csv.writer(buf, lineterminator="\n")
@@ -336,20 +336,16 @@ def _cmd_verify(args):
 
 
 def _cmd_torus_curve(args):
-    flat_tol = args.tol or FLAT_TOL  # a given --tol is positive
     ts = [i / (args.samples - 1) for i in range(args.samples)]
-    report = torus_family_report(args.lam, ts, n=args.grid, flat_tol=flat_tol)
-    record = _base_record(args, {"flat_tol": flat_tol}, {"report": report.to_record()})
+    report = torus_family_report(args.lam, ts, n=args.grid)
+    record = _base_record(args, {"flat_tol": FLAT_TOL}, {"report": report.to_record()})
     _emit(record, args, ("t", "curvature_l2", "residual_l2"), report.csv_rows())
     return 0
 
 
 def _cmd_residual(args):
-    grid = TorusGrid(args.grid)
-    flat_tol = args.tol or FLAT_TOL  # a given --tol is positive
-    conn = build_family(grid, args.family)
-    rep = residual_report(conn, flat_tol)
-    record = _base_record(args, {"flat_tol": flat_tol}, {"report": rep})
+    rep = residual_report(build_family(TorusGrid(args.grid), args.family))
+    record = _base_record(args, {"flat_tol": FLAT_TOL}, {"report": rep})
     _emit(record, args, ("key", "value"), rep.items())
     return 0
 
@@ -423,11 +419,10 @@ def _cmd_wong(args):
 
 
 def _cmd_spectrum(args):
-    threshold = args.tol or KERNEL_THRESHOLD  # a given --tol is positive
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
     conn = zero_connection(TorusGrid(args.grid), args.rank)
-    dims = {str(k): harmonic_space_dim(conn, k, threshold) for k in degrees}
-    record = _base_record(args, {"threshold": threshold}, {"dims": dims})
+    dims = {str(k): harmonic_space_dim(conn, k) for k in degrees}
+    record = _base_record(args, {"threshold": KERNEL_THRESHOLD}, {"dims": dims})
     _emit(record, args, ("degree", "dimension"), dims.items())
     return 0
 

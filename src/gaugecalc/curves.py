@@ -232,7 +232,6 @@ class ClaimReport:
 
     lam: float
     n: int
-    flat_tol: float
     rows: tuple
     jet_summary: dict
     endpoint_holonomies: dict
@@ -244,7 +243,7 @@ class ClaimReport:
         return {
             "lambda": self.lam,
             "n": self.n,
-            "flat_tol": self.flat_tol,
+            "flat_tol": FLAT_TOL,
             "rows": list(self.rows),
             "jet_summary": self.jet_summary,
             "endpoint_holonomies": {
@@ -254,12 +253,13 @@ class ClaimReport:
         }
 
 
-def torus_family_report(lam, ts, n=64, flat_tol=FLAT_TOL):
+def torus_family_report(lam, ts, n=64):
     """Evaluate the torus family at the sample times and collect every claim.
 
-    The endpoint holonomies are link products of the family's own grid
-    connections; the links of the constant E_x dx multiply to exp(-E_x) around
-    x and to I around y, up to rounding.
+    A row is flat when its curvature norm is at most FLAT_TOL.  The endpoint
+    holonomies are link products of the family's own grid connections; the
+    links of the constant E_x dx multiply to exp(-E_x) around x and to I
+    around y, up to rounding.
     """
     grid = TorusGrid(n)
     rows = []
@@ -276,11 +276,11 @@ def torus_family_report(lam, ts, n=64, flat_tol=FLAT_TOL):
             "cross_check_l2": cond["cross_check_l2"],
             "stationarity_l2": list(cond["stationarity_l2"]),
             "wedge_l2": list(cond["wedge_l2"]),
-            "flat": bool(kn <= flat_tol),
+            "flat": bool(kn <= FLAT_TOL),
         })
     curve = ConnectionCurve(lambda t: torus_family(grid, lam, t).connection.potential)
     jet_summary = ym_curve_report(curve_jets(curve), zero_connection(grid, 2))
     holo = {label: dict(zip(("x_generator", "y_generator"),
                             generator_holonomies(*links(curve.connection(t_end)))))
             for label, t_end in (("t0", 0.0), ("t1", 1.0))}
-    return ClaimReport(float(lam), n, float(flat_tol), tuple(rows), jet_summary, holo)
+    return ClaimReport(float(lam), n, tuple(rows), jet_summary, holo)

@@ -35,7 +35,9 @@ from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
                     form_to_record, hodge_star, l2_inner, l2_norm,
                     wedge_compose, zero_form)
 
-FLAT_TOL = 1e-8  # curvature L2 norm up to which a connection counts as flat
+# curvature L2 norm, or largest plaquette defect of the links, up to which a field
+# counts as flat; no flag or parameter overrides it
+FLAT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -202,8 +204,8 @@ def yang_mills_residual_covariant(conn):
     return codifferential(conn, curvature(conn))
 
 
-def residual_report(conn, flat_tol=FLAT_TOL):
-    """Structured record {ym_value, residual_l2, curvature_l2, flat}."""
+def residual_report(conn):
+    """Structured record {ym_value, residual_l2, curvature_l2, flat}, flat at FLAT_TOL."""
     k = curvature(conn)
     kn = l2_norm(k)
     return {
@@ -211,8 +213,8 @@ def residual_report(conn, flat_tol=FLAT_TOL):
         "residual_l2": l2_norm(yang_mills_residual(conn)),
         "residual_covariant_l2": l2_norm(codifferential(conn, k)),  # the covariant residual
         "curvature_l2": kn,
-        "flat": bool(kn <= flat_tol),
-        "flat_tol": float(flat_tol),
+        "flat": bool(kn <= FLAT_TOL),
+        "flat_tol": FLAT_TOL,
     }
 
 

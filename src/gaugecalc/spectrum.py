@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import dagger, stack_matmul
-from .gauge import FLAT_TOL, generator_holonomies, links, require_flat
+from .gauge import FLAT_TOL, generator_holonomies, links
 
 KERNEL_THRESHOLD = 1e-6  # Laplacian eigenvalues below this count as harmonic
 
@@ -63,15 +63,15 @@ def _link_eigenvalues(ux, uy, h):
 def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD):
     """Number of Laplacian eigenvalues below `threshold` at the given degree.
 
-    Only flat connections are accepted: the covariant complex is a complex
-    only when the curvature vanishes, so non-flat input is rejected with the
-    measured curvature norm.  The count runs on the connection's kept links,
-    which must be flat too (see `_link_eigenvalues`).
+    The count runs on the connection's kept links, and only flat links are
+    accepted: the link complex is a complex only when every plaquette closes,
+    so any other field is refused with its measured plaquette defect (see
+    `_link_eigenvalues`).  That is the one flatness test; the central-difference
+    curvature is never formed, so a gauge transform of flat links counts too.
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     if not (np.isfinite(threshold) and threshold > 0):
         raise ValueError(f"kernel threshold must be a finite number > 0, got {threshold!r}")
-    require_flat(conn, "harmonic counting")
     count = int(np.count_nonzero(_link_eigenvalues(*links(conn), conn.grid.h) < threshold))
     return 2 * count if degree == 1 else count

@@ -86,7 +86,7 @@ def test_ab_command(capsys):
     assert abs(re + 1.0) < 1e-8 and abs(im) < 1e-8
     assert record["deviation"] < 1e-8
     assert record["tolerances"] == {}
-    assert set(record["config"]) == {"format", "k", "seed", "steps", "winding"}
+    assert set(record["config"]) == {"format", "k", "steps", "winding"}
 
 
 def test_ab_transport_steps_follow_steps_flag(capsys):
@@ -259,21 +259,68 @@ def test_holonomy_accepts_integral_float_windings(capsys):
                                      ["torus-curve", "--samples", "2", "--grid", "8"]))
 @pytest.mark.parametrize("tol", ("-1", "0", "nan", "inf"))
 def test_rejects_bad_tolerance(capsys, command, tol):
+    # no command takes --tol, so a bad value is refused as the flag itself
     code, out, err = _run(capsys, command + ["--tol", tol])
     assert code == 1
-    assert out == "" and "--tol" in err
+    assert out == "" and f"unrecognized arguments: --tol {tol}" in err
 
 
-# every rejected value below is refused before any field is allocated
+# every rejected value below is refused before any field is allocated, typed and
+# under --config: no command takes --tol, and only verify, the one command that
+# draws random numbers, takes --seed
 @pytest.mark.parametrize("argv", (
     ["wong", "--grid", "-5"], ["ab", "--grid", "64"], ["ab", "--tol", "-1"],
     ["verify", "--tol", "-1", "--steps", "3"], ["verify", "--steps", "3"],
     ["holonomy", "--tol", "nan"], ["wong", "--tol", "1e-3"],
-    ["residual", "--steps", "5"], ["spectrum", "--steps", "5"]))
-def test_rejects_flags_a_command_does_not_read(capsys, argv):
-    code, out, err = _run(capsys, argv)
+    ["residual", "--steps", "5"], ["spectrum", "--steps", "5"],
+    *([command, "--tol", "1e-3"] for command in ("residual", "torus-curve", "spectrum")),
+    *([command, "--seed", "1"]
+      for command in ("torus-curve", "residual", "holonomy", "ab", "wong", "spectrum"))))
+def test_rejects_flags_a_command_does_not_read(capsys, monkeypatch, tmp_path, argv):
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, lambda args: pytest.fail("the command ran"))
+    for via_config in (False, True):
+        code, out, err = _run(capsys, _argv(tmp_path, argv[0], argv[1:], via_config))
+        assert code == 1 and out == ""
+        assert argv[1] in err
+
+
+def test_an_older_config_is_refused_for_its_seed_and_takes_a_null_tol_as_the_default(
+        tmp_path, capsys):
+    # the config a residual report echoed when every command took --seed and --tol
+    old = {"command": "residual", "family": "zero", "format": "structured-record",
+           "grid": 8, "tol": None}
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({**old, "seed": 0}))
+    code, out, err = _run(capsys, ["--config", str(cfg)])
     assert code == 1 and out == ""
-    assert argv[1] in err
+    assert "unrecognized arguments: --seed 0" in err
+    cfg.write_text(json.dumps(old))
+    code, out, _ = _run(capsys, ["--config", str(cfg)])
+    assert code == 0
+    record = json.loads(out)
+    assert record["tolerances"] == {"flat_tol": gauge.FLAT_TOL}
+    assert record["config"] == {"family": "zero", "format": "structured-record", "grid": 8}
+
+
+# the flags of each command, 34 in all: none is a tolerance, and only verify,
+# which draws random numbers, takes a seed
+_FLAGS = {
+    "verify": {"--grid", "--seed", "--out", "--format"},
+    "torus-curve": {"--grid", "--lambda", "--samples", "--out", "--format"},
+    "residual": {"--grid", "--family", "--out", "--format"},
+    "holonomy": {"--grid", "--steps", "--family", "--loop", "--out", "--format"},
+    "ab": {"--steps", "--k", "--winding", "--out", "--format"},
+    "wong": {"--steps", "--case", "--i0", "--out", "--format"},
+    "spectrum": {"--grid", "--rank", "--degree", "--out", "--format"},
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    got = {name: {flag for action in p._actions for flag in action.option_strings}
+           - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert got == _FLAGS
 
 
 @pytest.mark.parametrize("argv", (
@@ -478,18 +525,12 @@ def test_ab_argument_vectors_end_in_report_or_error(k, winding, steps):
         assert err.getvalue().startswith("gaugecalc: error: ")
 
 
-_TOLS = st.one_of(st.none(), st.sampled_from(("0", "-1", "nan", "inf", "-inf", "1e-6", "100")),
-                  st.floats(allow_nan=True, allow_infinity=True).map(repr))
-
-
 @settings(max_examples=60, deadline=None)
 @given(grid=st.integers(1, 40), rank=st.one_of(st.integers(1, 3), st.integers(1, 10 ** 6)),
-       degree=st.sampled_from(("0", "1", "2", "all")), tol=_TOLS)
-def test_spectrum_argument_vectors_end_in_report_or_error(grid, rank, degree, tol):
+       degree=st.sampled_from(("0", "1", "2", "all")))
+def test_spectrum_argument_vectors_end_in_report_or_error(grid, rank, degree):
     argv = ["spectrum", "--grid", str(grid), "--rank", str(rank), "--degree", degree,
             "--format", "structured-record"]
-    if tol is not None:
-        argv.append(f"--tol={tol}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -526,7 +567,6 @@ def _contract(argv, bad, names):
 _WILD = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf, 1e300, -1e300)),
                   st.floats(allow_nan=True, allow_infinity=True))
 _BAD_GRIDS = st.one_of(st.integers(-10 ** 6, 7), st.integers(1025, 10 ** 12))
-_GOOD_TOLS = st.one_of(st.none(), st.floats(1e-12, 1e3).map(repr))
 _BAD_WINDINGS = st.one_of(st.integers(MAX_STEPS + 1, 10 ** 30),
                           st.integers(-10 ** 30, -MAX_STEPS - 1))
 _BAD_STEPS = st.one_of(st.integers(-10 ** 6, MIN_STEPS - 1), st.integers(MAX_STEPS + 1, 10 ** 12))
@@ -554,7 +594,7 @@ def _family(name, direction, draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), bad=st.sampled_from((None, "--grid", "--tol", "--family")),
+@given(data=st.data(), bad=st.sampled_from((None, "--grid", "--family")),
        name=st.sampled_from(("zero", "const-dx", "const-mix", "sin-dy")),
        direction=st.sampled_from(("e1", "e2", "e3")))
 def test_residual_argument_vectors_end_in_report_or_error(data, bad, name, direction):
@@ -562,11 +602,8 @@ def test_residual_argument_vectors_end_in_report_or_error(data, bad, name, direc
         return data.draw(wild if flag == bad else good, label=flag)
 
     grid = draw("--grid", st.integers(8, 16), _BAD_GRIDS)
-    tol = draw("--tol", _GOOD_TOLS, _TOLS)
     family = _family(name, direction, lambda good, wild: draw("--family", good, wild))
     argv = ["residual", "--grid", str(grid), "--family", family]
-    if tol is not None:
-        argv.append(f"--tol={tol}")
     names = ("--family", "'c'", "'lam'", "'freq'") if bad == "--family" else (bad,)
     record = _contract(argv, bad, names)
     if record is not None:
@@ -787,19 +824,16 @@ def test_cost_table_refuses_each_row_at_its_limit_plus_one(command, flags, vals)
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(),
-       bad=st.sampled_from((None, "--grid", "--tol", "--lambda", "--samples")))
+       bad=st.sampled_from((None, "--grid", "--lambda", "--samples")))
 def test_torus_curve_argument_vectors_end_in_report_or_error(data, bad):
     def draw(flag, good, wild):
         return data.draw(wild if flag == bad else good, label=flag)
 
     grid = draw("--grid", st.integers(8, 16), _BAD_GRIDS)
-    tol = draw("--tol", _GOOD_TOLS, _TOLS)
     lam = draw("--lambda", _SMALL, _WILD)
     samples = draw("--samples", st.integers(2, 5),
                    st.one_of(st.integers(-10 ** 6, 1), st.integers(_SAMPLES_LIMIT + 1, 10 ** 12)))
     argv = ["torus-curve", "--grid", str(grid), f"--lambda={lam!r}", "--samples", str(samples)]
-    if tol is not None:
-        argv.append(f"--tol={tol}")
     record = _contract(argv, bad, (bad,))
     if record is not None:
         assert len(record["report"]["rows"]) == samples

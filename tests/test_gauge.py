@@ -557,16 +557,24 @@ def test_antihermitian_tags_stay_true():
 
 
 def test_flatness_guards_share_require_flat():
+    # the guards of the central complex share require_flat; the harmonic count,
+    # which runs on links, refuses by the largest plaquette defect of those links
     grid = TorusGrid(16)
     conn = _sine_dy_connection(grid, E1)
     kn = l2_norm(curvature(conn))
     assert kn > FLAT_TOL
     jets = curve_jets(ConnectionCurve(lambda t: t * constant_form(grid, 1, E1, E2)))
-    for guarded in (lambda: harmonic_space_dim(conn, 1), lambda: ym_curve_report(jets, conn),
+    for guarded in (lambda: ym_curve_report(jets, conn),
                     lambda: require_flat(conn, "this check")):
         with pytest.raises(ValueError, match="curvature norm") as info:
             guarded()
         assert f"{kn:.3e}" in str(info.value) and f"{FLAT_TOL:.1e}" in str(info.value)
+    ux, uy = gauge.links(conn)
+    defect = np.abs(ux @ np.roll(uy, -1, axis=0) - uy @ np.roll(ux, -1, axis=1)).max()
+    assert defect > FLAT_TOL
+    with pytest.raises(ValueError, match="plaquette defect") as info:
+        harmonic_space_dim(conn, 1)
+    assert f"{defect:.3e}" in str(info.value) and f"{FLAT_TOL:.1e}" in str(info.value)
     require_flat(zero_connection(grid, 2), "the zero connection")
 
 

@@ -1,20 +1,29 @@
 import numpy as np
 import pytest
 
-from gaugecalc.algebra import (E1, antihermitian_basis, dagger, exp_antihermitian, inner,
+from gaugecalc.algebra import (E1, E2, E3, antihermitian_basis, dagger, exp_antihermitian, inner,
                                random_antihermitian)
-from gaugecalc.forms import TorusGrid, constant_form, exterior_d, tensor_form, scalar_form
-from gaugecalc.gauge import Connection, zero_connection
+from gaugecalc.forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, constant_form, exterior_d,
+                             l2_norm, tensor_form, scalar_form)
+from gaugecalc.gauge import FLAT_TOL, Connection, curvature, zero_connection
 from gaugecalc import gauge, spectrum
 from gaugecalc.spectrum import harmonic_space_dim
 
 
+def _gauge_links(links, g):
+    """Links g(j, l) U(j, l) g(next node)^H under the lattice gauge field g."""
+    return tuple(g @ u @ dagger(np.roll(g, -1, axis=axis)) for axis, u in enumerate(links))
+
+
 def _gauged(links, rng):
-    """Links g(j, l) U(j, l) g(next node)^H under a seeded random gauge field g."""
+    """`_gauge_links` under a seeded random gauge field."""
     n, m = links[0].shape[0], links[0].shape[-1]
     x = rng.standard_normal((n, n, m, m)) + 1j * rng.standard_normal((n, n, m, m))
-    g = exp_antihermitian(0.5 * (x - dagger(x)))
-    return tuple(g @ u @ dagger(np.roll(g, -1, axis=axis)) for axis, u in enumerate(links))
+    return _gauge_links(links, exp_antihermitian(0.5 * (x - dagger(x))))
+
+
+def _plaquette_defect(ux, uy):
+    return np.abs(ux @ np.roll(uy, -1, axis=0) - uy @ np.roll(ux, -1, axis=1)).max()
 
 
 def _link_laplacian(ux, uy, h, degree):
@@ -121,12 +130,65 @@ def test_harmonic_dims_small_grid():
 
 
 def test_rejects_non_flat_connection():
+    # the refusal names the largest plaquette defect of the links it counts on
     grid = TorusGrid(16)
     x, _ = grid.nodes()
     prof = scalar_form(grid, 1, np.zeros((16, 16)), np.sin(2.0 * np.pi * x))
     conn = Connection(tensor_form(prof, E1))
-    with pytest.raises(ValueError, match="curvature norm"):
+    defect = _plaquette_defect(*gauge.links(conn))
+    assert defect > FLAT_TOL
+    with pytest.raises(ValueError, match="plaquette defect") as info:
         harmonic_space_dim(conn, 1)
+    assert f"{defect:.3e}" in str(info.value) and f"{FLAT_TOL:.1e}" in str(info.value)
+
+
+def _log_unitary(w):
+    """Principal logarithm of a stack of unitaries, through their eigendecomposition."""
+    evals, v = np.linalg.eig(w)
+    log = v @ (1j * np.angle(evals)[..., :, None] * np.linalg.inv(v))
+    return 0.5 * (log - dagger(log))
+
+
+def _commutant_dim(gx, gy):
+    """Dimension of the matrices that commute with both gx and gy (row-major vec)."""
+    m = len(gx)
+    eye = np.eye(m)
+    ops = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in (gx, gy)])
+    return m * m - np.linalg.matrix_rank(ops, tol=1e-9)
+
+
+@pytest.mark.parametrize("n", (16, 64))
+def test_lattice_gauge_transform_of_flat_links_counts_like_its_links(n):
+    # E' = log(g U g(next node)^H) / h has exactly the gauged links of the flat
+    # 0.9 e1 dx + 1.3 e1 dy, but a smooth non-abelian g leaves its central-difference
+    # curvature far from zero; the count reads only the links
+    grid = TorusGrid(n)
+    x, y = grid.nodes()
+    ang = (0.8 * np.sin(2.0 * np.pi * x)[..., None, None] * E2
+           + 0.5 * np.cos(2.0 * np.pi * y)[..., None, None] * E3
+           + 0.3 * np.sin(2.0 * np.pi * (x + y))[..., None, None] * E1)
+    base = _constant_connection(grid, 0.9 * E1, 1.3 * E1)
+    links = _gauge_links(gauge.links(base), exp_antihermitian(ang))
+    conn = Connection(MatrixForm(1, grid, tuple(_log_unitary(u) / grid.h for u in links),
+                                 ANTIHERMITIAN))
+    assert l2_norm(curvature(conn)) > 0.1
+    assert _plaquette_defect(*gauge.links(conn)) <= 1e-13
+    k = _commutant_dim(*gauge.generator_holonomies(*gauge.links(conn)))
+    assert k == 2
+    assert tuple(harmonic_space_dim(conn, d) for d in (0, 1, 2)) == (k, 2 * k, k)
+
+
+def test_counting_never_forms_the_central_curvature(monkeypatch):
+    def refuse(conn):
+        raise AssertionError("the central-difference curvature was formed")
+
+    monkeypatch.setattr(Connection, "_curvature", property(refuse))
+    grid = TorusGrid(16)
+    zero2 = np.zeros((2, 2))
+    for conn, want in ((zero_connection(grid, 2), (4, 8, 4)),
+                       (_constant_connection(grid, np.pi * E1, zero2), (4, 8, 4)),
+                       (_constant_connection(grid, 0.9 * E1, 1.3 * E1), (2, 4, 2))):
+        assert tuple(harmonic_space_dim(conn, d) for d in (0, 1, 2)) == want
 
 
 def test_flat_twisted_connection_counts_discrete_kernel():
@@ -272,8 +334,7 @@ def test_refuses_flat_connection_whose_link_complex_does_not_close():
     phi = scalar_form(grid, 0, 0.3 * np.sin(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y))
     conn = Connection(tensor_form(exterior_d(phi), E1))
     gauge.require_flat(conn, "this test")
-    ux, uy = gauge.links(conn)
-    defect = np.abs(ux @ np.roll(uy, -1, axis=0) - uy @ np.roll(ux, -1, axis=1)).max()
+    defect = _plaquette_defect(*gauge.links(conn))
     assert defect > 0.05
     for degree in (0, 1, 2):
         with pytest.raises(ValueError, match="plaquette defect") as info:
