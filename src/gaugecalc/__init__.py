@@ -26,6 +26,5 @@ from .holonomy import (AnalyticTorusPotential, GaugeConjugatedPotential,
                        GridPotential, MeromorphicPotential, MonodromyRecord,
                        ParametricPath, SpinPhaseRecord, aharonov_bohm_monodromy,
                        aharonov_casher_phase, circle_path, concat_paths,
-                       monodromy_representation, parallel_transport,
-                       reverse_path, segment_path, torus_circle, torus_loop,
-                       wilson_loop, wong_evolve)
+                       parallel_transport, reverse_path, segment_path, torus_circle,
+                       torus_loop, wilson_loop, wong_evolve)

@@ -11,7 +11,8 @@ ranks the package runs:
 - `stack_matmul`: one broadcast outer product per inner index, any m.
 - `stack_bracket`: for m = 2 and 3 only the products that survive in
   AB - BA, 6 and 30 of them; other ranks take the difference of two
-  `stack_matmul` products.
+  `stack_matmul` products.  It is the package's one commutator: `bracket`
+  validates a pair of matrices and runs it.
 - `exp_antihermitian`: for m = 2 the su(2) closed form, for m = 3 the
   Cayley-Hamilton form of Morningstar and Peardon; other ranks diagonalize.
 """
@@ -80,25 +81,27 @@ def _unitary_inverse(g, what):
     return gh
 
 
-def _require_matching(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a, b
+def _square_matrices(matrices, what):
+    """`matrices` as complex arrays; refuses any that is not square of one rank, or not finite."""
+    mats = [np.asarray(mm, dtype=complex) for mm in matrices]
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1 \
+            or any(mm.shape != shape for mm in mats):
+        raise ValueError(f"{what} needs square matrices of one rank m >= 1, "
+                         f"got shapes {[mm.shape for mm in mats]}")
+    if not all(np.isfinite(mm).all() for mm in mats):  # refused before anything computes with them
+        raise ValueError(f"{what} matrices must be finite")
+    return mats
 
 
 def bracket(a, b):
-    """Commutator AB - BA."""
-    a, b = _require_matching(a, b)
-    return a @ b - b @ a
+    """Commutator AB - BA of two m x m matrices, by `stack_bracket`."""
+    return stack_bracket(*_square_matrices((a, b), "bracket"))
 
 
 def inner(a, b):
     """Ad-invariant inner product Re tr(A B^H)."""
-    a, b = _require_matching(a, b)
+    a, b = _square_matrices((a, b), "inner")
     return float(np.trace(a @ dagger(b)).real)
 
 
@@ -181,7 +184,7 @@ def stack_bracket(a, b):
     mul = np.multiply
     for i, j in ((0, 1), (0, 2), (1, 2))[:2 * m - 3]:  # the pairs i < j
         da, db = a[..., i, i] - a[..., j, j], b[..., i, i] - b[..., j, j]
-        cij, cji = out[i, j], out[j, i]
+        cij, cji = out[i, j, ...], out[j, i, ...]  # views, also for leading shape ()
         mul(da, b[..., i, j], out=cij)
         cij -= mul(db, a[..., i, j], out=tmp)
         mul(db, a[..., j, i], out=cji)
@@ -192,7 +195,7 @@ def stack_bracket(a, b):
             cij -= mul(b[..., i, l], a[..., l, j], out=tmp)
             cji -= mul(a[..., l, i], b[..., j, l], out=tmp)
             cji += mul(b[..., l, i], a[..., j, l], out=tmp)
-    c00, c11 = out[0, 0], out[1, 1]
+    c00, c11 = out[0, 0, ...], out[1, 1, ...]
     mul(a[..., 0, 1], b[..., 1, 0], out=c00)
     c00 -= mul(b[..., 0, 1], a[..., 1, 0], out=tmp)
     if m == 2:
@@ -203,7 +206,8 @@ def stack_bracket(a, b):
         c11 -= c00
         c00 += mul(a[..., 0, 2], b[..., 2, 0], out=tmp)
         c00 -= mul(b[..., 0, 2], a[..., 2, 0], out=tmp)
-        np.negative(np.add(c00, c11, out=out[2, 2]), out=out[2, 2])
+        c22 = out[2, 2, ...]
+        np.negative(np.add(c00, c11, out=c22), out=c22)
     return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 

@@ -28,8 +28,8 @@ from .algebra import SU2_BASIS, exp_antihermitian
 from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _entry_pairs, _form, _tensor_sum,
                     exterior_d, hodge_star, interior, l2_norm, scalar_form, sharp,
                     wedge_compose)
-from .gauge import (FLAT_TOL, Connection, codifferential, covariant_d, curvature,
-                    gauge_transform, generator_holonomies, links, require_flat,
+from .gauge import (FLAT_TOL, Connection, _flatness, codifferential, covariant_d,
+                    curvature, gauge_transform, generator_holonomies, links, require_flat,
                     yang_mills_residual, zero_connection)
 
 T_SMALL = 1e-3  # default jet stencil step of curve_jets
@@ -43,8 +43,6 @@ class ConnectionCurve:
         if l2_norm(start) > 1e-12:
             raise ValueError("connection curve must start at the zero potential")
         self.sampler = sampler
-        self.grid = start.grid
-        self.m = start.m
 
     def potential(self, t):
         return self.sampler(float(t))
@@ -118,8 +116,8 @@ def flat_curve_report(curve, sample_ts):
     """Check flatness along the curve and report the obstruction norm ||C_E||."""
     rows = []
     for t in sample_ts:
-        kn = l2_norm(curvature(curve.connection(t)))
-        rows.append({"t": float(t), "curvature_l2": kn, "flat": bool(kn <= FLAT_TOL)})
+        kn, flat = _flatness(curvature(curve.connection(t)))
+        rows.append({"t": float(t), "curvature_l2": kn, "flat": flat})
     jets = curve_jets(curve)
     return {
         "rows": rows,
@@ -256,10 +254,10 @@ class ClaimReport:
 def torus_family_report(lam, ts, n=64):
     """Evaluate the torus family at the sample times and collect every claim.
 
-    A row is flat when its curvature norm is at most FLAT_TOL.  The endpoint
-    holonomies are link products of the family's own grid connections; the
-    links of the constant E_x dx multiply to exp(-E_x) around x and to I
-    around y, up to rounding.
+    A row is flat when its curvature norm is at most FLAT_TOL
+    (`gauge._flatness`).  The endpoint holonomies are link products of the
+    family's own grid connections; the links of the constant E_x dx multiply
+    to exp(-E_x) around x and to I around y, up to rounding.
     """
     grid = TorusGrid(n)
     rows = []
@@ -267,7 +265,7 @@ def torus_family_report(lam, ts, n=64):
         t = float(t)
         ansatz = torus_family(grid, lam, t)
         cond = su2_ym_conditions(ansatz)
-        kn = l2_norm(curvature(ansatz.connection))
+        kn, flat = _flatness(curvature(ansatz.connection))
         rows.append({
             "t": t,
             "curvature_l2": kn,
@@ -276,7 +274,7 @@ def torus_family_report(lam, ts, n=64):
             "cross_check_l2": cond["cross_check_l2"],
             "stationarity_l2": list(cond["stationarity_l2"]),
             "wedge_l2": list(cond["wedge_l2"]),
-            "flat": bool(kn <= FLAT_TOL),
+            "flat": flat,
         })
     curve = ConnectionCurve(lambda t: torus_family(grid, lam, t).connection.potential)
     jet_summary = ym_curve_report(curve_jets(curve), zero_connection(grid, 2))

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _plane_major, is_antihermitian, require_antihermitian, stack_matmul
+from .algebra import (_plane_major, _square_matrices, is_antihermitian, require_antihermitian,
+                      stack_matmul)
 
 ANTIHERMITIAN = "antihermitian"
 GENERAL = "general"
@@ -178,10 +179,11 @@ class VectorField:
         object.__setattr__(self, "vy", vy)
 
 
-def zero_form(grid, degree, m, value_class=ANTIHERMITIAN):
+def zero_form(grid, degree, m):
+    """The zero degree-`degree` form of rank m, tagged ANTIHERMITIAN."""
     comps = tuple(np.zeros((m, m, grid.n, grid.n), dtype=complex).transpose(2, 3, 0, 1)
                   for _ in range(_ncomps(degree)))
-    return MatrixForm(degree, grid, comps, value_class)
+    return MatrixForm(degree, grid, comps, ANTIHERMITIAN)
 
 
 def scalar_form(grid, degree, *coeffs):
@@ -226,19 +228,6 @@ def _tensor_sum(scalars, matrices):
     tagged = (all(float(np.max(np.abs(c.imag))) <= 1e-14 for s in scalars for c in s.comps)
               and all(map(is_antihermitian, mats)) and all(map(is_antihermitian, comps)))
     return _form(first.degree, first.grid, tuple(comps), ANTIHERMITIAN if tagged else GENERAL)
-
-
-def _square_matrices(matrices, what):
-    """`matrices` as complex arrays; refuses any that is not square of one rank, or not finite."""
-    mats = [np.asarray(mm, dtype=complex) for mm in matrices]
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1 \
-            or any(mm.shape != shape for mm in mats):
-        raise ValueError(f"{what} needs square matrices of one rank m >= 1, "
-                         f"got shapes {[mm.shape for mm in mats]}")
-    if not all(np.isfinite(mm).all() for mm in mats):  # refused before anything computes with them
-        raise ValueError(f"{what} matrices must be finite")
-    return mats
 
 
 def constant_form(grid, degree, *matrices):

@@ -10,15 +10,16 @@ Re tr(A B^H)).
 The pointwise terms are brackets, each one `algebra.stack_bracket`: the
 curvature's E^E = [Ex, Ey] dx^dy; the wedge action [E, f] = ([Ex, f],
 [Ey, f]) on a 0-form f and [Ex, Wy] - [Ey, Wx] on a 1-form W; and its
-adjoint ([Ey, R], [R, Ex]) on a 2-form R dx^dy.  A rank-1 form against a
-rank-m potential takes the wedge products of `forms.wedge_compose`.
+adjoint ([Ey, R], [R, Ex]) on a 2-form R dx^dy.  Both refuse a form whose
+grid or rank differs from the potential's.
 
 A `Connection` is frozen, so it has one curvature and one link field:
 `curvature` forms K and `links` the Wilson links U = exp(h E) on the first
 request, and each is kept on the connection with read-only arrays.  The
-functional, the covariant residual, the flatness guard and the residual
-report all read that one K, and the harmonic counts and the generator
-holonomies of the torus family read those links.
+functional, the covariant residual and the residual report read that one K;
+`_flatness` is the one flatness test of a K, which `require_flat`, the
+residual report and the curve reports of `curves` read.  The harmonic counts
+and the generator holonomies of the torus family read the links.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .algebra import (_plane_major, _unitary_inverse, dagger, exp_antihermitian,
                       stack_bracket, stack_matmul)
 from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
                     _form, _integer, _mapping, _neg_star, exterior_d, form_from_record,
-                    form_to_record, hodge_star, l2_inner, l2_norm,
-                    wedge_compose, zero_form)
+                    form_to_record, hodge_star, l2_inner, l2_norm, zero_form)
 
 # curvature L2 norm, or largest plaquette defect of the links, up to which a field
 # counts as flat; no flag or parameter overrides it
@@ -95,10 +95,16 @@ def curvature(conn):
     return conn._curvature
 
 
+def _flatness(k):
+    """(L2 norm of the curvature `k`, whether it is at most FLAT_TOL): the one flatness rule."""
+    kn = l2_norm(k)
+    return kn, bool(kn <= FLAT_TOL)
+
+
 def require_flat(conn, what):
     """Raise ValueError with the measured curvature norm unless `conn` is flat for `what`."""
-    kn = l2_norm(curvature(conn))
-    if not kn <= FLAT_TOL:
+    kn, flat = _flatness(curvature(conn))
+    if not flat:
         raise ValueError(f"flat connection required for {what}: curvature norm {kn:.3e} "
                          f"exceeds {FLAT_TOL:.1e}")
 
@@ -123,11 +129,9 @@ def wedge_action(e_form, w):
     """Left/right wedge by a potential 1-form: D -> E^D - (-1)^k D^E."""
     if w.degree >= 2:
         raise ValueError("wedge action is defined on degrees 0 and 1")
-    if e_form.grid != w.grid or e_form.m != w.m:  # a rank-1 factor, or refused there
-        ew = wedge_compose(e_form, w)
-        we = wedge_compose(w, e_form)
-        comps = (ew - we if w.degree % 2 == 0 else ew + we).comps
-    elif w.degree == 0:
+    if e_form.grid != w.grid or e_form.m != w.m:
+        raise ValueError("potential and form have mismatched grid or rank")
+    if w.degree == 0:
         (f,) = w.comps
         comps = tuple(stack_bracket(c, f) for c in e_form.comps)
     else:
@@ -207,13 +211,13 @@ def yang_mills_residual_covariant(conn):
 def residual_report(conn):
     """Structured record {ym_value, residual_l2, curvature_l2, flat}, flat at FLAT_TOL."""
     k = curvature(conn)
-    kn = l2_norm(k)
+    kn, flat = _flatness(k)
     return {
         "ym_value": l2_inner(k, k),
         "residual_l2": l2_norm(yang_mills_residual(conn)),
         "residual_covariant_l2": l2_norm(codifferential(conn, k)),  # the covariant residual
         "curvature_l2": kn,
-        "flat": bool(kn <= FLAT_TOL),
+        "flat": flat,
         "flat_tol": FLAT_TOL,
     }
 

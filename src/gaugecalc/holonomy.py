@@ -50,6 +50,7 @@ import numpy as np
 from .algebra import (E3, SIGMA3, _unitary_inverse, exp_antihermitian,
                       require_antihermitian, stack_matmul)
 from .forms import _integer
+from .gauge import Connection
 
 _POLE_MARGIN = 1e-6
 _CHUNK = 128  # RK4 steps whose nodes one `along` call samples
@@ -305,8 +306,6 @@ def _pole_potential(poles, residues):
 
 
 def _as_potential(potential):
-    from .gauge import Connection
-
     if isinstance(potential, Connection):
         return GridPotential(potential)
     if hasattr(potential, "along") and hasattr(potential, "m"):
@@ -470,11 +469,3 @@ def aharonov_casher_phase(lam, steps=1000):
     deviation = float(np.max(np.abs(g - phase)))
     return SpinPhaseRecord(lam, phase, g, deviation)
 
-
-def monodromy_representation(potential, loops, steps=1000):
-    """Transport matrix per generator loop (a piece or a tuple), `steps` per piece.
-
-    Traversing `first` then `second` composes as g(second) g(first); the
-    concatenation check in the verification suite uses that order.
-    """
-    return [wilson_loop(potential, loop, steps)[0] for loop in loops]

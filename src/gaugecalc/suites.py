@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (E1, E2, E3, LEVI_CIVITA, SU2_BASIS, antihermitian_basis,
-                      bracket, dagger, exp_antihermitian, inner,
-                      random_antihermitian)
+                      dagger, exp_antihermitian, inner, random_antihermitian,
+                      stack_bracket)
 from .curves import (ConnectionCurve, curve_jets, flat_curve_report,
                      gauge_orbit_curve, harmonic_projection, su2_potential,
                      su2_ym_conditions, ym_curve_report)
@@ -31,9 +31,8 @@ from .gauge import (Connection, codifferential, covariant_d, curvature,
 from .holonomy import (MIN_STEPS, AnalyticTorusPotential, GaugeConjugatedPotential,
                        _pole_potential, aharonov_bohm_monodromy,
                        aharonov_casher_phase, circle_path, concat_paths,
-                       monodromy_representation, parallel_transport,
-                       reverse_path, segment_path, torus_circle, torus_loop,
-                       wilson_loop, wong_evolve)
+                       parallel_transport, reverse_path, segment_path, torus_circle,
+                       torus_loop, wilson_loop, wong_evolve)
 from .spectrum import harmonic_space_dim
 
 
@@ -129,27 +128,32 @@ def random_scalar_one_form(rng, grid):
 # algebra
 
 def algebra_suite(rng):
+    """Every bracket is `stack_bracket`, the kernel of the gauge operators, run once per
+    bracket term on a stack: the 9 basis pairs, then per rank its 25 draws (a, b, c)."""
     checks = []
-    worst = 0.0
-    for a in range(3):
-        for b in range(3):
-            expect = sum(-2.0 * LEVI_CIVITA[a, b, c] * SU2_BASIS[c] for c in range(3))
-            worst = max(worst, float(np.max(np.abs(bracket(SU2_BASIS[a], SU2_BASIS[b]) - expect))))
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+    left = np.array([SU2_BASIS[a] for a, _ in pairs])
+    right = np.array([SU2_BASIS[b] for _, b in pairs])
+    expect = np.array([sum(-2.0 * LEVI_CIVITA[a, b, c] * SU2_BASIS[c] for c in range(3))
+                       for a, b in pairs])
+    worst = float(np.max(np.abs(stack_bracket(left, right) - expect)))
     checks.append(Check("su2-structure-constants", worst, 1e-14))
 
     ad, jac, invd, unit = 0.0, 0.0, 0.0, 0.0
     draws = {2: [], 3: []}
     for _ in range(25):
-        for m in (2, 3):
-            a = random_antihermitian(rng, m)
-            b = random_antihermitian(rng, m)
-            c = random_antihermitian(rng, m)
-            ad = max(ad, abs(inner(bracket(c, a), b) + inner(a, bracket(c, b))))
-            jac = max(jac, float(np.max(np.abs(
-                bracket(a, bracket(b, c)) + bracket(b, bracket(c, a))
-                + bracket(c, bracket(a, b))))))
-            draws[m].append(a)
-    for m, a in draws.items():  # each rank's draws and their negatives in one stack
+        for m, abc in draws.items():
+            abc.append([random_antihermitian(rng, m) for _ in range(3)])
+    for m, abc in draws.items():
+        a, b, c = (np.array(x) for x in zip(*abc))
+        ca, cb = stack_bracket(c, a), stack_bracket(c, b)
+        # <[c, a], b> + <a, [c, b]> per draw, with <x, y> = Re tr(x y^H)
+        ad = max(ad, float(np.max(np.abs(np.einsum("kij,kij->k", ca, b.conj()).real
+                                         + np.einsum("kij,kij->k", a, cb.conj()).real))))
+        jac = max(jac, float(np.max(np.abs(
+            stack_bracket(a, stack_bracket(b, c)) + stack_bracket(b, ca)
+            + stack_bracket(c, stack_bracket(a, b))))))
+        # the draws and their negatives in one stack
         g, g_inv = np.split(exp_antihermitian(np.concatenate((a, np.negative(a)))), 2)
         invd = max(invd, float(np.max(np.abs(g @ g_inv - np.eye(m)))))
         unit = max(unit, float(np.max(np.abs(g @ dagger(g) - np.eye(m)))))
@@ -449,7 +453,8 @@ def holonomy_suite(rng):
     k = 0.23 + 0.11j
     pot = _pole_potential((0j,), ([[-k]],))
     loops = [circle_path(0j, 1.0, 1), circle_path(0j, 1.0, 2)]
-    m1, m2 = monodromy_representation(pot, loops, 2000)
+    # a path run after another composes on the left: T(p, then q) = T(q) T(p)
+    m1, m2 = (wilson_loop(pot, loop, 2000)[0] for loop in loops)
     both = parallel_transport(pot, concat_paths(loops[0], loops[0]), 1000)
     homo = float(np.max(np.abs(both - m1 @ m1)))
     homo = max(homo, float(np.max(np.abs(m2 - m1 @ m1))))

@@ -36,6 +36,16 @@ def test_bracket_rejects_dimension_mismatch():
         bracket(E1, np.eye(3, dtype=complex) * 1j)
 
 
+@pytest.mark.parametrize("fn", (bracket, inner), ids=("bracket", "inner"))
+def test_bracket_and_inner_refuse_non_finite_matrices(fn):
+    for bad in (np.nan, np.inf, -np.inf * 1j):
+        a = E1.copy()
+        a[0, 1] = bad
+        for pair in ((a, E2), (E2, a)):
+            with pytest.raises(ValueError, match=f"{fn.__name__} matrices must be finite"):
+                fn(*pair)
+
+
 def test_inner_values():
     assert inner(E1, E1) == pytest.approx(2.0, abs=1e-14)
     assert inner(E1, E2) == pytest.approx(0.0, abs=1e-14)
@@ -300,6 +310,20 @@ def test_stack_bracket_matches_the_two_product_form(m):
         assert got.shape == want.shape and got.dtype == want.dtype
         bound = 1e-14 * _node_norms(a) * _node_norms(b)
         assert np.all(_node_norms(got - want) <= bound)
+
+
+@pytest.mark.parametrize("lead", ((), (5,), (2, 3)), ids=("unstacked", "stack", "grid"))
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_stack_bracket_is_the_matmul_difference_at_every_leading_shape(m, lead):
+    rng = np.random.default_rng(90 + m)
+    a, b = (rng.standard_normal(lead + (m, m)) + 1j * rng.standard_normal(lead + (m, m))
+            for _ in range(2))
+    got = stack_bracket(a, b)
+    want = stack_matmul(a, b) - stack_matmul(b, a)
+    assert got.shape == want.shape == lead + (m, m)
+    assert np.all(_node_norms(got - want) <= 1e-14 * _node_norms(a) * _node_norms(b))
+    if not lead:  # `bracket` is this kernel on a validated pair
+        assert bracket(a, b).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("m", (1, 4))

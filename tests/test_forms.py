@@ -21,6 +21,11 @@ def _legacy_record(w):
     return {**form_to_record(w), "components": [_entry_pairs(c) for c in w.comps]}
 
 
+def _zero_scalar():
+    """The zero scalar 0-form on the 8 x 8 grid, tagged general."""
+    return scalar_form(TorusGrid(8), 0, np.zeros((8, 8)))
+
+
 def _sine_dy_form(grid, matrix):
     x, _ = grid.nodes()
     prof = scalar_form(grid, 1, np.zeros((grid.n, grid.n)), np.sin(2.0 * np.pi * x))
@@ -450,7 +455,7 @@ def test_form_refuses_a_rank_below_one():
                                  [1.0, False], [1, None], [1 + 2j, 0], [[1, 2], 3],
                                  "ab", 5, None, {"re": 1, "im": 2}, [10 ** 400, 0]))
 def test_form_record_refuses_entries_that_are_not_pairs_of_real_numbers(bad):
-    rec = _legacy_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
+    rec = _legacy_record(_zero_scalar())
     rec["components"][0][5] = bad
     with pytest.raises(ValueError, match="record key 'components'"):
         form_from_record(rec)
@@ -458,13 +463,13 @@ def test_form_record_refuses_entries_that_are_not_pairs_of_real_numbers(bad):
 
 @pytest.mark.parametrize("bad", (5, None, "ab"))
 def test_form_record_refuses_components_that_are_not_entry_lists(bad):
-    rec = form_to_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
+    rec = form_to_record(_zero_scalar())
     with pytest.raises(ValueError, match="record key 'components'"):
         form_from_record({**rec, "components": bad})
 
 
 def test_form_record_reads_integers_and_numpy_reals_as_entries():
-    rec = _legacy_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
+    rec = _legacy_record(_zero_scalar())
     entries = rec["components"][0]
     entries[0], entries[1], entries[2] = [3, -1], (np.float64(0.5), np.int64(2)), [2 ** 60, 0.25]
     (c,) = form_from_record(rec).comps
@@ -657,7 +662,7 @@ def test_legacy_json_text_loads_bit_for_bit():
 
 
 def _binary_record():
-    return form_to_record(zero_form(TorusGrid(8), 0, 1, GENERAL))
+    return form_to_record(_zero_scalar())
 
 
 @pytest.mark.parametrize("edit", (

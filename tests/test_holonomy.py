@@ -18,8 +18,7 @@ from gaugecalc import holonomy
 from gaugecalc.holonomy import (AnalyticTorusPotential, GaugeConjugatedPotential,
                                 GridPotential, MeromorphicPotential, ParametricPath,
                                 _pole_potential, aharonov_bohm_monodromy, aharonov_casher_phase,
-                                circle_path, concat_paths,
-                                monodromy_representation, parallel_transport,
+                                circle_path, concat_paths, parallel_transport,
                                 require_closed, reverse_path, segment_path,
                                 torus_circle, torus_loop, wilson_loop, wong_evolve)
 
@@ -528,7 +527,8 @@ def test_monodromy_representation_composition():
     k = 0.23
     pot = _pole_potential((0j,), ([[-k]],))
     loops = [circle_path(0j, 1.0, 1), circle_path(0j, 1.0, 2)]
-    m1, m2 = monodromy_representation(pot, loops, 2000)
+    # a path run after another composes on the left: T(p, then q) = T(q) T(p)
+    m1, m2 = (wilson_loop(pot, loop, 2000)[0] for loop in loops)
     assert abs(m1[0, 0] - cmath.exp(2j * cmath.pi * k)) < 1e-8
     assert abs(m2[0, 0] - cmath.exp(4j * cmath.pi * k)) < 1e-8
     # concatenation transports as the product of the factors
@@ -540,7 +540,7 @@ def test_monodromy_representation_composition():
 def test_monodromy_diagonal_potential():
     k1, k2 = 0.31, -0.62
     pot = _pole_potential((0j,), (np.diag([-k1, -k2]),))
-    (g,) = monodromy_representation(pot, [circle_path(0j, 1.0, 1)], 1000)
+    g, _ = wilson_loop(pot, circle_path(0j, 1.0, 1), 1000)
     assert abs(g[0, 0] - cmath.exp(2j * cmath.pi * k1)) < 1e-8
     assert abs(g[1, 1] - cmath.exp(2j * cmath.pi * k2)) < 1e-8
     assert abs(g[0, 1]) < 1e-12 and abs(g[1, 0]) < 1e-12
@@ -608,7 +608,7 @@ def test_concatenation_transports_as_the_product_of_its_parts():
     pot = _noncommuting_poles()
     a = _lasso_path(2.0 + 0j, 0.5j, 0.25)
     b = _lasso_path(2.0 + 0j, -0.5j, 0.25)
-    g_a, g_b = monodromy_representation(pot, [a, b], 500)
+    g_a, g_b = (wilson_loop(pot, loop, 500)[0] for loop in (a, b))
     assert np.max(np.abs(g_b @ g_a - g_a @ g_b)) > 1e-2
     both = parallel_transport(pot, concat_paths(a, b), 500)
     assert len(concat_paths(a, b)) == 6
@@ -656,7 +656,7 @@ def test_wong_conjugates_by_the_inverse_of_a_non_unitary_transport():
 
 def test_monodromy_zero_potential():
     pot = MeromorphicPotential(lambda z: np.zeros((2, 2), dtype=complex), (), 2)
-    mats = monodromy_representation(pot, [circle_path(0j, 1.0, n) for n in (1, 2)], 200)
+    mats = [wilson_loop(pot, circle_path(0j, 1.0, n), 200)[0] for n in (1, 2)]
     for g in mats:
         assert np.max(np.abs(g - np.eye(2))) < 1e-12
 
