@@ -377,8 +377,7 @@ def _cmd_holonomy(args):
 
 def _cmd_ab(args):
     k = complex(args.k)
-    total = args.steps * max(1, abs(args.winding))
-    rec = _transport(args, aharonov_bohm_monodromy, k, args.winding, total)
+    rec = _transport(args, aharonov_bohm_monodromy, k, args.winding, args.steps)
     closed_form = complex(np.exp(2j * np.pi * k * args.winding))
     # np.abs, unlike abs, returns inf on overflow for the finite-report check to catch
     deviation = float(np.abs(rec.monodromy - closed_form))
@@ -396,13 +395,12 @@ def _cmd_ab(args):
 
 
 def _cmd_wong(args):
-    steps = args.steps
     i0 = _SU2[args.i0]
     ax = E3 if args.case == "constant" else np.pi * E1
     pot = AnalyticTorusPotential(lambda x, y: ax,
                                  lambda x, y: np.zeros((2, 2), dtype=complex), 2)
     path = torus_loop((1, 0)) if args.case == "constant" else torus_circle((0.5, 0.5), 0.2, 1)
-    ts, traj = wong_evolve(pot, path, i0, steps)
+    ts, traj = wong_evolve(pot, path, i0, args.steps)
     norms = np.einsum("tij,tij->t", traj, traj.conj()).real
     record = _base_record(args, {}, {
         "initial": _entry_pairs(traj[0]),
@@ -410,8 +408,8 @@ def _cmd_wong(args):
         "norm_drift": float(np.max(np.abs(norms - norms[0]))),
         "final_shift": float(np.max(np.abs(traj[-1] - traj[0]))),
     })
-    rows = [(t, *sum(_entry_pairs(i), []))
-            for t, i in zip(ts[::max(1, steps // 100)], traj[::max(1, steps // 100)])]
+    stride = max(1, args.steps // 100)
+    rows = [(t, *sum(_entry_pairs(i), [])) for t, i in zip(ts[::stride], traj[::stride])]
     header = ("t",) + tuple(f"I_{j}{l}_{p}" for j in range(2) for l in range(2)
                             for p in ("re", "im"))
     _emit(record, args, header, rows)

@@ -251,7 +251,7 @@ class ClaimReport:
         }
 
 
-def torus_family_report(lam, ts, n=64):
+def torus_family_report(lam, ts, n):
     """Evaluate the torus family at the sample times and collect every claim.
 
     A row is flat when its curvature norm is at most FLAT_TOL

@@ -213,7 +213,7 @@ def residual_report(conn):
     k = curvature(conn)
     kn, flat = _flatness(k)
     return {
-        "ym_value": l2_inner(k, k),
+        "ym_value": yang_mills_functional(conn),
         "residual_l2": l2_norm(yang_mills_residual(conn)),
         "residual_covariant_l2": l2_norm(codifferential(conn, k)),  # the covariant residual
         "curvature_l2": kn,

@@ -9,8 +9,8 @@ next; a kink is sampled once from each side and keeps the order.  The work
 is batched over nodes: paths and potentials take stacks of times and points,
 each chunk of up to 128 steps samples its nodes in one `along` call, and the
 RK4 polynomial of each step is evaluated as a stack of one-step maps I + D.
-A final-only transport composes those maps by a pairwise tree on the
-deviations D; a trajectory applies them in turn.
+`parallel_transport` composes those maps by a pairwise tree on the
+deviations D; the spin transport applies them in turn to keep every state.
 
 Pieces map an array of times to stacked points: torus points as (..., 2)
 arrays (coordinates taken mod 1), plane points as complex (...) arrays.
@@ -374,23 +374,28 @@ def _rk4(potential, pieces, steps):
             yield _step_maps(-a, h)
 
 
-def parallel_transport(potential, path, steps=1000, trajectory=False):
-    """Fundamental solution of dv/dt + A(xdot(t)) v = 0 over [0, 1].
-
-    With `trajectory`, the times and the solution after every step, in one array.
-    """
+def _one_step_maps(potential, path, steps):
+    """The potential, the step total and the lazy RK4 maps of `steps` steps per piece."""
     pieces = _pieces(path)
     steps = _integer(steps, "step count")
     if not MIN_STEPS <= steps <= MAX_STEPS // len(pieces):
         raise ValueError(f"transport needs {MIN_STEPS} to {MAX_STEPS} steps in all and at least "
                          f"{MIN_STEPS} per piece, got {steps} on each of {len(pieces)} piece(s)")
     potential = _as_potential(potential)
-    eye = np.eye(potential.m, dtype=complex)
-    maps = _rk4(potential, pieces, steps)
-    if not trajectory:
-        return eye + _compose(np.stack([_compose(d) for d in maps]))
-    traj = np.empty((len(pieces) * steps + 1,) + eye.shape, dtype=complex)
-    traj[0] = eye
+    return potential, len(pieces) * steps, _rk4(potential, pieces, steps)
+
+
+def parallel_transport(potential, path, steps=1000):
+    """Fundamental solution of dv/dt + A(xdot(t)) v = 0 over [0, 1]."""
+    potential, _, maps = _one_step_maps(potential, path, steps)
+    return np.eye(potential.m, dtype=complex) + _compose(np.stack([_compose(d) for d in maps]))
+
+
+def _trajectory(potential, path, steps):
+    """The times and the transport after every step of `parallel_transport`, in one array."""
+    potential, total, maps = _one_step_maps(potential, path, steps)
+    traj = np.empty((total + 1, potential.m, potential.m), dtype=complex)
+    traj[0] = np.eye(potential.m)
     for n, dn in enumerate(d for chunk in maps for d in chunk):
         traj[n + 1] = traj[n] + dn @ traj[n]
     return np.linspace(0.0, 1.0, len(traj)), traj
@@ -412,19 +417,19 @@ class MonodromyRecord:
     flux: complex  # identification k = -flux / (2 pi)
 
 
-def aharonov_bohm_monodromy(k, winding=1, steps=None):
+def aharonov_bohm_monodromy(k, winding=1, steps=1000):
     """Monodromy of dh + h beta = 0 with beta = (-k/z) dz around the n-fold circle.
 
+    `steps` counts per turn; the record holds the total, steps * max(1, |n|).
     The analytic continuation multiplies solutions by exp(2 pi i k n); the
     returned record carries the transported value and the flux identification.
     """
     k = complex(k)
     winding = _integer(winding, "winding")
-    if steps is None:
-        steps = max(MIN_STEPS, 1000 * abs(winding))
+    steps = _integer(steps, "step count") * max(1, abs(winding))
     pot = _pole_potential((0j,), ([[-k]],))
     g = parallel_transport(pot, circle_path(0j, 1.0, winding), steps)
-    return MonodromyRecord(k, winding, int(steps), complex(g[0, 0]), -2.0 * np.pi * k)
+    return MonodromyRecord(k, winding, steps, complex(g[0, 0]), -2.0 * np.pi * k)
 
 
 def wong_evolve(potential, path, i0, steps=1000):
@@ -440,7 +445,7 @@ def wong_evolve(potential, path, i0, steps=1000):
         raise ValueError(f"spin variable must have shape {(m, m)} at the potential's rank "
                          f"{m}, got shape {i0.shape}")
     require_antihermitian(i0, "spin variable")
-    ts, traj = parallel_transport(potential, path, steps, trajectory=True)
+    ts, traj = _trajectory(potential, path, steps)
     for b in range(0, len(traj), _WONG_BLOCK):
         g = traj[b:b + _WONG_BLOCK]
         g[...] = g @ i0 @ np.linalg.inv(g)

@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import dagger, stack_matmul
 from .gauge import FLAT_TOL, generator_holonomies, links
 
-KERNEL_THRESHOLD = 1e-6  # Laplacian eigenvalues below this count as harmonic
+KERNEL_THRESHOLD = 1e-6  # eigenvalues below it count as harmonic; no flag or parameter overrides it
 
 # weights of the Hermitian parts of g_x, i g_x, g_y and i g_y in the matrix whose
 # eigenvectors are the joint eigenbasis; any weights off a measure-zero set do
@@ -60,8 +60,8 @@ def _link_eigenvalues(ux, uy, h):
     return sx[:, None] + sy
 
 
-def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD):
-    """Number of Laplacian eigenvalues below `threshold` at the given degree.
+def harmonic_space_dim(conn, degree):
+    """Number of Laplacian eigenvalues below KERNEL_THRESHOLD at the given degree.
 
     The count runs on the connection's kept links, and only flat links are
     accepted: the link complex is a complex only when every plaquette closes,
@@ -71,7 +71,5 @@ def harmonic_space_dim(conn, degree, threshold=KERNEL_THRESHOLD):
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
-    if not (np.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"kernel threshold must be a finite number > 0, got {threshold!r}")
-    count = int(np.count_nonzero(_link_eigenvalues(*links(conn), conn.grid.h) < threshold))
+    count = int(np.count_nonzero(_link_eigenvalues(*links(conn), conn.grid.h) < KERNEL_THRESHOLD))
     return 2 * count if degree == 1 else count

@@ -164,8 +164,9 @@ def test_codifferentials_match_the_composed_star_formula_bit_for_bit(degree):
 def test_residual_report_computes_the_curvature_once(monkeypatch):
     grid = TorusGrid(16)
     conn = Connection(random_form(np.random.default_rng(33), grid, 1, 2))
-    calls = []
-    monkeypatch.setattr(gauge, "curvature", lambda c: calls.append(c) or curvature(c))
+    # E^E is squared only where the curvature is formed; other readers take the kept one
+    calls, square = [], gauge._square
+    monkeypatch.setattr(gauge, "_square", lambda e: calls.append(e) or square(e))
     rep = residual_report(conn)
     assert len(calls) == 1
     k = curvature(conn)

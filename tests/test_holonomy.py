@@ -17,9 +17,9 @@ from gaugecalc.gauge import Connection, zero_connection
 from gaugecalc import holonomy
 from gaugecalc.holonomy import (AnalyticTorusPotential, GaugeConjugatedPotential,
                                 GridPotential, MeromorphicPotential, ParametricPath,
-                                _pole_potential, aharonov_bohm_monodromy, aharonov_casher_phase,
-                                circle_path, concat_paths, parallel_transport,
-                                require_closed, reverse_path, segment_path,
+                                _pole_potential, _trajectory, aharonov_bohm_monodromy,
+                                aharonov_casher_phase, circle_path, concat_paths,
+                                parallel_transport, require_closed, reverse_path, segment_path,
                                 torus_circle, torus_loop, wilson_loop, wong_evolve)
 
 ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -76,7 +76,7 @@ def test_library_step_counts_refuse_non_integers(steps):
     # refused, not truncated, with a message that names the step count
     pot = _const_potential(E1)
     for run in (lambda: parallel_transport(pot, torus_loop((1, 0)), steps),
-                lambda: parallel_transport(pot, torus_loop((1, 0)), steps, trajectory=True),
+                lambda: _trajectory(pot, torus_loop((1, 0)), steps),
                 lambda: wong_evolve(pot, torus_loop((1, 0)), E2, steps),
                 lambda: aharonov_bohm_monodromy(0.5, 1, steps)):
         with pytest.raises(ValueError, match=f"step count must be a finite integer, got {steps!r}"):
@@ -131,14 +131,14 @@ def test_max_steps_bounds_the_total_of_a_multi_piece_path():
     with pytest.raises(ValueError, match=expect):
         parallel_transport(_Refusing(), three, steps)
     with pytest.raises(ValueError, match=expect):
-        parallel_transport(_Refusing(), three, steps, trajectory=True)
+        _trajectory(_Refusing(), three, steps)
     with pytest.raises(ValueError, match=expect):
         wong_evolve(_Refusing(), three, E1, steps)
 
 
 _TRANSPORTS = pytest.mark.parametrize("transport", (
     lambda pot, path, steps: parallel_transport(pot, path, steps),
-    lambda pot, path, steps: parallel_transport(pot, path, steps, trajectory=True),
+    lambda pot, path, steps: _trajectory(pot, path, steps),
     lambda pot, path, steps: wong_evolve(pot, path, E1, steps)),
     ids=("final", "trajectory", "wong"))
 
@@ -215,7 +215,7 @@ def test_aharonov_bohm_and_casher_sample_in_stacks(no_per_point_samples, monkeyp
         return dataclasses.replace(pot, coefficient=_counting(pot.coefficient, calls))
 
     monkeypatch.setattr(holonomy, "_pole_potential", counting_poles)
-    rec = aharonov_bohm_monodromy(0.37, 2, 300)
+    rec = aharonov_bohm_monodromy(0.37, 2, 150)  # 150 steps per turn, 300 in all
     assert abs(rec.monodromy - cmath.exp(2j * cmath.pi * 0.74)) < 1e-6
     assert len(calls) == math.ceil(300 / holonomy._CHUNK)
     calls.clear()
@@ -496,6 +496,14 @@ def test_aharonov_bohm_values():
     assert rec.flux == pytest.approx(-2.0 * np.pi * 0.25)
 
 
+def test_aharonov_bohm_steps_count_per_turn():
+    # 150 steps per turn around the twofold circle is one 300-step transport
+    rec = aharonov_bohm_monodromy(0.37, 2, 150)
+    g = parallel_transport(_pole_potential((0j,), ([[-0.37]],)), circle_path(0j, 1.0, 2), 300)
+    assert rec == holonomy.MonodromyRecord(0.37 + 0j, 2, 300, complex(g[0, 0]),
+                                           -2.0 * np.pi * 0.37)
+
+
 def test_aharonov_bohm_complex_k():
     k = 0.3 + 0.2j
     rec = aharonov_bohm_monodromy(k, 1)
@@ -516,7 +524,7 @@ def test_a_per_point_coefficient_is_refused_by_the_stacked_shape():
     # broadcasts against the velocities instead of failing where it is built
     pot = MeromorphicPotential(lambda z: np.array([[1.0 / z]]), (0j,), 1)
     for run in (lambda: parallel_transport(pot, circle_path(0j, 1.0, 1), 100),
-                lambda: parallel_transport(pot, circle_path(0j, 1.0, 1), 100, trajectory=True),
+                lambda: _trajectory(pot, circle_path(0j, 1.0, 1), 100),
                 lambda: wong_evolve(pot, circle_path(0j, 1.0, 1), np.array([[1j]]), 100)):
         with pytest.raises(ValueError, match=r"\(\.\.\., m, m\) like their points, "
                                              r"\(201, 1, 1\), got \(201, 1, 201\)"):
@@ -619,7 +627,7 @@ def test_multi_piece_trajectories_end_at_the_final_transport():
     pot = _noncommuting_poles()
     path = concat_paths(segment_path(2.0 + 0j, 1.0 + 1j), segment_path(1.0 + 1j, -1.0 + 0.2j))
     steps = 300
-    ts, traj = parallel_transport(pot, path, steps, trajectory=True)
+    ts, traj = _trajectory(pot, path, steps)
     assert traj.shape == (2 * steps + 1, 2, 2)
     assert np.array_equal(ts, np.linspace(0.0, 1.0, 2 * steps + 1))
     assert np.max(np.abs(traj[-1] - parallel_transport(pot, path, steps))) < 1e-13
@@ -644,7 +652,7 @@ def test_wong_conjugates_by_the_inverse_of_a_non_unitary_transport():
     path = circle_path(0j, 1.0, 1)
     spin = np.array([[0.3j, 0.2 + 0.1j], [-0.2 + 0.1j, -0.3j]])
     ts, spins = wong_evolve(pot, path, spin, 400)
-    ts_g, gtraj = parallel_transport(pot, path, 400, trajectory=True)
+    ts_g, gtraj = _trajectory(pot, path, 400)
     assert np.array_equal(ts, ts_g)
     assert np.max(np.abs(spins - gtraj @ spin @ np.linalg.inv(gtraj))) < 1e-12
     # a similarity keeps the eigenvalues; conjugating by g^H would not
@@ -685,7 +693,7 @@ def test_wong_norm_conservation_and_ad_consistency():
     ts, traj = wong_evolve(pot, path, E1, 1000)
     norms = np.array([inner(i, i) for i in traj])
     assert np.max(np.abs(norms - norms[0])) < 1e-9
-    _, gtraj = parallel_transport(pot, path, 1000, trajectory=True)
+    _, gtraj = _trajectory(pot, path, 1000)
     for g, i_t in zip(gtraj[::100], traj[::100]):
         assert np.max(np.abs(g @ E1 @ dagger(g) - i_t)) < 1e-7
     # without the dy term the transport is g(t) = exp(-(x(t) - x(0)) C) in closed form
@@ -702,6 +710,16 @@ def test_wong_flat_contractible_loop_trivial_shift():
     path = torus_circle((0.5, 0.5), 0.2, 1)
     _, traj = wong_evolve(pot, path, E2, 1000)
     assert np.max(np.abs(traj[-1] - E2)) < 1e-7
+
+
+def test_wong_does_not_call_parallel_transport(monkeypatch):
+    # the spin transport runs its own trajectory, so the final-only transport is not reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("wong_evolve called parallel_transport")
+
+    monkeypatch.setattr(holonomy, "parallel_transport", refuse)
+    ts, traj = wong_evolve(_const_potential(E3), torus_loop((1, 0)), E1, 200)
+    assert traj.shape == (201, 2, 2) and ts[-1] == 1.0
 
 
 def test_wong_trajectory_peak_memory_is_the_trajectory():

@@ -207,14 +207,6 @@ def test_twisted_connection_off_the_center_counts_its_commutant(c):
     assert tuple(harmonic_space_dim(conn, k) for k in (0, 1, 2)) == (2, 4, 2)
 
 
-@pytest.mark.parametrize("threshold", (float("nan"), float("inf"), -1.0, 0.0))
-def test_rejects_threshold_that_is_not_finite_and_positive(threshold):
-    conn = zero_connection(TorusGrid(8), 1)
-    with pytest.raises(ValueError, match="kernel threshold") as info:
-        harmonic_space_dim(conn, 0, threshold)
-    assert repr(threshold) in str(info.value)
-
-
 def _constant_connection(grid, ax, ay):
     return Connection(constant_form(grid, 1, ax, ay))
 
@@ -271,7 +263,7 @@ def _flat_connections(grid, m):
     if m == 3:
         # Ex(x) mixes two non-commuting generators, so H_x depends on the order
         # of its links; Ey(y) is central.  Reversing that order moves the
-        # degree-0 count at threshold 30 from 15 to 13 at n = 8.
+        # degree-0 count of eigenvalues below 30 from 15 to 13 at n = 8.
         rng = np.random.default_rng(2)
         a, b = random_antihermitian(rng, 3), random_antihermitian(rng, 3)
         ex = (tensor_form(scalar_form(grid, 1, 6.0 * np.cos(2.0 * np.pi * x) + 1.0, flat), a)
@@ -282,31 +274,32 @@ def _flat_connections(grid, m):
     return conns
 
 
-# every case whose dense reference has at most 2048 unknowns; the thresholds
-# sit between eigenvalues, so equal counts at each one mean the closed form
-# reproduces the whole spectrum, not only its kernel
+# every case whose dense reference has at most 2048 unknowns
 _ORACLE_CASES = [(n, m, k) for n in (8, 11, 16) for m in (1, 2, 3) for k in (0, 1, 2)
                  if (2 if k == 1 else 1) * n * n * m * m <= 2048]
-_THRESHOLDS = (1e-6, 30.0, 100.0, 1e3)
 
 
 @pytest.mark.parametrize("n,m,degree", _ORACLE_CASES)
 def test_fourier_counts_match_dense_oracle(n, m, degree):
     # The dense reference runs on lattice-gauged links: a gauge transform
-    # conjugates the link complex by an orthogonal map, so the count of the
-    # connection and the count of its gauged links must both equal it.
+    # conjugates the link complex by an orthogonal map, so the closed-form
+    # spectrum of the connection and that of its gauged links must both be
+    # the whole dense spectrum, and the count is its kernel
     grid = TorusGrid(n)
     rng = np.random.default_rng(100 * n + 10 * m + degree)
     mult = 2 if degree == 1 else 1
     for name, conn in _flat_connections(grid, m).items():
         ux, uy = _gauged(gauge.links(conn), rng)
         evals = np.linalg.eigvalsh(_link_laplacian(ux, uy, grid.h, degree))
-        gauged = spectrum._link_eigenvalues(ux, uy, grid.h)
-        for t in _THRESHOLDS:
-            assert np.min(np.abs(evals - t)) > 1e-6 * t, (name, t)
-            want = int(np.count_nonzero(evals < t))
-            assert harmonic_space_dim(conn, degree, threshold=t) == want, (name, t)
-            assert mult * int(np.count_nonzero(gauged < t)) == want, (name, "gauged", t)
+        bound = 1e-12 * np.max(evals)
+        for links in (gauge.links(conn), (ux, uy)):
+            # the link eigenvalues, sorted, each taken twice at degree 1
+            closed = np.repeat(np.sort(spectrum._link_eigenvalues(*links, grid.h), axis=None),
+                               mult)
+            assert np.max(np.abs(closed - evals)) <= bound, name
+        t = spectrum.KERNEL_THRESHOLD
+        assert np.min(np.abs(evals - t)) > 1e-6 * t, name
+        assert harmonic_space_dim(conn, degree) == int(np.count_nonzero(evals < t)), name
 
 
 @pytest.mark.parametrize("degree", (0, 1, 2))
