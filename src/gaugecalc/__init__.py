@@ -11,8 +11,7 @@ from .forms import (ANTIHERMITIAN, GENERAL, MatrixForm, TorusGrid, VectorField,
                     form_to_json, form_to_record, hodge_star, interior,
                     l2_inner, l2_norm, scalar_form, sharp, tensor_form,
                     wedge_compose, zero_form)
-from .gauge import (FLAT_TOL, Connection, codifferential, codifferential_flat,
-                    connection_from_record, connection_to_record, covariant_d,
+from .gauge import (FLAT_TOL, Connection, codifferential, codifferential_flat, covariant_d,
                     curvature, gauge_transform, generator_holonomies, links, require_flat,
                     residual_report, wedge_action, wedge_action_adjoint,
                     yang_mills_functional, yang_mills_residual,

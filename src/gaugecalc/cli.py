@@ -338,13 +338,23 @@ def _cmd_verify(args):
 def _cmd_torus_curve(args):
     ts = [i / (args.samples - 1) for i in range(args.samples)]
     report = torus_family_report(args.lam, ts, n=args.grid)
-    record = _base_record(args, {"flat_tol": FLAT_TOL}, {"report": report.to_record()})
-    _emit(record, args, ("t", "curvature_l2", "residual_l2"), report.csv_rows())
+    record = _base_record(args, {"flat_tol": FLAT_TOL}, {"report": {
+        "lambda": args.lam,
+        "n": args.grid,
+        "flat_tol": FLAT_TOL,
+        "rows": list(report.rows),
+        "jet_summary": report.jet_summary,
+        "endpoint_holonomies": {key: {gen: _entry_pairs(mat) for gen, mat in val.items()}
+                                for key, val in report.endpoint_holonomies.items()},
+    }})
+    rows = [(r["t"], r["curvature_l2"], r["residual_l2"]) for r in report.rows]
+    _emit(record, args, ("t", "curvature_l2", "residual_l2"), rows)
     return 0
 
 
 def _cmd_residual(args):
-    rep = residual_report(build_family(TorusGrid(args.grid), args.family))
+    rep = {**residual_report(build_family(TorusGrid(args.grid), args.family)),
+           "flat_tol": FLAT_TOL}
     record = _base_record(args, {"flat_tol": FLAT_TOL}, {"report": rep})
     _emit(record, args, ("key", "value"), rep.items())
     return 0

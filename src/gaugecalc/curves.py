@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SU2_BASIS, exp_antihermitian
-from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _entry_pairs, _form, _tensor_sum,
-                    exterior_d, hodge_star, interior, l2_norm, scalar_form, sharp,
-                    wedge_compose)
-from .gauge import (FLAT_TOL, Connection, _flatness, codifferential, covariant_d,
+from .forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, _form, _tensor_sum, exterior_d,
+                    hodge_star, interior, l2_norm, scalar_form, sharp, wedge_compose)
+from .gauge import (Connection, _flatness, codifferential, covariant_d,
                     curvature, gauge_transform, generator_holonomies, links, require_flat,
                     yang_mills_residual, zero_connection)
 
@@ -123,8 +122,6 @@ def flat_curve_report(curve, sample_ts):
         "rows": rows,
         "all_flat": all(r["flat"] for r in rows),
         "c_e_l2": l2_norm(jets.c_e),
-        "flat_tol": FLAT_TOL,
-        "t_small": T_SMALL,
     }
 
 
@@ -225,39 +222,22 @@ def torus_family(grid, lam, t):
 @dataclass(frozen=True)
 class ClaimReport:
     """Per-t residual and flatness data of the torus family, its jets and the
-    generator holonomies of its ends: measured values, never asserted.
+    generator holonomies of its ends: measured values, never asserted.  The
+    CLI lays them out as a report.
     """
 
-    lam: float
-    n: int
     rows: tuple
     jet_summary: dict
     endpoint_holonomies: dict
-
-    def csv_rows(self):
-        return [(r["t"], r["curvature_l2"], r["residual_l2"]) for r in self.rows]
-
-    def to_record(self):
-        return {
-            "lambda": self.lam,
-            "n": self.n,
-            "flat_tol": FLAT_TOL,
-            "rows": list(self.rows),
-            "jet_summary": self.jet_summary,
-            "endpoint_holonomies": {
-                key: {gen: _entry_pairs(mat) for gen, mat in val.items()}
-                for key, val in self.endpoint_holonomies.items()
-            },
-        }
 
 
 def torus_family_report(lam, ts, n):
     """Evaluate the torus family at the sample times and collect every claim.
 
-    A row is flat when its curvature norm is at most FLAT_TOL
-    (`gauge._flatness`).  The endpoint holonomies are link products of the
-    family's own grid connections; the links of the constant E_x dx multiply
-    to exp(-E_x) around x and to I around y, up to rounding.
+    A row is flat under the central flatness rule (`gauge._flatness`).  The
+    endpoint holonomies are link products of the family's own grid
+    connections; the links of the constant E_x dx multiply to exp(-E_x)
+    around x and to I around y, up to rounding.
     """
     grid = TorusGrid(n)
     rows = []
@@ -281,4 +261,4 @@ def torus_family_report(lam, ts, n):
     holo = {label: dict(zip(("x_generator", "y_generator"),
                             generator_holonomies(*links(curve.connection(t_end)))))
             for label, t_end in (("t0", 0.0), ("t1", 1.0))}
-    return ClaimReport(float(lam), n, tuple(rows), jet_summary, holo)
+    return ClaimReport(tuple(rows), jet_summary, holo)

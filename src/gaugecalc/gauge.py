@@ -16,10 +16,15 @@ grid or rank differs from the potential's.
 A `Connection` is frozen, so it has one curvature and one link field:
 `curvature` forms K and `links` the Wilson links U = exp(h E) on the first
 request, and each is kept on the connection with read-only arrays.  The
-functional, the covariant residual and the residual report read that one K;
-`_flatness` is the one flatness test of a K, which `require_flat`, the
-residual report and the curve reports of `curves` read.  The harmonic counts
-and the generator holonomies of the torus family read the links.
+functional, the covariant residual and the residual report read that one K.
+Both flatness rules live here, each against FLAT_TOL: `_flatness` tests a K
+(read by `require_flat`, the residual report and the curve reports of
+`curves`), and `_require_flat_links` tests the plaquettes of a link field
+(read by the harmonic counts of `spectrum`).  The harmonic counts and the
+generator holonomies of the torus family read the links.
+
+A connection is saved as the record of its potential, `form_to_json(conn.potential)`,
+and loaded as `Connection(form_from_json(text))`.
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ import numpy as np
 
 from .algebra import (_plane_major, _unitary_inverse, dagger, exp_antihermitian,
                       stack_bracket, stack_matmul)
-from .forms import (ANTIHERMITIAN, MatrixForm, _combine_class, _ddx, _ddy,
-                    _form, _integer, _mapping, _neg_star, exterior_d, form_from_record,
-                    form_to_record, hodge_star, l2_inner, l2_norm, zero_form)
+from .forms import (ANTIHERMITIAN, GENERAL, MatrixForm, _combine_class, _form, _neg_star,
+                    exterior_d, hodge_star, l2_inner, l2_norm, zero_form)
 
 # curvature L2 norm, or largest plaquette defect of the links, up to which a field
 # counts as flat; no flag or parameter overrides it
@@ -115,6 +119,18 @@ def links(conn):
     (j, l+1) (K. G. Wilson, Phys. Rev. D 10, 2445 (1974)).
     """
     return conn._links
+
+
+def _require_flat_links(ux, uy):
+    """Refuse the link field (ux, uy) unless its largest plaquette defect
+    |U_x(j, l) U_y(j+1, l) - U_y(j, l) U_x(j, l+1)| is at most FLAT_TOL: the one link
+    flatness rule.
+    """
+    defect = np.abs(stack_matmul(ux, np.roll(uy, -1, axis=0))
+                    - stack_matmul(uy, np.roll(ux, -1, axis=1))).max()
+    if not defect <= FLAT_TOL:
+        raise ValueError(f"the link field is not flat: largest plaquette defect {defect:.3e} "
+                         f"exceeds {FLAT_TOL:.1e}")
 
 
 def generator_holonomies(ux, uy):
@@ -218,7 +234,6 @@ def residual_report(conn):
         "residual_covariant_l2": l2_norm(codifferential(conn, k)),  # the covariant residual
         "curvature_l2": kn,
         "flat": flat,
-        "flat_tol": FLAT_TOL,
     }
 
 
@@ -231,7 +246,8 @@ def gauge_transform(conn, g):
 
     Central differences break the product rule, so the raw (dG) G^-1 picks up
     a spurious Hermitian O(h^2) part; only its skew part is kept, which is the
-    symmetrized discretization of the same continuum quantity.
+    symmetrized discretization of the same continuum quantity.  dG is the
+    exterior derivative of G as a 0-form (`forms.exterior_d`).
     """
     g = np.asarray(g, dtype=complex)
     n, m = conn.grid.n, conn.m
@@ -239,25 +255,12 @@ def gauge_transform(conn, g):
         raise ValueError(f"gauge field must have shape ({n}, {n}, {m}, {m})")
     g = _plane_major(g)
     gh = _unitary_inverse(g, "gauge field")
-    h = conn.grid.h
+    # (dG) G^-1 per direction; the dG are dropped once multiplied, which bounds peak memory
+    ax, ay = [stack_matmul(dg, gh)
+              for dg in exterior_d(_form(0, conn.grid, (g,), GENERAL)).comps]
     ex, ey = conn.potential.comps
-    new_x = stack_matmul(stack_matmul(g, ex), gh) - _skew(stack_matmul(_ddx(g, h), gh))
-    new_y = stack_matmul(stack_matmul(g, ey), gh) - _skew(stack_matmul(_ddy(g, h), gh))
+    new_x = stack_matmul(stack_matmul(g, ex), gh) - _skew(ax)
+    new_y = stack_matmul(stack_matmul(g, ey), gh) - _skew(ay)
     # conjugation and the skew part keep the values anti-Hermitian
     return Connection(_form(1, conn.grid, (new_x, new_y), ANTIHERMITIAN))
 
-
-def connection_to_record(conn):
-    return {"grid": conn.grid.n, "m": conn.m, "potential": form_to_record(conn.potential)}
-
-
-def connection_from_record(rec):
-    required = {"grid", "m", "potential"}
-    missing = required - set(_mapping(rec, "connection record"))
-    if missing:
-        raise ValueError(f"connection record is missing keys: {sorted(missing)}")
-    pot = form_from_record(_mapping(rec["potential"], "record key 'potential'"))
-    if (pot.grid.n != _integer(rec["grid"], "record key 'grid'")
-            or pot.m != _integer(rec["m"], "record key 'm'")):
-        raise ValueError("connection record is inconsistent with its potential")
-    return Connection(MatrixForm(pot.degree, pot.grid, pot.comps, ANTIHERMITIAN))

@@ -16,16 +16,19 @@ Pieces map an array of times to stacked points: torus points as (..., 2)
 arrays (coordinates taken mod 1), plane points as complex (...) arrays.
 A scalar time gives one point.  Potentials expose `m` and
 `along(pos, vel)`, which takes stacked positions and velocities and returns
-the stacked (..., m, m) samples of A(xdot).  Potentials come in three
-flavours: grid connections (evaluated along the path by bilinear
-interpolation, which limits the observable order to two), analytic torus
-potentials (closed-form coefficients, full fourth-order accuracy) and
-meromorphic potentials on the punctured plane (a rational dz-coefficient
-with a finite pole list; `MeromorphicPotential.along` refuses any point
-within 1e-6 of a pole, so every sampled node keeps that margin).  The
-coefficient callables of meromorphic and gauge-conjugated potentials take
-stacks: `coefficient(z)` and `g(x, y)` / `dg(x, y)` get arrays of shape
-(...) and return (..., m, m), so each is called once per chunk.  Only
+the stacked (..., m, m) samples of A(xdot).  Potentials come in four
+classes: grid connections (`GridPotential`, evaluated along the path by
+bilinear interpolation, which limits the observable order to two), analytic
+torus potentials (`AnalyticTorusPotential`, closed-form coefficients, full
+fourth-order accuracy), meromorphic potentials on the punctured plane
+(`MeromorphicPotential`, a rational dz-coefficient with a finite pole list;
+its `along` refuses any point within 1e-6 of a pole, so every sampled node
+keeps that margin) and gauge-conjugated potentials
+(`GaugeConjugatedPotential`, a closed-form unitary change of frame of a
+base potential along a torus path).  The coefficient callables of
+meromorphic and gauge-conjugated potentials take stacks: `coefficient(z)`
+and `g(x, y)` / `dg(x, y)` get arrays of shape (...) and return
+(..., m, m), so each is called once per chunk.  Only
 `AnalyticTorusPotential` still calls its `ax`/`ay` once per point, with
 scalar arguments, through `_samples`.  A torus potential samples only the
 axes a chunk moves along: a coefficient whose velocity component is zero at

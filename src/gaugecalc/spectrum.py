@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import dagger, stack_matmul
-from .gauge import FLAT_TOL, generator_holonomies, links
+from .algebra import dagger
+from .gauge import _require_flat_links, generator_holonomies, links
 
 KERNEL_THRESHOLD = 1e-6  # eigenvalues below it count as harmonic; no flag or parameter overrides it
 
@@ -43,14 +43,10 @@ def _link_eigenvalues(ux, uy, h):
 
     Entry (p, q, i, j) is the eigenvalue of Fourier mode (p, q) on the entry
     (i, j) of the joint eigenbasis of the holonomies (see the module
-    docstring).  Refuses a link field whose largest plaquette defect
-    |U_x(j, l) U_y(j+1, l) - U_y(j, l) U_x(j, l+1)| exceeds FLAT_TOL.
+    docstring).  Refuses a link field that is not flat
+    (`gauge._require_flat_links`).
     """
-    defect = np.abs(stack_matmul(ux, np.roll(uy, -1, axis=0))
-                    - stack_matmul(uy, np.roll(ux, -1, axis=1))).max()
-    if not defect <= FLAT_TOL:
-        raise ValueError(f"the link field is not flat: largest plaquette defect {defect:.3e} "
-                         f"exceeds {FLAT_TOL:.1e}")
+    _require_flat_links(ux, uy)
     gx, gy = generator_holonomies(ux, uy)
     mix = sum(w * (g + dagger(g)) for w, g in zip(_MIX, (gx, 1j * gx, gy, 1j * gy)))
     _, v = np.linalg.eigh(mix)
@@ -66,8 +62,9 @@ def harmonic_space_dim(conn, degree):
     The count runs on the connection's kept links, and only flat links are
     accepted: the link complex is a complex only when every plaquette closes,
     so any other field is refused with its measured plaquette defect (see
-    `_link_eigenvalues`).  That is the one flatness test; the central-difference
-    curvature is never formed, so a gauge transform of flat links counts too.
+    `gauge._require_flat_links`).  That is the one flatness test; the
+    central-difference curvature is never formed, so a gauge transform of
+    flat links counts too.
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")

@@ -113,6 +113,24 @@ def test_torus_curve_command(capsys):
     assert rows[0]["curvature_l2"] < 1e-10
 
 
+def test_torus_curve_lays_out_the_claim_report(capsys):
+    # the CLI lays out the measured claim report: one row per sample in both
+    # layouts, lambda and n echoed from the flags that ran, no seam key
+    argv = ["torus-curve", "--lambda", "0.5", "--samples", "11", "--grid", "16"]
+    code, out, _ = _run(capsys, argv + ["--format", "structured-record"])
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert list(report) == sorted(["lambda", "n", "flat_tol", "rows", "jet_summary",
+                                   "endpoint_holonomies"])
+    assert (report["lambda"], report["n"], report["flat_tol"]) == (0.5, 16, gauge.FLAT_TOL)
+    assert len(report["rows"]) == 11 and "seam" not in report
+    code, out, _ = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert lines[0] == "t,curvature_l2,residual_l2" and len(lines) == 1 + 11
+    assert [float(ln.split(",")[0]) for ln in lines[1:]] == [r["t"] for r in report["rows"]]
+
+
 @pytest.mark.parametrize("grid", ("16", "64"))
 def test_torus_curve_reports_the_t1_x_holonomy_as_minus_identity(capsys, grid):
     # link products give the vacuum pi e1 dx its x-holonomy exp(-pi e1) = -I to rounding

@@ -10,7 +10,7 @@ from gaugecalc.curves import (ConnectionCurve, curve_jets, flat_curve_report,
                               torus_family_report, ym_curve_report)
 from gaugecalc.forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, constant_form,
                              exterior_d, l2_norm, scalar_form, tensor_form)
-from gaugecalc.gauge import FLAT_TOL, Connection, generator_holonomies, links, zero_connection
+from gaugecalc.gauge import Connection, generator_holonomies, links, zero_connection
 from gaugecalc.holonomy import parallel_transport, torus_loop
 from gaugecalc.suites import random_form, random_scalar_one_form
 
@@ -123,8 +123,6 @@ def test_flat_curve_reports():
     rep = flat_curve_report(curve, (0.0, 0.5, 1.0))
     assert rep["all_flat"] is True
     assert rep["c_e_l2"] < 1e-6
-    # the record echoes the flatness tolerance and the jet step that ran
-    assert (rep["flat_tol"], rep["t_small"]) == (FLAT_TOL, 1e-3)
     # colinear two-term family stays flat with vanishing obstruction
     pot2 = constant_form(GRID, 1, np.zeros((2, 2)), np.pi * E1)
     curve2 = ConnectionCurve(lambda t: t * pot + (t * t) * pot2)
@@ -308,7 +306,3 @@ def test_torus_family_report_structure():
     assert np.max(np.abs(holo["t0"]["y_generator"] - eye)) <= 1e-8
     assert np.max(np.abs(holo["t1"]["x_generator"] + eye)) <= 1e-8
     assert np.max(np.abs(holo["t1"]["y_generator"] - eye)) <= 1e-8
-    assert len(rep.csv_rows()) == 11
-    record = rep.to_record()
-    assert len(record["rows"]) == 11
-    assert "seam" not in record
