@@ -1,12 +1,13 @@
 """Command-line front end.
 
-One batch run per invocation.  Reports embed the package version, the echoed
-configuration and the tolerances that ran, and are byte-identical for
-identical configurations; `verify`, the one command that draws random
-numbers, also echoes its seed.  Every flag a command takes changes its report:
-the tolerances are the library's constants, which no flag overrides.  Exit
-codes: 0 success, 1 invalid input, 2 a verification suite failed.  Size
-refusals come from one cost table, `_COSTS`.
+One batch run per invocation.  A report states each fact once: its header
+holds the package version, the command, the echoed configuration (with
+`verify`'s seed: only `verify` draws random numbers) and the tolerances that
+ran, where one did; its body holds measurements only.  Reports are
+byte-identical for identical configurations.  Every flag a command takes
+changes its report: the tolerances are the library's constants, which no flag
+overrides.  Exit codes: 0 success, 1 invalid input, 2 a verification suite
+failed.  Size refusals come from one cost table, `_COSTS`.
 """
 
 from __future__ import annotations
@@ -225,13 +226,13 @@ def _flag_echo(args):
                     if key != "format" and val is not None)
 
 
-def _base_record(args, tolerances, body):
+def _base_record(args, body, tolerances=None):
+    """The run's header, with `tolerances` only where one ran, then the measured `body`."""
     return {
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),
-        **({"seed": args.seed} if "seed" in vars(args) else {}),  # only verify has one
-        "tolerances": tolerances,
+        **({"tolerances": tolerances} if tolerances else {}),
         **body,
     }
 
@@ -300,9 +301,9 @@ def _emit(record, args, csv_header, csv_rows):
         text = json.dumps(_jsonable(record), sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
-        for key in filter(record.__contains__, ("version", "command", "seed")):
-            buf.write(f"# {key}: {record[key]}\n")
-        buf.write(f"# config: {json.dumps(_jsonable(record['config']), sort_keys=True)}\n")
+        buf.write(f"# version: {record['version']}\n# command: {record['command']}\n")
+        for key in filter(record.__contains__, ("config", "tolerances")):
+            buf.write(f"# {key}: {json.dumps(_jsonable(record[key]), sort_keys=True)}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
         writer.writerows(map(_fmt_value, row) for row in csv_rows)
@@ -321,7 +322,7 @@ def _emit(record, args, csv_header, csv_rows):
 
 def _cmd_verify(args):
     checks, passed = run_verify(args.seed, args.grid)
-    record = _base_record(args, {c.name: c.bound for c in checks}, {
+    record = _base_record(args, {
         "checks": [
             {"name": c.name, "value": c.value, "bound": c.bound, "kind": c.kind,
              "passed": c.passed}
@@ -338,24 +339,20 @@ def _cmd_verify(args):
 def _cmd_torus_curve(args):
     ts = [i / (args.samples - 1) for i in range(args.samples)]
     report = torus_family_report(args.lam, ts, n=args.grid)
-    record = _base_record(args, {"flat_tol": FLAT_TOL}, {"report": {
-        "lambda": args.lam,
-        "n": args.grid,
-        "flat_tol": FLAT_TOL,
+    record = _base_record(args, {"report": {
         "rows": list(report.rows),
         "jet_summary": report.jet_summary,
         "endpoint_holonomies": {key: {gen: _entry_pairs(mat) for gen, mat in val.items()}
                                 for key, val in report.endpoint_holonomies.items()},
-    }})
+    }}, {"flat_tol": FLAT_TOL})
     rows = [(r["t"], r["curvature_l2"], r["residual_l2"]) for r in report.rows]
     _emit(record, args, ("t", "curvature_l2", "residual_l2"), rows)
     return 0
 
 
 def _cmd_residual(args):
-    rep = {**residual_report(build_family(TorusGrid(args.grid), args.family)),
-           "flat_tol": FLAT_TOL}
-    record = _base_record(args, {"flat_tol": FLAT_TOL}, {"report": rep})
+    rep = residual_report(build_family(TorusGrid(args.grid), args.family))
+    record = _base_record(args, {"report": rep}, {"flat_tol": FLAT_TOL})
     _emit(record, args, ("key", "value"), rep.items())
     return 0
 
@@ -377,7 +374,7 @@ def _cmd_holonomy(args):
     conn = build_family(TorusGrid(args.grid), args.family)
     loop = build_loop(args.loop)
     g, trace = _transport(args, wilson_loop, conn, loop, args.steps)
-    record = _base_record(args, {}, {
+    record = _base_record(args, {
         "matrix": _entry_pairs(g),
         "trace": trace,
     })
@@ -391,7 +388,7 @@ def _cmd_ab(args):
     closed_form = complex(np.exp(2j * np.pi * k * args.winding))
     # np.abs, unlike abs, returns inf on overflow for the finite-report check to catch
     deviation = float(np.abs(rec.monodromy - closed_form))
-    record = _base_record(args, {}, {
+    record = _base_record(args, {
         "monodromy": rec.monodromy,
         "closed_form": closed_form,
         "deviation": deviation,
@@ -412,7 +409,7 @@ def _cmd_wong(args):
     path = torus_loop((1, 0)) if args.case == "constant" else torus_circle((0.5, 0.5), 0.2, 1)
     ts, traj = wong_evolve(pot, path, i0, args.steps)
     norms = np.einsum("tij,tij->t", traj, traj.conj()).real
-    record = _base_record(args, {}, {
+    record = _base_record(args, {
         "initial": _entry_pairs(traj[0]),
         "final": _entry_pairs(traj[-1]),
         "norm_drift": float(np.max(np.abs(norms - norms[0]))),
@@ -430,7 +427,7 @@ def _cmd_spectrum(args):
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
     conn = zero_connection(TorusGrid(args.grid), args.rank)
     dims = {str(k): harmonic_space_dim(conn, k) for k in degrees}
-    record = _base_record(args, {"threshold": KERNEL_THRESHOLD}, {"dims": dims})
+    record = _base_record(args, {"dims": dims}, {"threshold": KERNEL_THRESHOLD})
     _emit(record, args, ("degree", "dimension"), dims.items())
     return 0
 

@@ -97,15 +97,13 @@ def ym_curve_report(jets, base):
     Reports the norms that vanish for curves of stationary points: the
     covariant derivative and codifferential of E1, harmonicity measures of
     C_E, and the harmonic projection of E1.  On a surface the harmonicity of
-    the top-degree C_E reduces to its codifferential; the derivative of its
-    star dual is listed alongside (the two agree through the star isometry).
+    the top-degree C_E reduces to its codifferential.
     """
     require_flat(base, "jet diagnostics")
     return {
         "grad_e1_l2": l2_norm(covariant_d(base, jets.e1)),
         "delta_e1_l2": l2_norm(codifferential(base, jets.e1)),
         "delta_ce_l2": l2_norm(codifferential(base, jets.c_e)),
-        "grad_star_ce_l2": l2_norm(covariant_d(base, hodge_star(jets.c_e))),
         "harmonic_e1_l2": l2_norm(harmonic_projection(jets.e1)),
         "ce_l2": l2_norm(jets.c_e),
     }

@@ -413,8 +413,6 @@ def wilson_loop(potential, path, steps=1000):
 
 @dataclass(frozen=True)
 class MonodromyRecord:
-    k: complex
-    winding: int
     steps: int
     monodromy: complex
     flux: complex  # identification k = -flux / (2 pi)
@@ -432,7 +430,7 @@ def aharonov_bohm_monodromy(k, winding=1, steps=1000):
     steps = _integer(steps, "step count") * max(1, abs(winding))
     pot = _pole_potential((0j,), ([[-k]],))
     g = parallel_transport(pot, circle_path(0j, 1.0, winding), steps)
-    return MonodromyRecord(k, winding, steps, complex(g[0, 0]), -2.0 * np.pi * k)
+    return MonodromyRecord(steps, complex(g[0, 0]), -2.0 * np.pi * k)
 
 
 def wong_evolve(potential, path, i0, steps=1000):
@@ -458,7 +456,6 @@ def wong_evolve(potential, path, i0, steps=1000):
 
 @dataclass(frozen=True)
 class SpinPhaseRecord:
-    lam: float
     phase: np.ndarray
     transport: np.ndarray
     deviation: float
@@ -475,5 +472,5 @@ def aharonov_casher_phase(lam, steps=1000):
     pot = _pole_potential((0j,), (-0.5 * lam * SIGMA3,))
     g = parallel_transport(pot, circle_path(0j, 1.0, 1), steps)
     deviation = float(np.max(np.abs(g - phase)))
-    return SpinPhaseRecord(lam, phase, g, deviation)
+    return SpinPhaseRecord(phase, g, deviation)
 

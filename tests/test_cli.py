@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -41,8 +43,9 @@ def test_verify_small_grid_passes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     text = out1.read_text()
     assert "version: 0.1.0" in text
-    assert "seed: 7" in text
-    assert "tolerances" in text
+    # the seed is echoed once, in the config; each check states its own bound
+    assert text.count("seed: 7") == 1 and "config:\n  format: report-text\n" in text
+    assert "tolerances" not in text and "bound: " in text
 
 
 def test_verify_structured_record(tmp_path, capsys):
@@ -51,10 +54,10 @@ def test_verify_structured_record(tmp_path, capsys):
     assert code == 0
     record = json.loads(out)
     assert record["passed"] is True
-    assert record["seed"] == 3
     assert all(c["passed"] for c in record["checks"])
-    # the tolerance table is exactly the bounds of the checks that ran
-    assert record["tolerances"] == {c["name"]: c["bound"] for c in record["checks"]}
+    # the seed lives in the config and each tolerance in its check's bound, once
+    assert "seed" not in record and "tolerances" not in record
+    assert all(isinstance(c["bound"], float) for c in record["checks"])
     assert record["config"] == {"format": "structured-record", "grid": 16, "seed": 3}
 
 
@@ -85,7 +88,7 @@ def test_ab_command(capsys):
     re, im = record["monodromy"]
     assert abs(re + 1.0) < 1e-8 and abs(im) < 1e-8
     assert record["deviation"] < 1e-8
-    assert record["tolerances"] == {}
+    assert "tolerances" not in record
     assert set(record["config"]) == {"format", "k", "steps", "winding"}
 
 
@@ -115,14 +118,15 @@ def test_torus_curve_command(capsys):
 
 def test_torus_curve_lays_out_the_claim_report(capsys):
     # the CLI lays out the measured claim report: one row per sample in both
-    # layouts, lambda and n echoed from the flags that ran, no seam key
+    # layouts, lambda and n echoed once, in the config, and no seam key
     argv = ["torus-curve", "--lambda", "0.5", "--samples", "11", "--grid", "16"]
     code, out, _ = _run(capsys, argv + ["--format", "structured-record"])
     assert code == 0
-    report = json.loads(out)["report"]
-    assert list(report) == sorted(["lambda", "n", "flat_tol", "rows", "jet_summary",
-                                   "endpoint_holonomies"])
-    assert (report["lambda"], report["n"], report["flat_tol"]) == (0.5, 16, gauge.FLAT_TOL)
+    record = json.loads(out)
+    report = record["report"]
+    assert list(report) == sorted(["rows", "jet_summary", "endpoint_holonomies"])
+    assert (record["config"]["lam"], record["config"]["grid"]) == (0.5, 16)
+    assert record["tolerances"] == {"flat_tol": gauge.FLAT_TOL}
     assert len(report["rows"]) == 11 and "seam" not in report
     code, out, _ = _run(capsys, argv + ["--format", "csv"])
     assert code == 0
@@ -170,7 +174,7 @@ def test_holonomy_command(capsys):
     assert code == 0
     record = json.loads(out)
     assert abs(record["trace"][0] + 2.0) < 1e-6
-    assert record["tolerances"] == {}
+    assert "tolerances" not in record
 
 
 def test_wong_command(capsys):
@@ -180,7 +184,7 @@ def test_wong_command(capsys):
     record = json.loads(out)
     assert record["norm_drift"] < 1e-9
     assert record["final_shift"] < 1e-7
-    assert record["tolerances"] == {}
+    assert "tolerances" not in record
 
 
 @pytest.mark.parametrize("case", ("constant", "flat-contractible"))
@@ -499,14 +503,54 @@ def test_cli_import_and_spectrum_run_load_no_scipy():
     assert done.stdout == "[]\n2\n[]\n"
 
 
+def _key_counts(obj, counts=None):
+    """How often each key occurs anywhere in a decoded structured record."""
+    counts = collections.Counter() if counts is None else counts
+    if isinstance(obj, dict):
+        counts.update(obj.keys())
+        obj = list(obj.values())
+    for val in obj if isinstance(obj, list) else ():
+        _key_counts(val, counts)
+    return counts
+
+
 def test_reported_tolerances_are_the_library_defaults(capsys):
-    for argv, want in ((["residual", "--grid", "8"], {"flat_tol": gauge.FLAT_TOL}),
+    # every format states each run fact once: the tolerances that ran, in the
+    # header with the library constant's value, and the seed only in the config;
+    # no body key echoes lambda, the grid or a tolerance, or repeats a jet norm
+    echoes = {"lambda", "n", "flat_tol", "threshold", "grad_star_ce_l2"}
+    for argv, want in ((["verify", "--grid", "8", "--seed", "5"], {}),
                        (["torus-curve", "--grid", "8", "--samples", "2"],
                         {"flat_tol": gauge.FLAT_TOL}),
+                       (["residual", "--grid", "8"], {"flat_tol": gauge.FLAT_TOL}),
+                       (["holonomy", "--grid", "8", "--steps", "100"], {}),
+                       (["ab", "--steps", "100"], {}),
+                       (["wong", "--steps", "100"], {}),
                        (["spectrum", "--grid", "8"], {"threshold": spectrum.KERNEL_THRESHOLD})):
-        code, out, _ = _run(capsys, argv + ["--format", "structured-record"])
-        assert code == 0
-        assert json.loads(out)["tolerances"] == want
+        seeds = int(argv[0] == "verify")
+        outs = {}
+        for fmt in ("structured-record", "report-text", "csv"):
+            code, outs[fmt], _ = _run(capsys, argv + ["--format", fmt])
+            assert code == 0, (argv, fmt)
+        record = json.loads(outs["structured-record"])
+        text_keys = collections.Counter(ln.strip().partition(":")[0]
+                                        for ln in outs["report-text"].splitlines())
+        comments = dict(ln[2:].partition(": ")[::2] for ln in outs["csv"].splitlines()
+                        if ln.startswith("# "))
+        table = list(csv.reader(ln for ln in outs["csv"].splitlines()
+                                if not ln.startswith("#")))
+        for counts in (_key_counts(record), text_keys):
+            assert counts["seed"] == seeds and counts["tolerances"] == bool(want), argv
+            assert all(counts[key] == (key in want) for key in echoes), argv
+        assert record.get("tolerances", {}) == want
+        assert all(f"  {key}: {val:.12e}" in outs["report-text"].splitlines()
+                   for key, val in want.items())
+        assert list(comments) == ["version", "command", "config"] + ["tolerances"] * bool(want)
+        assert json.loads(comments.get("tolerances", "{}")) == want
+        assert json.loads(comments["config"]).get("seed", 5) == 5
+        assert all(outs["csv"].count(key) == 1 for key in want)
+        assert outs["csv"].count("seed") == seeds
+        assert not echoes & (set(table[0]) | {row[0] for row in table[1:]}), argv
 
 
 def _finite_numbers(obj):
@@ -912,9 +956,9 @@ def test_verify_argument_vectors_end_in_report_or_error(data, bad):
     seed = draw("--seed", st.integers(0, 2 ** 64), st.integers(-10 ** 12, -1))
     record = _contract(["verify", "--grid", str(grid), "--seed", str(seed)], bad, (bad,))
     if record is not None:
-        assert record["passed"] is True and record["seed"] == seed
+        assert record["passed"] is True and record["config"]["seed"] == seed
         assert record["config"]["grid"] == grid
-        assert record["tolerances"] == {c["name"]: c["bound"] for c in record["checks"]}
+        assert "seed" not in record and "tolerances" not in record
 
 
 def test_verify_seed_13_first_variation_passes(capsys):

@@ -177,7 +177,6 @@ def test_ym_curve_report_flags():
     rep = ym_curve_report(curve_jets(ConnectionCurve(lambda t: t * pot)), base)
     assert rep["grad_e1_l2"] < 1e-10
     assert rep["delta_ce_l2"] < 1e-10
-    assert rep["grad_star_ce_l2"] < 1e-10
     # closed-but-divergent profile: d E1 = 0 while delta E1 != 0 is reported
     x, _ = GRID.nodes()
     prof = scalar_form(GRID, 1, np.sin(2.0 * np.pi * x), np.zeros((32, 32)))

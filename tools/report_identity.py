@@ -16,10 +16,17 @@ items by name, so an added check is one moved leaf and not a shift of every
 later one:
 
     $.checks[exp-unitarity].value (exp-unitarity): 1.3322734129261735e-15 -> 1.2213523874224638e-15
+
+Under each DIFFERENT text or CSV report it prints the lines only one side has,
+in diff order, marked `-` (old only) or `+` (new only):
+
+    - # seed: 7
+    + # tolerances: {"flat_tol": 1e-08}
 """
 
 from __future__ import annotations
 
+import difflib
 import io
 import json
 import os
@@ -125,6 +132,12 @@ def moved_lines(old_out, new_out):
             for path, name, a, b in moved_leaves(old, new)]
 
 
+def diff_lines(old_out, new_out):
+    """One indented line per line of two text or CSV reports that only one side has."""
+    old, new = (out.decode(errors="replace").splitlines() for out in (old_out, new_out))
+    return [f"    {line}" for line in difflib.ndiff(old, new) if line[0] in "-+"]
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -149,8 +162,9 @@ def main(argv=None):
                 print(f"{'identical' if same else 'DIFFERENT'}  {' '.join(cmd)}  "
                       f"(exit {old_code} -> {new_code}, {len(old_out)} -> {len(new_out)} B)",
                       flush=True)
-                if not same and fmt == "structured-record":
-                    for line in moved_lines(old_out, new_out):
+                if not same:
+                    diff = moved_lines if fmt == "structured-record" else diff_lines
+                    for line in diff(old_out, new_out):
                         print(line, flush=True)
     total = len(INVOCATIONS) * len(FORMATS)
     print(f"{total - differ} of {total} identical to {rev}")
