@@ -16,7 +16,7 @@ from .gauge import (FLAT_TOL, Connection, codifferential, codifferential_flat, c
                     residual_report, wedge_action, wedge_action_adjoint,
                     yang_mills_functional, yang_mills_residual,
                     yang_mills_residual_covariant, zero_connection)
-from .spectrum import harmonic_space_dim
+from .spectrum import harmonic_space_dim, harmonic_space_dims
 from .curves import (ClaimReport, ConnectionCurve, PerturbationJets, Su2Ansatz,
                      curve_jets, flat_curve_report, gauge_orbit_curve,
                      harmonic_projection, su2_potential, su2_ym_conditions,

@@ -8,7 +8,8 @@ Elements are anti-Hermitian m x m complex matrices.  The metric is
 The stack kernels work on (..., m, m) arrays and have closed forms for the
 ranks the package runs:
 
-- `stack_matmul`: one broadcast outer product per inner index, any m.
+- `stack_matmul`: one broadcast outer product per inner index below
+  MATMUL_RANK, one `np.matmul` from there on.
 - `stack_bracket`: for m = 2 and 3 only the products that survive in
   AB - BA, 6 and 30 of them; other ranks take the difference of two
   `stack_matmul` products.  It is the package's one commutator: `bracket`
@@ -23,6 +24,11 @@ import numpy as np
 
 ANTIHERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10  # largest |G G^H - I| up to which G^H stands in for G^-1
+# smallest rank at which one np.matmul, its result made plane-major, is no slower than
+# the broadcast kernel of `stack_matmul` on plane-major (n, n, m, m) stacks at n = 16, 64
+# and 256 (one BLAS thread, 2 shared Xeon vCPUs; at m = 6 the kernel still wins at n = 256,
+# and at m = 32, n = 64 it is about 5 times slower)
+MATMUL_RANK = 7
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -141,16 +147,20 @@ def _plane_major(a):
 def stack_matmul(a, b):
     """Matrix product of stacks (..., m, m), broadcast over the leading axes.
 
-    Sums one broadcast outer product per inner index; the result keeps the
-    operands' memory order.  For m = 2 and 3 that is 2-8 times faster than
-    `@`, which pays a per-matrix overhead at every node: most when both
-    operands are plane-major (`_plane_major`), 2-3 times less with one
-    node-major operand.  Every rank takes this kernel; commutators take
-    `stack_bracket`.
+    Below MATMUL_RANK it sums one broadcast outer product per inner index,
+    and the result keeps the operands' memory order.  For m = 2 and 3 that
+    is 2-8 times faster than `@`, which pays a per-matrix overhead at every
+    node: most when both operands are plane-major (`_plane_major`), 2-3
+    times less with one node-major operand.  From MATMUL_RANK on, where the
+    m^3 products per node outweigh that overhead, it is one `np.matmul`
+    with a complex plane-major result.  Plane-major operands give a
+    plane-major result at every rank.  Commutators take `stack_bracket`.
     """
     m = a.shape[-1]
     if b.shape[-2] != m:
         raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    if m >= MATMUL_RANK:
+        return _plane_major(np.matmul(a, b))
     out = a[..., :, :1] * b[..., :1, :]
     for k in range(1, m):
         out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
@@ -218,8 +228,8 @@ def exp_antihermitian(a):
     from both triangles, and exp(A) = e^{i theta} (cos r I + i sinc(r)
     (x s1 + y s2 + z s3)), r = |(x, y, z)|: unitary to rounding even for A
     anti-Hermitian only to ANTIHERMITIAN_ATOL.  For m = 3 the closed form of
-    `_exp_u3`; other ranks diagonalize -iA.  The result is plane-major (see
-    `_plane_major`).
+    `_exp_u3`; other ranks diagonalize -iA and multiply back by `stack_matmul`.
+    The result is plane-major (see `_plane_major`).
     """
     a = np.asarray(a, dtype=complex)
     require_antihermitian(a, "exponent")

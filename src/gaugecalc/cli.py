@@ -27,7 +27,7 @@ from .forms import MIN_GRID, TorusGrid, _entry_pairs, constant_form, scalar_form
 from .gauge import FLAT_TOL, Connection, residual_report, zero_connection
 from .holonomy import (MAX_STEPS, MIN_STEPS, AnalyticTorusPotential, aharonov_bohm_monodromy,
                        require_closed, torus_circle, torus_loop, wilson_loop, wong_evolve)
-from .spectrum import KERNEL_THRESHOLD, harmonic_space_dim
+from .spectrum import KERNEL_THRESHOLD, harmonic_space_dims
 from .suites import run_verify
 
 _SU2 = dict(zip(("e1", "e2", "e3"), SU2_BASIS))
@@ -426,7 +426,8 @@ def _cmd_wong(args):
 def _cmd_spectrum(args):
     degrees = (0, 1, 2) if args.degree == "all" else (int(args.degree),)
     conn = zero_connection(TorusGrid(args.grid), args.rank)
-    dims = {str(k): harmonic_space_dim(conn, k) for k in degrees}
+    counts = harmonic_space_dims(conn)
+    dims = {str(k): counts[k] for k in degrees}
     record = _base_record(args, {"dims": dims}, {"threshold": KERNEL_THRESHOLD})
     _emit(record, args, ("degree", "dimension"), dims.items())
     return 0

@@ -121,13 +121,26 @@ def links(conn):
     return conn._links
 
 
+def _next_node(u, axis):
+    """The link field `u` read at the next node along `axis`: u(j+1, l) for axis 0, u(j, l+1)
+    for axis 1.  The interior and the wrapped row (or column) are slice copies into one
+    output in u's memory order: the shift of `np.roll` without its per-call argument handling.
+    """
+    out = np.empty_like(u)
+    if axis == 0:
+        out[:-1], out[-1] = u[1:], u[0]
+    else:
+        out[:, :-1], out[:, -1] = u[:, 1:], u[:, 0]
+    return out
+
+
 def _require_flat_links(ux, uy):
     """Refuse the link field (ux, uy) unless its largest plaquette defect
     |U_x(j, l) U_y(j+1, l) - U_y(j, l) U_x(j, l+1)| is at most FLAT_TOL: the one link
     flatness rule.
     """
-    defect = np.abs(stack_matmul(ux, np.roll(uy, -1, axis=0))
-                    - stack_matmul(uy, np.roll(ux, -1, axis=1))).max()
+    defect = np.abs(stack_matmul(ux, _next_node(uy, 0))
+                    - stack_matmul(uy, _next_node(ux, 1))).max()
     if not defect <= FLAT_TOL:
         raise ValueError(f"the link field is not flat: largest plaquette defect {defect:.3e} "
                          f"exceeds {FLAT_TOL:.1e}")

@@ -421,13 +421,19 @@ class MonodromyRecord:
 def aharonov_bohm_monodromy(k, winding=1, steps=1000):
     """Monodromy of dh + h beta = 0 with beta = (-k/z) dz around the n-fold circle.
 
-    `steps` counts per turn; the record holds the total, steps * max(1, |n|).
-    The analytic continuation multiplies solutions by exp(2 pi i k n); the
-    returned record carries the transported value and the flux identification.
+    `steps` counts per turn; the record holds the total, steps * max(1, |n|),
+    and a total above MAX_STEPS is refused naming both factors.  The analytic
+    continuation multiplies solutions by exp(2 pi i k n); the returned record
+    carries the transported value and the flux identification.
     """
     k = complex(k)
     winding = _integer(winding, "winding")
-    steps = _integer(steps, "step count") * max(1, abs(winding))
+    per_turn = _integer(steps, "step count")
+    steps = per_turn * max(1, abs(winding))
+    if steps > MAX_STEPS:
+        raise ValueError(f"an Aharonov-Bohm transport takes at most {MAX_STEPS} steps in all, "
+                         f"got {per_turn} per turn at winding {winding}: "
+                         f"steps * max(1, |winding|) = {steps}")
     pot = _pole_potential((0j,), ([[-k]],))
     g = parallel_transport(pot, circle_path(0j, 1.0, winding), steps)
     return MonodromyRecord(steps, complex(g[0, 0]), -2.0 * np.pi * k)

@@ -21,7 +21,8 @@ numbers s_x = (exp(i(2 pi p + a_i - a_j)/n) - 1)/h and s_y likewise, so L is
 |s_x|^2 + |s_y|^2, once in degrees 0 and 2 and twice in degree 1.  Another
 branch of the root, or the sign of the phases, only permutes p.  Counting
 therefore needs one m x m eigensolve for the joint eigenbasis and none over
-the grid.
+the grid, and one eigenvalue table per count call gives all three degrees
+(`harmonic_space_dims`).
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .gauge import _require_flat_links, generator_holonomies, links
 
 KERNEL_THRESHOLD = 1e-6  # eigenvalues below it count as harmonic; no flag or parameter overrides it
 
-# weights of the Hermitian parts of g_x, i g_x, g_y and i g_y in the matrix whose
-# eigenvectors are the joint eigenbasis; any weights off a measure-zero set do
-_MIX = (1.0, np.sqrt(2.0), np.sqrt(3.0), np.sqrt(5.0))
+# weights of the Hermitian parts of g_x, i g_x (first row) and g_y, i g_y (second row)
+# in the matrix whose eigenvectors are the joint eigenbasis; any weights off a
+# measure-zero set do
+_MIX = np.array([[1.0, np.sqrt(2.0)], [np.sqrt(3.0), np.sqrt(5.0)]])
 
 
 def _link_eigenvalues(ux, uy, h):
@@ -43,30 +45,44 @@ def _link_eigenvalues(ux, uy, h):
 
     Entry (p, q, i, j) is the eigenvalue of Fourier mode (p, q) on the entry
     (i, j) of the joint eigenbasis of the holonomies (see the module
-    docstring).  Refuses a link field that is not flat
-    (`gauge._require_flat_links`).
+    docstring).  Both holonomies go through each step as one (2, m, m)
+    stack.  Refuses a link field that is not flat (`gauge._require_flat_links`).
     """
     _require_flat_links(ux, uy)
-    gx, gy = generator_holonomies(ux, uy)
-    mix = sum(w * (g + dagger(g)) for w, g in zip(_MIX, (gx, 1j * gx, gy, 1j * gy)))
+    g = np.stack(generator_holonomies(ux, uy))
+    gh = dagger(g)
+    # g + g^H and i g + (i g)^H = i (g - g^H) are the Hermitian parts of g and i g
+    mix = (_MIX[:, :, None, None] * np.stack((g + gh, 1j * (g - gh)), axis=1)).sum(axis=(0, 1))
     _, v = np.linalg.eigh(mix)
-    phases = [np.angle(np.diagonal(dagger(v) @ g @ v)) for g in (gx, gy)]
-    p = 2.0 * np.pi * np.arange(len(ux))[:, None, None]
-    sx, sy = (4.0 * np.sin((p + a[:, None] - a) / (2 * len(p))) ** 2 / h ** 2 for a in phases)
+    phases = np.angle(np.diagonal(dagger(v) @ g @ v, axis1=1, axis2=2))
+    n = len(ux)
+    p = 2.0 * np.pi * np.arange(n)[:, None, None]
+    sx, sy = 4.0 * np.sin((p + phases[:, None, :, None] - phases[:, None, None, :])
+                          / (2 * n)) ** 2 / h ** 2
     return sx[:, None] + sy
 
 
-def harmonic_space_dim(conn, degree):
-    """Number of Laplacian eigenvalues below KERNEL_THRESHOLD at the given degree.
+def harmonic_space_dims(conn):
+    """Numbers (h0, h1, h2) of Laplacian eigenvalues below KERNEL_THRESHOLD in degrees 0, 1, 2.
 
-    The count runs on the connection's kept links, and only flat links are
-    accepted: the link complex is a complex only when every plaquette closes,
-    so any other field is refused with its measured plaquette defect (see
+    One eigenvalue table serves all three degrees: each of its entries is an
+    eigenvalue once in degrees 0 and 2 and twice in degree 1 (see the module
+    docstring), and nothing of it is kept for a later call.  The count runs
+    on the connection's kept links, and only flat links are accepted: the
+    link complex is a complex only when every plaquette closes, so any other
+    field is refused with its measured plaquette defect (see
     `gauge._require_flat_links`).  That is the one flatness test; the
     central-difference curvature is never formed, so a gauge transform of
     flat links counts too.
     """
+    count = int(np.count_nonzero(_link_eigenvalues(*links(conn), conn.grid.h) < KERNEL_THRESHOLD))
+    return count, 2 * count, count
+
+
+def harmonic_space_dim(conn, degree):
+    """Number of Laplacian eigenvalues below KERNEL_THRESHOLD at the given degree:
+    entry `degree` of `harmonic_space_dims`.
+    """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
-    count = int(np.count_nonzero(_link_eigenvalues(*links(conn), conn.grid.h) < KERNEL_THRESHOLD))
-    return 2 * count if degree == 1 else count
+    return harmonic_space_dims(conn)[degree]

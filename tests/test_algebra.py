@@ -7,7 +7,7 @@ from gaugecalc.algebra import (E1, E2, E3, LEVI_CIVITA, SU2_BASIS, bracket,
                                dagger, exp_antihermitian, inner,
                                is_antihermitian, random_antihermitian,
                                require_antihermitian, stack_bracket, stack_matmul)
-from gaugecalc.algebra import SIGMA1, SIGMA3, _plane_major
+from gaugecalc.algebra import MATMUL_RANK, SIGMA1, SIGMA3, _plane_major
 
 
 def test_su2_basis_is_antihermitian_traceless():
@@ -204,7 +204,7 @@ def _node_norms(x):
     return np.sqrt(np.sum(np.abs(x) ** 2, axis=(-2, -1)))
 
 
-@pytest.mark.parametrize("m", (1, 2, 3, 4))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 6, 8, 16))
 def test_stack_matmul_matches_matmul(m):
     # `@` is the oracle; the kernel sums in a different order, so agreement is
     # to rounding, per node relative to |a| |b| (Frobenius norms)
@@ -214,7 +214,9 @@ def test_stack_matmul_matches_matmul(m):
         return rng.standard_normal(shape + (m, m)) + 1j * rng.standard_normal(shape + (m, m))
 
     gen = draw(257)
+    planes = (_plane_major(draw(16, 16)), _plane_major(draw(16, 16)))
     cases = [(draw(16, 16), draw(16, 16)),       # an (N, N, m, m) field
+             planes,                             # the layout forms keep
              (draw(128), draw(128)),             # a (c, m, m) chunk
              (gen[1::2], gen[:-1:2]),            # strided views, as RK4 passes them
              (draw(16, 16), draw()),             # a stack against one matrix
@@ -225,11 +227,33 @@ def test_stack_matmul_matches_matmul(m):
         assert got.shape == want.shape and got.dtype == want.dtype
         bound = 1e-14 * _node_norms(a) * _node_norms(b)
         assert np.all(_node_norms(got - want) <= bound)
+    # plane-major operands give a plane-major product at every rank
+    assert _planes_contiguous(stack_matmul(*planes))
 
 
 def _planes_contiguous(a):
     return all(a[..., i, j].flags.c_contiguous
                for i in range(a.shape[-2]) for j in range(a.shape[-1]))
+
+
+@pytest.mark.parametrize("m", range(1, MATMUL_RANK))
+def test_stack_matmul_below_matmul_rank_is_the_broadcast_kernel_bit_for_bit(m):
+    rng = np.random.default_rng(50 + m)
+
+    def draw(*shape):
+        return rng.standard_normal(shape + (m, m)) + 1j * rng.standard_normal(shape + (m, m))
+
+    node = draw(8, 8)
+    for a, b in ((_plane_major(draw(8, 8)), _plane_major(draw(8, 8))),  # both plane-major
+                 (node, _plane_major(draw(8, 8))),                      # mixed layouts
+                 (node[1::2], node[::2]),                               # strided views
+                 (draw(8, 8), draw())):                                 # against one matrix
+        want = a[..., :, :1] * b[..., :1, :]
+        for k in range(1, m):
+            want += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+        got = stack_matmul(a, b)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
 
 
 def test_plane_major_reorders_once_and_then_never_copies():

@@ -847,16 +847,34 @@ def test_main_refuses_exactly_the_sizes_a_row_of_the_cost_table_prices_above_its
     assert err.getvalue().endswith(f" = {cost} exceeds the limit {limit}\n")
 
 
-def _cost_corners():
+def _tool(name):
+    """The module of tools/`name`.py."""
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools",
-                        "cost_corners.py")
-    spec = importlib.util.spec_from_file_location("cost_corners", path)
+                        f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("corner", _cost_corners().CORNERS)
+def test_report_identity_walks_an_object_on_one_side_only_leaf_by_leaf():
+    tool = _tool("report_identity")
+    old = {"config": {"seed": 7}, "tolerances": {"flat_tol": 1e-08, "cap": {"steps": 10}},
+           "empty": {}, "checks": [{"name": "a", "value": 1.0}]}
+    new = {"config": {"seed": 7}, "checks": [{"name": "a", "value": 1.0},
+                                             {"name": "b", "value": 2.0}]}
+    assert tool.moved_lines(json.dumps(old), json.dumps(new)) == [
+        '    $.checks[b].name (b): (absent) -> "b"',
+        "    $.checks[b].value (b): (absent) -> 2.0",
+        "    $.empty: {} -> (absent)",
+        "    $.tolerances.cap.steps: 10 -> (absent)",
+        "    $.tolerances.flat_tol: 1e-08 -> (absent)",
+    ]
+    assert tool.moved_lines(json.dumps(new), json.dumps(old))[-1] == \
+        "    $.tolerances.flat_tol: (absent) -> 1e-08"
+
+
+@pytest.mark.parametrize("corner", _tool("cost_corners").CORNERS)
 def test_cost_table_accepts_every_corner_the_timing_tool_runs(corner):
     cli._check_costs(cli.build_parser().parse_args(corner.split()))
 

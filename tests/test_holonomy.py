@@ -123,6 +123,18 @@ def test_transport_refuses_more_than_max_steps_before_allocating(monkeypatch):
         aharonov_bohm_monodromy(0.5, 10 ** 9)
 
 
+@pytest.mark.parametrize("winding", (2, -2))
+def test_ab_monodromy_refuses_over_the_cap_naming_steps_per_turn_and_winding(monkeypatch,
+                                                                             winding):
+    # the refusal names what the caller passed and their product, not only the total
+    monkeypatch.setattr(MeromorphicPotential, "along", _Refusing.along)
+    with pytest.raises(ValueError) as info:
+        aharonov_bohm_monodromy(0.5, winding, 600000)
+    message = str(info.value)
+    assert str(holonomy.MAX_STEPS) in message and "600000 per turn" in message
+    assert f"winding {winding}" in message and "= 1200000" in message
+
+
 def test_max_steps_bounds_the_total_of_a_multi_piece_path():
     loop = torus_loop((1, 0))
     three = concat_paths(loop, loop, loop)

@@ -7,7 +7,7 @@ from gaugecalc.forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, constant_form
                              l2_norm, tensor_form, scalar_form)
 from gaugecalc.gauge import FLAT_TOL, Connection, curvature, zero_connection
 from gaugecalc import gauge, spectrum
-from gaugecalc.spectrum import harmonic_space_dim
+from gaugecalc.spectrum import harmonic_space_dim, harmonic_space_dims
 
 
 def _gauge_links(links, g):
@@ -130,16 +130,36 @@ def test_harmonic_dims_small_grid():
 
 
 def test_rejects_non_flat_connection():
-    # the refusal names the largest plaquette defect of the links it counts on
+    # the refusal names the largest plaquette defect of the links it counts on,
+    # in the same words for one degree and for all three
     grid = TorusGrid(16)
     x, _ = grid.nodes()
     prof = scalar_form(grid, 1, np.zeros((16, 16)), np.sin(2.0 * np.pi * x))
     conn = Connection(tensor_form(prof, E1))
     defect = _plaquette_defect(*gauge.links(conn))
     assert defect > FLAT_TOL
-    with pytest.raises(ValueError, match="plaquette defect") as info:
-        harmonic_space_dim(conn, 1)
-    assert f"{defect:.3e}" in str(info.value) and f"{FLAT_TOL:.1e}" in str(info.value)
+    for count in (lambda: harmonic_space_dim(conn, 1), lambda: harmonic_space_dims(conn)):
+        with pytest.raises(ValueError) as info:
+            count()
+        assert str(info.value) == (f"the link field is not flat: largest plaquette defect "
+                                   f"{defect:.3e} exceeds {FLAT_TOL:.1e}")
+
+
+@pytest.mark.parametrize("n", (11, 16))
+def test_all_degrees_at_once_match_the_per_degree_counts(n):
+    grid = TorusGrid(n)
+    cases = [(zero_connection(grid, m), (m * m, 2 * m * m, m * m)) for m in (1, 2, 3, 5, 6)]
+    cases += [(_constant_connection(grid, 0.9 * E1, 1.3 * E1), (2, 4, 2)),
+              (_lattice_gauged(grid), (2, 4, 2))]
+    for conn, want in cases:
+        assert harmonic_space_dims(conn) == want
+        assert tuple(harmonic_space_dim(conn, d) for d in (0, 1, 2)) == want
+
+
+@pytest.mark.parametrize("degree", (-1, 3, 0.5, "1"))
+def test_per_degree_count_refuses_other_degrees(degree):
+    with pytest.raises(ValueError, match="degree must be 0, 1 or 2"):
+        harmonic_space_dim(zero_connection(TorusGrid(8), 1), degree)
 
 
 def _log_unitary(w):
@@ -157,20 +177,24 @@ def _commutant_dim(gx, gy):
     return m * m - np.linalg.matrix_rank(ops, tol=1e-9)
 
 
-@pytest.mark.parametrize("n", (16, 64))
-def test_lattice_gauge_transform_of_flat_links_counts_like_its_links(n):
-    # E' = log(g U g(next node)^H) / h has exactly the gauged links of the flat
-    # 0.9 e1 dx + 1.3 e1 dy, but a smooth non-abelian g leaves its central-difference
-    # curvature far from zero; the count reads only the links
-    grid = TorusGrid(n)
+def _lattice_gauged(grid):
+    """E' = log(g U g(next node)^H) / h: exactly the gauged links of the flat
+    0.9 e1 dx + 1.3 e1 dy under a smooth non-abelian g."""
     x, y = grid.nodes()
     ang = (0.8 * np.sin(2.0 * np.pi * x)[..., None, None] * E2
            + 0.5 * np.cos(2.0 * np.pi * y)[..., None, None] * E3
            + 0.3 * np.sin(2.0 * np.pi * (x + y))[..., None, None] * E1)
     base = _constant_connection(grid, 0.9 * E1, 1.3 * E1)
     links = _gauge_links(gauge.links(base), exp_antihermitian(ang))
-    conn = Connection(MatrixForm(1, grid, tuple(_log_unitary(u) / grid.h for u in links),
+    return Connection(MatrixForm(1, grid, tuple(_log_unitary(u) / grid.h for u in links),
                                  ANTIHERMITIAN))
+
+
+@pytest.mark.parametrize("n", (16, 64))
+def test_lattice_gauge_transform_of_flat_links_counts_like_its_links(n):
+    # g leaves the central-difference curvature of `_lattice_gauged` far from zero;
+    # the count reads only the links
+    conn = _lattice_gauged(TorusGrid(n))
     assert l2_norm(curvature(conn)) > 0.1
     assert _plaquette_defect(*gauge.links(conn)) <= 1e-13
     k = _commutant_dim(*gauge.generator_holonomies(*gauge.links(conn)))

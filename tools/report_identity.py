@@ -11,9 +11,9 @@ one thread.  Prints one line per invocation and format, then a summary, and
 exits 1 if any exit code or stdout byte differs.  Under each DIFFERENT
 structured record it prints every moved leaf as its JSON path, the `name` of
 the nearest enclosing object that has one (a check's name), and the old and
-new JSON values.  Lists of objects with distinct names (the checks) pair their
-items by name, so an added check is one moved leaf and not a shift of every
-later one:
+new JSON values.  An object on one side only moves one leaf per entry.  Lists
+of objects with distinct names (the checks) pair their items by name, so an
+added check moves only its own leaves and not those of every later one:
 
     $.checks[exp-unitarity].value (exp-unitarity): 1.3322734129261735e-15 -> 1.2213523874224638e-15
 
@@ -86,12 +86,16 @@ def moved_leaves(old, new, path="$", name=None):
     """(path, name, old, new) of each leaf where two decoded JSON values differ.
 
     Leaves compare by their JSON text, so 0.0 and -0.0 differ; a key or list
-    item on one side only is a moved leaf against `_ABSENT`.  Two lists of
-    objects with distinct names pair their items by name (`_by_name`).
+    item on one side only is a moved leaf against `_ABSENT`, and an object with
+    entries on one side only is walked against `_ABSENT`, one moved leaf per
+    entry.  Two lists of objects with distinct names pair their items by name
+    (`_by_name`).
     """
-    if isinstance(old, dict) and isinstance(new, dict):
-        if isinstance(old.get("name"), str):
-            name = old["name"]
+    sides = (old, new)
+    if all(isinstance(v, dict) for v in sides) or (
+            _ABSENT in sides and any(isinstance(v, dict) and v for v in sides)):
+        old, new = ({} if v is _ABSENT else v for v in sides)
+        name = next((v["name"] for v in (old, new) if isinstance(v.get("name"), str)), name)
         for key in sorted(old.keys() | new.keys()):
             yield from moved_leaves(old.get(key, _ABSENT), new.get(key, _ABSENT),
                                     f"{path}.{key}", name)
