@@ -239,8 +239,9 @@ def exp_antihermitian(a):
     if m != 2:
         w, u = np.linalg.eigh(-1j * a)
         u = _plane_major(u)
-        ue = np.multiply(u, np.exp(1j * w)[..., None, :], out=np.empty_like(u))
-        return stack_matmul(ue, dagger(u))
+        uh = dagger(u)
+        u *= np.exp(1j * w)[..., None, :]  # in place, once its dagger is taken
+        return stack_matmul(u, uh)
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     x = 0.5 * (a01.imag + a10.imag)
     y = 0.5 * (a01.real - a10.real)

@@ -7,10 +7,15 @@ steps per piece samples A(xdot) once at each piece's 2*steps + 1 nodes
 t = j / (2 steps).  Within a piece the end sample of one step starts the
 next; a kink is sampled once from each side and keeps the order.  The work
 is batched over nodes: paths and potentials take stacks of times and points,
-each chunk of up to 128 steps samples its nodes in one `along` call, and the
-RK4 polynomial of each step is evaluated as a stack of one-step maps I + D.
-`parallel_transport` composes those maps by a pairwise tree on the
-deviations D; the spin transport applies them in turn to keep every state.
+and each block of a piece samples its nodes in one `along` call and
+evaluates the RK4 polynomial of each of its steps as one stack of one-step
+maps I + D.  A block is whole 128-step chunks: 4096 steps at rank 1, 1024
+at rank 2, 384 at rank 3, 256 at rank 4 and one chunk from rank 5 on, so
+it holds at most about as many samples as one chunk at rank 6.
+`parallel_transport` composes the maps of each chunk by a pairwise tree on
+the deviations D, a block's full chunks as one batch of trees, and the
+chunks by one more tree; the spin transport applies the maps in turn to
+keep every state.
 
 Pieces map an array of times to stacked points: torus points as (..., 2)
 arrays (coordinates taken mod 1), plane points as complex (...) arrays.
@@ -28,11 +33,11 @@ keeps that margin) and gauge-conjugated potentials
 base potential along a torus path).  The coefficient callables of
 meromorphic and gauge-conjugated potentials take stacks: `coefficient(z)`
 and `g(x, y)` / `dg(x, y)` get arrays of shape (...) and return
-(..., m, m), so each is called once per chunk.  Only
+(..., m, m), so each is called once per block.  Only
 `AnalyticTorusPotential` still calls its `ax`/`ay` once per point, with
 scalar arguments, through `_samples`.  A torus potential samples only the
-axes a chunk moves along: a coefficient whose velocity component is zero at
-every node of the chunk is not evaluated, so a loop along x never calls `ay`.
+axes a block moves along: a coefficient whose velocity component is zero at
+every node of the block is not evaluated, so a loop along x never calls `ay`.
 
 A path is closed when its endpoints match (torus points mod 1); Wilson loops
 and monodromies require that.
@@ -45,7 +50,7 @@ g^H, keeps it exact for gl(m) potentials, whose transport is not unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import chain, starmap
 from typing import Callable
 
 import numpy as np
@@ -56,9 +61,9 @@ from .forms import _integer
 from .gauge import Connection
 
 _POLE_MARGIN = 1e-6
-_CHUNK = 128  # RK4 steps whose nodes one `along` call samples
+_CHUNK = 128  # RK4 steps whose one-step maps one pairwise tree composes
 MIN_STEPS = 100  # fewest RK4 steps a transport takes
-MAX_STEPS = 10 ** 6  # most RK4 steps a transport takes: 5-15 s at 5-15 us per step
+MAX_STEPS = 10 ** 6  # most RK4 steps a transport takes: 0.3-5 s at 0.3-5 us per step
 _WONG_BLOCK = 512  # trajectory states a spin transport conjugates at once
 
 
@@ -218,12 +223,12 @@ class GridPotential:
         tx, ty = t[..., 0, :, :], t[..., 1, :, :]
         j0, l0 = lo[..., 0] % n, lo[..., 1] % n
         j1, l1 = (j0 + 1) % n, (l0 + 1) % n
-        rows, cols = np.stack((j0, j1, j0, j1)), np.stack((l0, l0, l1, l1))
         w00, w10, w01, w11 = (1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty
 
         def sample(i):
-            c00, c10, c01, c11 = self._comps[i][rows, cols]
-            return w00 * c00 + w10 * c10 + w01 * c01 + w11 * c11
+            # corners gathered one at a time: a block never holds all four
+            c = self._comps[i]
+            return w00 * c[j0, l0] + w10 * c[j1, l0] + w01 * c[j0, l1] + w11 * c[j1, l1]
 
         return _along_axes(vel, sample, self.m)
 
@@ -336,30 +341,36 @@ def _step_maps(gen, h):
 
 
 def _compose(d):
-    """Deviation of (I + d[-1]) ... (I + d[0]), multiplied by a pairwise tree.
+    """Deviation of the product, latest first, of the maps I + D along the step
+    axis of `d` (its third from last), one pairwise tree per leading index.
 
     (I + D1)(I + D0) = I + (D1 + D0 + D1 D0); carrying deviations instead of
     the maps keeps the identity out of every rounding.
     """
-    while len(d) > 1:
-        later, earlier = d[1::2], d[:-1:2]
+    while d.shape[-3] > 1:
+        later, earlier = d[..., 1::2, :, :], d[..., :-1:2, :, :]
         pairs = later + earlier + stack_matmul(later, earlier)
-        d = pairs if len(d) % 2 == 0 else np.concatenate((pairs, d[-1:]))
-    return d[0]
+        if d.shape[-3] % 2:
+            pairs = np.concatenate((pairs, d[..., -1:, :, :]), axis=-3)
+        d = pairs
+    return d[..., 0, :, :]
 
 
 def _rk4(potential, pieces, steps):
     """RK4 for y' = -A(xdot) y on [0, 1] per piece.
 
-    Yields, chunk by chunk in step order, the stacked deviations D = P - I of
-    the one-step maps.  Each chunk of up to _CHUNK steps samples its new
-    nodes in one call; its start sample is the previous chunk's end sample.
+    Yields, block by block in step order, the stacked deviations D = P - I of
+    the one-step maps.  A block is _CHUNK * max(1, 32 // m^2) steps of a
+    piece, or what is left of it: whole chunks whose samples hold about as
+    many matrix entries as one chunk's at rank 6.  Each block samples its new
+    nodes in one call; its start sample is the previous block's end sample.
     """
     h = 1.0 / steps
+    block = _CHUNK * max(1, 32 // potential.m ** 2)
     for k, piece in enumerate(pieces):
         end = None
-        for i0 in range(0, steps, _CHUNK):
-            i1 = min(i0 + _CHUNK, steps)
+        for i0 in range(0, steps, block):
+            i1 = min(i0 + block, steps)
             first = 0 if end is None else 2 * i0 + 1
             ts = np.arange(first, 2 * i1 + 1) / (2 * steps)
             a = np.asarray(potential.along(piece.position(ts), piece.velocity(ts)), dtype=complex)
@@ -391,7 +402,15 @@ def _one_step_maps(potential, path, steps):
 def parallel_transport(potential, path, steps=1000):
     """Fundamental solution of dv/dt + A(xdot(t)) v = 0 over [0, 1]."""
     potential, _, maps = _one_step_maps(potential, path, steps)
-    return np.eye(potential.m, dtype=complex) + _compose(np.stack([_compose(d) for d in maps]))
+    m = potential.m
+    chunks = []  # the composed deviation of each chunk, in step order
+    for d in maps:
+        full = len(d) - len(d) % _CHUNK
+        if full:
+            chunks.append(_compose(d[:full].reshape(-1, _CHUNK, m, m)))
+        if full < len(d):
+            chunks.append(_compose(d[full:])[None])
+    return np.eye(m, dtype=complex) + _compose(np.concatenate(chunks))
 
 
 def _trajectory(potential, path, steps):
@@ -399,8 +418,10 @@ def _trajectory(potential, path, steps):
     potential, total, maps = _one_step_maps(potential, path, steps)
     traj = np.empty((total + 1, potential.m, potential.m), dtype=complex)
     traj[0] = np.eye(potential.m)
-    for n, dn in enumerate(d for chunk in maps for d in chunk):
-        traj[n + 1] = traj[n] + dn @ traj[n]
+    tmp = np.empty_like(traj[0])
+    for dn, prev, new in zip(chain.from_iterable(maps), traj, traj[1:]):
+        np.matmul(dn, prev, out=tmp)
+        np.add(prev, tmp, out=new)
     return np.linspace(0.0, 1.0, len(traj)), traj
 
 
@@ -421,14 +442,18 @@ class MonodromyRecord:
 def aharonov_bohm_monodromy(k, winding=1, steps=1000):
     """Monodromy of dh + h beta = 0 with beta = (-k/z) dz around the n-fold circle.
 
-    `steps` counts per turn; the record holds the total, steps * max(1, |n|),
-    and a total above MAX_STEPS is refused naming both factors.  The analytic
+    `steps` counts per turn; the record holds the total, steps * max(1, |n|).
+    Fewer than MIN_STEPS per turn are refused naming the per-turn count, and a
+    total above MAX_STEPS naming both factors.  The analytic
     continuation multiplies solutions by exp(2 pi i k n); the returned record
     carries the transported value and the flux identification.
     """
     k = complex(k)
     winding = _integer(winding, "winding")
     per_turn = _integer(steps, "step count")
+    if per_turn < MIN_STEPS:
+        raise ValueError(f"an Aharonov-Bohm transport takes at least {MIN_STEPS} steps per "
+                         f"turn, got {per_turn} per turn at winding {winding}")
     steps = per_turn * max(1, abs(winding))
     if steps > MAX_STEPS:
         raise ValueError(f"an Aharonov-Bohm transport takes at most {MAX_STEPS} steps in all, "

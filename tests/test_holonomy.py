@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 from gaugecalc.algebra import (E1, E2, E3, dagger, exp_antihermitian, inner,
-                               random_antihermitian)
+                               random_antihermitian, stack_matmul)
 from gaugecalc.forms import (ANTIHERMITIAN, MatrixForm, TorusGrid, constant_form, scalar_form,
                             tensor_form)
 from gaugecalc.gauge import Connection, zero_connection
@@ -135,6 +135,20 @@ def test_ab_monodromy_refuses_over_the_cap_naming_steps_per_turn_and_winding(mon
     assert f"winding {winding}" in message and "= 1200000" in message
 
 
+@pytest.mark.parametrize("winding", (3, -3, 0))
+def test_ab_monodromy_refuses_fewer_than_min_steps_per_turn(monkeypatch, winding):
+    # 50 steps per turn is refused, before sampling, even where the total
+    # reaches MIN_STEPS; MIN_STEPS per turn is accepted
+    assert aharonov_bohm_monodromy(0.5, winding, holonomy.MIN_STEPS).steps == (
+        holonomy.MIN_STEPS * max(1, abs(winding)))
+    monkeypatch.setattr(MeromorphicPotential, "along", _Refusing.along)
+    with pytest.raises(ValueError) as info:
+        aharonov_bohm_monodromy(0.5, winding, 50)
+    message = str(info.value)
+    assert f"at least {holonomy.MIN_STEPS} steps per turn" in message
+    assert f"got 50 per turn at winding {winding}" in message
+
+
 def test_max_steps_bounds_the_total_of_a_multi_piece_path():
     loop = torus_loop((1, 0))
     three = concat_paths(loop, loop, loop)
@@ -194,16 +208,23 @@ def no_per_point_samples(monkeypatch):
     monkeypatch.setattr(holonomy, "_samples", per_point)
 
 
+def _blocks(steps, m):
+    """Blocks of a transport of `steps` steps per piece at rank m: one
+    `along` call each, of _CHUNK * max(1, 32 // m^2) steps or what is left."""
+    return math.ceil(steps / (holonomy._CHUNK * max(1, 32 // m ** 2)))
+
+
 @_TRANSPORTS
-@pytest.mark.parametrize("steps", (100, 257))
+@pytest.mark.parametrize("steps", (100, 257, 2500))
 def test_stacked_coefficients_are_called_once_per_chunk(no_per_point_samples, transport, steps):
-    # each piece makes ceil(steps / _CHUNK) calls, which see its 2 steps + 1 nodes
-    chunks = math.ceil(steps / holonomy._CHUNK)
+    # each piece makes one call per block of whole 128-step chunks (1024
+    # steps at rank 2), and the calls see its 2 steps + 1 nodes
+    blocks = _blocks(steps, 2)
     calls = []
     poles = _pole_potential((0.5j, -0.5j), (E1, 0.3 * E3))
     mero = dataclasses.replace(poles, coefficient=_counting(poles.coefficient, calls))
     transport(mero, _lasso_path(2.0 + 0j, 0.5j, 0.25), steps)
-    assert len(calls) == 3 * chunks
+    assert len(calls) == 3 * blocks
     assert sum(map(math.prod, calls)) == 3 * (2 * steps + 1)
 
     def rotation(x, y):
@@ -215,7 +236,7 @@ def test_stacked_coefficients_are_called_once_per_chunk(no_per_point_samples, tr
         base, _counting(rotation, g_calls),
         _counting(lambda x, y: (E2 @ rotation(x, y),) * 2, dg_calls))
     transport(conj, concat_paths(torus_loop((1, 0)), torus_loop((0, 1))), steps)
-    assert len(g_calls) == len(dg_calls) == 2 * chunks
+    assert len(g_calls) == len(dg_calls) == 2 * blocks
     assert sum(map(math.prod, g_calls)) == 2 * (2 * steps + 1)
 
 
@@ -229,10 +250,119 @@ def test_aharonov_bohm_and_casher_sample_in_stacks(no_per_point_samples, monkeyp
     monkeypatch.setattr(holonomy, "_pole_potential", counting_poles)
     rec = aharonov_bohm_monodromy(0.37, 2, 150)  # 150 steps per turn, 300 in all
     assert abs(rec.monodromy - cmath.exp(2j * cmath.pi * 0.74)) < 1e-6
-    assert len(calls) == math.ceil(300 / holonomy._CHUNK)
+    assert len(calls) == _blocks(300, 1) == 1
+    assert sum(map(math.prod, calls)) == 2 * 300 + 1
+    calls.clear()
+    rec = aharonov_bohm_monodromy(0.37, 3, 1777)  # 5331 steps in all: two blocks at rank 1
+    assert abs(rec.monodromy - cmath.exp(2j * cmath.pi * 1.11)) < 1e-6
+    assert len(calls) == _blocks(5331, 1) == 2
+    assert sum(map(math.prod, calls)) == 2 * 5331 + 1
     calls.clear()
     assert aharonov_casher_phase(0.25, 1000).deviation < 1e-8
-    assert len(calls) == math.ceil(1000 / holonomy._CHUNK)
+    assert len(calls) == _blocks(1000, 2) == 1
+    assert sum(map(math.prod, calls)) == 2 * 1000 + 1
+
+
+def _chunked_maps(potential, pieces, steps):
+    """The one-step maps chunk by chunk, each chunk of up to 128 steps sampled
+    in one `along` call: the reference that block sampling must match bit for bit."""
+    h = 1.0 / steps
+    for piece in pieces:
+        end = None
+        for i0 in range(0, steps, 128):
+            i1 = min(i0 + 128, steps)
+            first = 0 if end is None else 2 * i0 + 1
+            ts = np.arange(first, 2 * i1 + 1) / (2 * steps)
+            a = np.asarray(potential.along(piece.position(ts), piece.velocity(ts)), dtype=complex)
+            if end is not None:
+                a = np.concatenate((end, a))
+            end = a[-1:]
+            yield holonomy._step_maps(-a, h)
+
+
+def _chunked_compose(d):
+    """Deviation of (I + d[-1]) ... (I + d[0]) by the pairwise tree of one chunk."""
+    while len(d) > 1:
+        later, earlier = d[1::2], d[:-1:2]
+        pairs = later + earlier + stack_matmul(later, earlier)
+        d = pairs if len(d) % 2 == 0 else np.concatenate((pairs, d[-1:]))
+    return d[0]
+
+
+def _chunked_transports(potential, path, i0, steps):
+    """The chunk-by-chunk oracle of `parallel_transport`, `_trajectory` and `wong_evolve`."""
+    maps = list(_chunked_maps(potential, holonomy._pieces(path), steps))
+    final = np.eye(potential.m, dtype=complex) + _chunked_compose(
+        np.stack([_chunked_compose(d) for d in maps]))
+    traj = [np.eye(potential.m, dtype=complex)]
+    for dn in (d for chunk in maps for d in chunk):
+        traj.append(traj[-1] + dn @ traj[-1])
+    traj = np.array(traj)
+    spins = traj.copy()
+    for b in range(0, len(spins), holonomy._WONG_BLOCK):
+        g = spins[b:b + holonomy._WONG_BLOCK]
+        g[...] = g @ i0 @ np.linalg.inv(g)
+    spins[0] = i0
+    return final, traj, spins
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal bytes, so -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _random_grid(m, seed):
+    rng = np.random.default_rng(seed)
+    comps = tuple(random_antihermitian(rng, m) * rng.standard_normal((8, 8, 1, 1))
+                  + random_antihermitian(rng, m) for _ in range(2))
+    return GridPotential(Connection(MatrixForm(1, TorusGrid(8), comps, ANTIHERMITIAN)))
+
+
+def _rotation(x, y):
+    return exp_antihermitian(np.multiply.outer(np.sin(2 * np.pi * x) + y, E2))
+
+
+_TRIANGLE = concat_paths(segment_path((0.1, 0.2), (0.6, 0.3)),
+                         segment_path((0.6, 0.3), (0.4, 0.9)),
+                         segment_path((0.4, 0.9), (0.1, 0.2)))
+_RESIDUES3 = (random_antihermitian(np.random.default_rng(7), 3),
+              random_antihermitian(np.random.default_rng(8), 3))
+_BLOCK_CASES = {  # each builds (potential, path, spin at the potential's rank)
+    # rank 2 grid potential on a contractible circle
+    "grid-m2-circle": lambda: (_random_grid(2, 3), torus_circle((0.4, 0.6), 0.3, 1), E1),
+    # rank 3 grid potential along a winding loop
+    "grid-m3-loop": lambda: (_random_grid(3, 4), torus_loop((1, 2), (0.1, 0.3)),
+                             _RESIDUES3[0]),
+    # per-point analytic coefficients on a 3-piece path
+    "analytic-m2-triangle": lambda: (AnalyticTorusPotential(
+        lambda x, y: np.cos(2 * np.pi * y) * E1 + x * E3,
+        lambda x, y: np.sin(2 * np.pi * x) * E2, 2), _TRIANGLE, E3),
+    # the Aharonov-Bohm potential, rank 1, three turns
+    "pole-m1-ab": lambda: (_pole_potential((0j,), ([[-0.37 - 0.1j]],)),
+                           circle_path(0j, 1.0, 3), np.array([[1j]])),
+    # two rank-3 poles, a 3-piece lasso around one of them
+    "poles-m3-lasso": lambda: (_pole_potential((0.5j, -0.5j), _RESIDUES3),
+                               _lasso_path(2.0 + 0j, 0.5j, 0.25), _RESIDUES3[1]),
+    # a gauge change of frame of a grid potential
+    "conjugated-m2-circle": lambda: (GaugeConjugatedPotential(
+        _random_grid(2, 5), _rotation,
+        lambda x, y: (2 * np.pi * np.cos(2 * np.pi * x)[..., None, None] * (E2 @ _rotation(x, y)),
+                      E2 @ _rotation(x, y))), torus_circle((0.5, 0.5), 0.2, 2), E1),
+}
+
+
+@pytest.mark.parametrize("case", _BLOCK_CASES)
+@pytest.mark.parametrize("steps", (100, 127, 128, 129, 1023, 1024, 1025, 5000))
+def test_block_transports_keep_the_bits_of_chunk_by_chunk_transports(case, steps):
+    # blocks regroup the sampling and the step maps, not the arithmetic: the
+    # 128-step pairwise trees, the tree over them and every trajectory state
+    # keep their bits, signed zeros included
+    pot, path, i0 = _BLOCK_CASES[case]()
+    final, traj, spins = _chunked_transports(pot, path, i0, steps)
+    assert _same_bits(parallel_transport(pot, path, steps), final)
+    assert _same_bits(_trajectory(pot, path, steps)[1], traj)
+    assert _same_bits(wong_evolve(pot, path, i0, steps)[1], spins)
 
 
 def test_transport_names_the_path_time_of_a_non_finite_node_on_a_later_piece():
@@ -253,6 +383,25 @@ def test_transport_names_the_first_non_finite_node():
                 lambda: wong_evolve(pot, torus_loop((1, 0)), E2, 100)):
         with pytest.raises(ValueError, match=r"not finite at t = 0\.305$"):
             run()
+
+
+def test_transport_names_the_first_non_finite_node_of_a_later_block():
+    # 3000 steps at rank 2 sample blocks of 1024 steps, nodes j / 6000; the
+    # first with x > 0.6 is j = 3601, in the second block, and the third block
+    # is never sampled
+    seen = []
+
+    def ax(x, y):
+        seen.append(x)
+        return np.full((2, 2), np.nan) if x > 0.6 else E1
+
+    pot = AnalyticTorusPotential(ax, lambda x, y: ZERO2, 2)
+    for run in (lambda: parallel_transport(pot, torus_loop((1, 0)), 3000),
+                lambda: _trajectory(pot, torus_loop((1, 0)), 3000)):
+        seen.clear()
+        with pytest.raises(ValueError, match=f"not finite at t = {3601 / 6000}$"):
+            run()
+        assert len(seen) == 2 * 2048 + 1 and max(seen) == 4096 / 6000
 
 
 def _counting_potential(ax, ay=lambda x, y: E3):

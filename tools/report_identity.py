@@ -7,7 +7,9 @@ Usage, from anywhere in a checkout:
 Extracts `src/` of revision REV with `git archive` into a temporary
 directory, then runs each invocation below in every output format on that
 tree and on the checkout's `src/`, each in its own interpreter with BLAS on
-one thread.  Prints one line per invocation and format, then a summary, and
+one thread.  The transports with `--steps` 1777, 3001 and 5001 span several
+of the blocks `holonomy` samples at once and end in a partial 128-step
+chunk.  Prints one line per invocation and format, then a summary, and
 exits 1 if any exit code or stdout byte differs.  Under each DIFFERENT
 structured record it prints every moved leaf as its JSON path, the `name` of
 the nearest enclosing object that has one (a check's name), and the old and
@@ -52,11 +54,14 @@ INVOCATIONS = (
     "holonomy --family const-dx --loop tcircle",
     "holonomy --family sin-dy --loop torus:wx=0,wy=1,x0=0.3",
     "holonomy --family sin-dy --loop torus:wx=1,wy=1",
+    "holonomy --family sin-dy --loop tcircle --steps 5001",
     "ab",
     "ab --k 0.37+0.1j --winding 2",
+    "ab --k 0.37+0.1j --winding 3 --steps 1777",
     "wong --case constant",
     "wong --case flat-contractible",
     "wong --case flat-contractible --i0 e3",
+    "wong --case flat-contractible --steps 3001",
     "spectrum --grid 16 --rank 2",
     "spectrum --grid 16 --rank 3",
     "spectrum --grid 12",
